@@ -119,24 +119,16 @@ class LinkScenario:
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Generalised Henyey-Greenstein parameters for the turbulent medium.
-
-    alpha_am_mode is fixed to "total": the medium coefficient in the
-    single-scatter integral equals the total extinction alpha_att, both in
-    the source factor and in the path exponential.
-    """
+    """Generalised Henyey-Greenstein parameters for the turbulent medium."""
 
     g: float = 0.9
     f: float = 0.5
-    alpha_am_mode: str = "total"
 
     def __post_init__(self):
         if not -1.0 < self.g < 1.0:
             raise ValueError(f"asymmetry factor g must satisfy |g| < 1, got {self.g}")
         if self.f < 0:
             raise ValueError(f"forward-fraction f must be >= 0, got {self.f}")
-        if self.alpha_am_mode != "total":
-            raise ValueError(f"unsupported alpha_am_mode {self.alpha_am_mode!r}")
         # p(mu) must stay nonnegative over the whole angular range
         mu = np.linspace(-1.0, 1.0, 2001)
         if np.min(_phase_values(mu, self.g, self.f)) < 0:

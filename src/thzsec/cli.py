@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .atmosphere import RegimeError, extinction
 from .channel import compute_channel_gains
 from .config import MODE_PROBABILISTIC, ConfigError, parse_config
-from .outage import FadingModel, outage_scan_point
+from .outage import outage_from_gains
 from .scan import emit, extract_insecure_region, run_scan, run_sweep
 from .secrecy import detection_rates, secrecy_capacity
 from .units import np_per_m_to_db_per_km
@@ -50,7 +50,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--mode", choices=("det", "prob"), default=None,
                        help="override scan.mode from the config")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into metadata")
         p.add_argument("--threads", type=int, default=1, help="worker processes for scans")
 
     for name, doc in (
@@ -79,7 +78,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = _resolved(args)
-    result = run_scan(cfg, threads=args.threads, seed=args.seed)
+    result = run_scan(cfg, threads=args.threads)
     region = extract_insecure_region(result)
     print(f"grid: {len(result.xs)} x {len(result.ys)} cells, mode={result.mode}")
     if result.msc_bps is not None:
@@ -96,9 +95,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolved(args)
-    outputs = run_sweep(
-        cfg, out_stem=args.out, fmt=args.format, threads=args.threads, seed=args.seed
-    )
+    outputs = run_sweep(cfg, out_stem=args.out, fmt=args.format, threads=args.threads)
     for value, result, path in outputs:
         summary = (
             f"msc_bps={result.msc_bps:.6g}" if result.msc_bps is not None
@@ -157,17 +154,16 @@ def _cmd_point(args) -> int:
         },
     }
     if spec.mode == MODE_PROBABILISTIC:
-        outage = outage_scan_point(
-            scenario, ext, cfg.scattering(), spec.target_rate_bps,
+        outage = outage_from_gains(
+            scenario, gains, ext.beta_r2_sph, spec.target_rate_bps,
             cfg.duty_cycle(), cfg.paper_exact(),
         )
-        model = FadingModel(g_los_mean=gains.g_los, sigma_r2=ext.beta_r2_sph)
         report["outage"] = {
             "target_rate_bps": spec.target_rate_bps,
             "g_threshold": outage.g_threshold,
             "p_o": outage.p_o,
-            "sigma_r2": model.sigma_r2,
-            "median_gain": model.median_gain,
+            "sigma_r2": outage.fading.sigma_r2,
+            "median_gain": outage.fading.median_gain,
         }
 
     def sanitize(v):

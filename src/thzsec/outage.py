@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError
-from .channel import LinkScenario, ScatteringParams, compute_channel_gains
+from .channel import ChannelGains, LinkScenario, ScatteringParams, compute_channel_gains
 from .secrecy import DetectionRates, detection_rates, ook_mutual_information
 from .units import photon_energy_j
 
@@ -29,6 +29,7 @@ __all__ = [
     "threshold_gain",
     "outage_probability",
     "outage_probability_mc",
+    "outage_from_gains",
     "outage_scan_point",
 ]
 
@@ -229,10 +230,32 @@ class OutageResult:
     p_o: float
     g_threshold: Optional[float]
     target_rate_bps: float
+    fading: Optional[FadingModel] = None  # None when no fading model was needed
 
     def __post_init__(self):
         if not 0.0 <= self.p_o <= 1.0:
             raise ValueError(f"p_o must be in [0, 1], got {self.p_o}")
+
+
+def outage_from_gains(
+    scenario: LinkScenario,
+    gains: ChannelGains,
+    sigma_r2: float,
+    target_rate_bps: float,
+    q: float = 0.5,
+    paper_exact: bool = False,
+) -> OutageResult:
+    """Threshold gain and closed-form outage probability for known channel
+    gains, the LOS gain fading with log-variance ``sigma_r2``."""
+    model = FadingModel(g_los_mean=gains.g_los, sigma_r2=sigma_r2)
+    if target_rate_bps <= 0.0:
+        return OutageResult(
+            p_o=0.0, g_threshold=None, target_rate_bps=target_rate_bps, fading=model
+        )
+    rates = detection_rates(scenario, gains, q)
+    g_star = threshold_gain(scenario, gains.g_nlos, rates, target_rate_bps, paper_exact)
+    p_o = 1.0 if g_star is None else outage_probability(model, g_star)
+    return OutageResult(p_o=p_o, g_threshold=g_star, target_rate_bps=target_rate_bps, fading=model)
 
 
 def outage_scan_point(
@@ -253,15 +276,6 @@ def outage_scan_point(
         # the capacity is never below a nonpositive target under continuous fading
         return OutageResult(p_o=0.0, g_threshold=None, target_rate_bps=target_rate_bps)
     gains = compute_channel_gains(scenario, ext, params)
-    rates = detection_rates(scenario, gains, q)
-    model = FadingModel(g_los_mean=gains.g_los, sigma_r2=ext.beta_r2_sph)
-    g_star = threshold_gain(
-        scenario, gains.g_nlos, rates, target_rate_bps, paper_exact
-    )
-    if g_star is None:
-        return OutageResult(p_o=1.0, g_threshold=None, target_rate_bps=target_rate_bps)
-    return OutageResult(
-        p_o=outage_probability(model, g_star),
-        g_threshold=g_star,
-        target_rate_bps=target_rate_bps,
+    return outage_from_gains(
+        scenario, gains, ext.beta_r2_sph, target_rate_bps, q, paper_exact
     )

@@ -59,19 +59,12 @@ class ScanResult:
             return self.values == 0.0
         return self.values == 1.0
 
-    @property
-    def insecure_cells(self) -> frozenset:
-        """Set of (iy, ix) indices of insecure cells."""
-        iy, ix = np.nonzero(self.is_insecure())
-        return frozenset(zip(iy.tolist(), ix.tolist()))
-
 
 @dataclass(frozen=True)
 class InsecureRegion:
-    """Per-row maximal runs of insecure cells plus the global cell set."""
+    """Per-row maximal runs of insecure cells and the region's size."""
 
     runs_by_row: Dict[int, List[Tuple[int, int]]]  # iy -> [(ix_first, ix_last)]
-    cells: frozenset
     cell_count: int
     area_m2: float
 
@@ -109,13 +102,8 @@ def _eval_row(payload) -> Tuple[int, List[float], int, int]:
     return iy, row, regime, invalid
 
 
-def run_scan(cfg: ResolvedConfig, threads: int = 1, seed: int = 0) -> ScanResult:
-    """Evaluate the configured grid; deterministic for a fixed config.
-
-    ``seed`` does not influence the scan values (the pipeline is closed
-    form); it is echoed into the metadata so downstream Monte Carlo
-    cross-checks can share one record of the run.
-    """
+def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
+    """Evaluate the configured grid; deterministic for a fixed config."""
     spec = cfg.scan_spec()
     scenario = cfg.scenario()
     scattering = cfg.scattering()
@@ -164,7 +152,6 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1, seed: int = 0) -> ScanResult
     metadata = {
         "config": cfg.to_dict(),
         "mode": spec.mode,
-        "seed": seed,
         "regime_error_cells": regime_cells,
         "invalid_position_cells": invalid_cells,
     }
@@ -186,7 +173,6 @@ def run_sweep(
     out_stem: Optional[Path] = None,
     fmt: str = "csv",
     threads: int = 1,
-    seed: int = 0,
 ):
     """Run one scan per sweep value; emit one file per value when asked.
 
@@ -198,7 +184,7 @@ def run_sweep(
     outputs = []
     for value in sweep.values:
         sub_cfg = cfg.with_sweep_value(sweep.parameter, value)
-        result = run_scan(sub_cfg, threads=threads, seed=seed)
+        result = run_scan(sub_cfg, threads=threads)
         path = None
         if out_stem is not None:
             path = out_stem.with_name(
@@ -212,25 +198,18 @@ def run_sweep(
 def extract_insecure_region(result: ScanResult) -> InsecureRegion:
     """Maximal per-row runs of insecure cells and the aggregate region."""
     mask = result.is_insecure()
+    # +1 where a run starts, -1 one past where it ends; row-major nonzero
+    # order pairs each row's starts with its ends
+    edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    start_rows, starts = np.nonzero(edges == 1)
+    _, stops = np.nonzero(edges == -1)
     runs: Dict[int, List[Tuple[int, int]]] = {}
-    for iy in range(mask.shape[0]):
-        row_runs: List[Tuple[int, int]] = []
-        start = None
-        for ix in range(mask.shape[1]):
-            if mask[iy, ix] and start is None:
-                start = ix
-            elif not mask[iy, ix] and start is not None:
-                row_runs.append((start, ix - 1))
-                start = None
-        if start is not None:
-            row_runs.append((start, mask.shape[1] - 1))
-        if row_runs:
-            runs[iy] = row_runs
+    for iy, first, last in zip(start_rows.tolist(), starts.tolist(), (stops - 1).tolist()):
+        runs.setdefault(iy, []).append((first, last))
     count = int(mask.sum())
     step = result.metadata["config"]["scan"]["step_m"]
     return InsecureRegion(
         runs_by_row=runs,
-        cells=result.insecure_cells,
         cell_count=count,
         area_m2=count * step * step,
     )
@@ -344,36 +323,40 @@ def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
 
 
 def load_csv(path: Union[str, Path]):
-    """Re-read an emitted CSV into (xs, ys, values, header_fields)."""
+    """Re-read an emitted CSV into (xs, ys, values, header_fields).
+
+    Only the layout ``emit`` writes is accepted: header lines, the column
+    line, then one row per cell in row-major order (y outer, x inner) with
+    every cell of the grid exactly once.  Anything else raises ValueError.
+    """
     header: Dict[str, str] = {}
-    cells: Dict[Tuple[float, float], float] = {}
-    xs: List[float] = []
-    ys: List[float] = []
-    saw_columns = False
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            header[key.strip()] = value.strip()
-            continue
-        if not saw_columns:
-            if line.strip() != "x_m,y_m,value":
-                raise ValueError(f"{path}: unexpected column header {line!r}")
-            saw_columns = True
-            continue
-        if not line.strip():
-            continue
+    lines = iter(Path(path).read_text().splitlines())
+    columns = next(lines, "")
+    while columns.startswith("#"):
+        key, _, value = columns[1:].partition(":")
+        header[key.strip()] = value.strip()
+        columns = next(lines, "")
+    if columns.strip() != "x_m,y_m,value":
+        raise ValueError(f"{path}: unexpected column header {columns!r}")
+    x_col, y_col, v_col = [], [], []
+    for line in lines:
         sx, sy, sv = line.split(",")
-        x, y, v = float(sx), float(sy), float(sv)
-        if x not in xs:
-            xs.append(x)
-        if y not in ys:
-            ys.append(y)
-        cells[(x, y)] = v
-    values = np.full((len(ys), len(xs)), np.nan)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            values[iy, ix] = cells[(x, y)]
-    return xs, ys, values, header
+        x_col.append(float(sx))
+        y_col.append(float(sy))
+        v_col.append(float(sv))
+    if not y_col:
+        raise ValueError(f"{path}: no data rows")
+    nx = next((i for i in range(1, len(y_col)) if y_col[i] != y_col[0]), len(y_col))
+    xs, ys = x_col[:nx], y_col[::nx]
+    ny = len(ys)
+    if (
+        len(set(xs)) != nx
+        or len(set(ys)) != ny
+        or x_col != xs * ny
+        or y_col != [y for y in ys for _ in xs]
+    ):
+        raise ValueError(f"{path}: rows are not a full {nx} x {ny} grid in row-major order")
+    return xs, ys, np.array(v_col, dtype=float).reshape(ny, nx), header
 
 
 def load_json(path: Union[str, Path]):

@@ -6,10 +6,14 @@ duty cycle q uses the capacity-form expression
 
     I = q*(ls+ln)*log2(ls+ln) + (1-q)*ln*log2(ln) - (q*ls+ln)*log2(q*ls+ln)
 
-which is nonnegative by convexity of x*log(x).  A ``paper_exact`` switch
-drops the (1-q) weight on the middle term, reproducing a published variant
-that can go negative; it exists for auditability only and is never used by
-the risk pipeline defaults.
+which is nonnegative by convexity of x*log(x).  It is evaluated as
+
+    I = [q*(ls+ln)*log1p((1-q)*ls/(q*ls+ln)) - (1-q)*ln*log1p(q*ls/ln)] / ln(2)
+
+which avoids subtracting the near-equal x*log(x) terms when ln >> ls.  A
+``paper_exact`` switch drops the (1-q) weight on the middle term,
+reproducing a published variant that can go negative; it exists for
+auditability only and is never used by the risk pipeline defaults.
 """
 
 from __future__ import annotations
@@ -108,11 +112,6 @@ def detection_rates(
     )
 
 
-def _xlog2(v: float) -> float:
-    """x*log2(x) with the 0*log(0) = 0 convention."""
-    return v * math.log2(v) if v > 0.0 else 0.0
-
-
 def ook_mutual_information(
     lambda_s: float, lambda_noise: float, q: float, paper_exact: bool = False
 ) -> float:
@@ -124,16 +123,15 @@ def ook_mutual_information(
     if lambda_s == 0.0:
         # no signal, no information; exact by construction in both forms
         return 0.0
-    on_term = q * _xlog2(lambda_s + lambda_noise)
-    off_weight = 1.0 if paper_exact else (1.0 - q)
-    off_term = off_weight * _xlog2(lambda_noise)
-    mix_term = _xlog2(q * lambda_s + lambda_noise)
-    info = on_term + off_term - mix_term
-    if not paper_exact and info < 0.0:
-        # mathematically nonnegative; clamp float round-off only
-        if info < -1e-9:
-            raise AssertionError(f"capacity-form MI came out {info}, expected >= 0")
-        info = 0.0
+    mix = q * lambda_s + lambda_noise
+    on_term = q * (lambda_s + lambda_noise) * math.log1p((1.0 - q) * lambda_s / mix)
+    off_term = 0.0  # ln * log1p(c / ln) -> 0 as ln -> 0
+    if lambda_noise > 0.0:
+        off_term = (1.0 - q) * lambda_noise * math.log1p(q * lambda_s / lambda_noise)
+    # both terms are nonnegative; clamp the round-off of their difference
+    info = max(0.0, (on_term - off_term) / math.log(2.0))
+    if paper_exact and lambda_noise > 0.0:
+        info += q * lambda_noise * math.log2(lambda_noise)
     return info
 
 

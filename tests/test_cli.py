@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from thzsec import channel, cli, outage
 from thzsec.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
 from thzsec.scan import load_csv
 
@@ -104,6 +106,28 @@ class TestPoint:
         cfg = write(tmp_path, "[atmosphere]\ncn2 = 1e-8\n")
         assert main(["point", "--config", str(cfg)]) == EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["det", "prob"])
+    def test_channel_gains_computed_once(self, tmp_path, capsys, monkeypatch, mode):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return channel.compute_channel_gains(*args)
+
+        monkeypatch.setattr(cli, "compute_channel_gains", counting)
+        monkeypatch.setattr(outage, "compute_channel_gains", counting)
+        cfg = write(tmp_path, POINT_CFG)
+        assert main(["point", "--config", str(cfg), "--mode", mode]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_loud_eavesdropper_background(self, tmp_path, capsys):
+        # against a 1e9 background the x*log2(x) terms of I(X;Z) nearly
+        # cancel; the result must stay a small nonnegative number
+        cfg = write(tmp_path, POINT_CFG + "[eve]\nbackground_count = 1e9\n")
+        assert main(["point", "--config", str(cfg)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert 0.0 <= report["secrecy"]["i_eve_bits_per_slot"] < 1e-6
 
     def test_out_file(self, tmp_path, capsys):
         cfg = write(tmp_path, POINT_CFG)

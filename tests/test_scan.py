@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thzsec.atmosphere import extinction
 from thzsec.channel import compute_channel_gains
@@ -10,6 +13,7 @@ from thzsec.config import parse_config
 from thzsec.outage import outage_scan_point
 from thzsec.scan import (
     JSON_SCHEMA,
+    ScanResult,
     emit,
     extract_insecure_region,
     load_csv,
@@ -36,6 +40,44 @@ y_min_m = 10
 y_max_m = 50
 step_m = 20
 """
+
+
+def synthetic_result(values, mode="det", xs=None, ys=None):
+    ny, nx = values.shape
+    return ScanResult(
+        xs=tuple(float(i) for i in range(nx)) if xs is None else tuple(xs),
+        ys=tuple(float(j) for j in range(ny)) if ys is None else tuple(ys),
+        values=values,
+        mode=mode,
+        msc_bps=None,
+        mop=None,
+        regime_error_cells=0,
+        invalid_position_cells=0,
+        metadata={"config": {"scan": {"step_m": 2.0}}},
+    )
+
+
+def same_bits(a, b):
+    """Arrays equal bit for bit, except that any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+@st.composite
+def grids(draw):
+    """Distinct axes and values that include NaN, -0.0, subnormals and 1e300."""
+    ny, nx = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    axis = st.floats(allow_nan=False, allow_infinity=False)
+    xs = draw(st.lists(axis, min_size=nx, max_size=nx, unique=True))
+    ys = draw(st.lists(axis, min_size=ny, max_size=ny, unique=True))
+    special = st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 2.5e-308, 1e300, -1e300])
+    values = draw(arrays(float, (ny, nx), elements=st.one_of(st.floats(), special)))
+    return xs, ys, values
 
 
 class TestRunScan:
@@ -159,14 +201,8 @@ step_m = 20
         assert np.array_equal(sub.values, full.values[np.ix_(y_idx, x_idx)])
         assert sub.msc_bps <= full.msc_bps
         # insecure region restricts consistently
-        full_cells = {
-            (full.ys[iy], full.xs[ix]) for iy, ix in full.insecure_cells
-        }
-        sub_cells = {(sub.ys[iy], sub.xs[ix]) for iy, ix in sub.insecure_cells}
-        window = {
-            (y, x) for y in sub.ys for x in sub.xs if (y, x) in full_cells
-        }
-        assert sub_cells == window
+        window = full.is_insecure()[np.ix_(y_idx, x_idx)]
+        assert np.array_equal(sub.is_insecure(), window)
 
     def test_plateau_msc_independent_of_eve_background(self, tmp_path):
         # grid rows include a far standoff where Eve collects essentially
@@ -187,8 +223,8 @@ step_m = 10000
 
     def test_metadata_echoes_config_and_seed(self, tmp_path):
         cfg = cfg_from(tmp_path, SMALL_GRID)
-        result = run_scan(cfg, seed=42)
-        assert result.metadata["seed"] == 42
+        result = run_scan(cfg)
+        assert "seed" not in result.metadata
         assert result.metadata["config"]["scan"]["step_m"] == 20.0
 
     def test_paper_exact_flag_flows_through(self, tmp_path):
@@ -216,20 +252,7 @@ step_m = 10000
 class TestInsecureRegion:
     def _synthetic(self, mask, mode="det"):
         values = np.where(mask, 0.0 if mode == "det" else 1.0, 5.0 if mode == "det" else 0.25)
-        from thzsec.scan import ScanResult
-
-        ny, nx = values.shape
-        return ScanResult(
-            xs=tuple(float(i) for i in range(nx)),
-            ys=tuple(float(j) for j in range(ny)),
-            values=values.astype(float),
-            mode=mode,
-            msc_bps=float(values.max()) if mode == "det" else None,
-            mop=float(values.min()) if mode == "prob" else None,
-            regime_error_cells=0,
-            invalid_position_cells=0,
-            metadata={"config": {"scan": {"step_m": 2.0}}},
-        )
+        return synthetic_result(values.astype(float), mode)
 
     def test_all_secure_empty_region(self):
         region = extract_insecure_region(self._synthetic(np.zeros((3, 5), dtype=bool)))
@@ -264,6 +287,24 @@ class TestInsecureRegion:
         result.values[0, 0] = 1.0 - 1e-12
         region = extract_insecure_region(result)
         assert region.runs_by_row == {0: [(1, 1)]}
+
+    @given(
+        arrays(
+            bool,
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+            elements=st.booleans(),
+        ),
+        st.lists(st.sampled_from(["all", "none"]), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_loop_oracle(self, mask, fills):
+        # force some whole rows insecure or secure so those cases always occur
+        for iy, fill in enumerate(fills[: mask.shape[0]]):
+            mask[iy] = fill == "all"
+        region = extract_insecure_region(self._synthetic(mask))
+        expected = {iy: runs for iy, runs in enumerate(map(run_lengths, mask)) if runs}
+        assert region.runs_by_row == expected
+        assert region.cell_count == int(mask.sum())
 
 
 class TestEmit:
@@ -320,6 +361,40 @@ class TestEmit:
         assert payload["msc_bps"] is None
         _, _, values, _ = load_json(out)
         assert np.all(np.isnan(values))
+
+    @given(grids())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_round_trip_property(self, tmp_path_factory, grid):
+        xs, ys, values = grid
+        out = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        emit(synthetic_result(values, xs=xs, ys=ys), "csv", out)
+        got_xs, got_ys, got_values, _ = load_csv(out)
+        assert isinstance(got_xs, list) and isinstance(got_ys, list)
+        assert same_bits(got_xs, xs) and same_bits(got_ys, ys)
+        assert same_bits(got_values, values)
+
+    @pytest.mark.parametrize("damage", ["missing", "duplicated", "swapped"])
+    def test_csv_not_a_full_grid_rejected(self, tmp_path, damage):
+        out = tmp_path / "map.csv"
+        emit(synthetic_result(np.arange(12.0).reshape(3, 4)), "csv", out)
+        lines = out.read_text().splitlines()
+        first = lines.index("x_m,y_m,value") + 1
+        head, rows = lines[:first], lines[first:]
+        variants = []
+        for i in range(len(rows)):
+            if damage == "missing":
+                variants.append(rows[:i] + rows[i + 1:])
+            elif damage == "duplicated":
+                variants.append(rows[:i + 1] + rows[i:])
+            else:
+                for j in range(i + 1, len(rows)):
+                    swapped = list(rows)
+                    swapped[i], swapped[j] = rows[j], rows[i]
+                    variants.append(swapped)
+        for variant in variants:
+            out.write_text("\n".join(head + variant) + "\n")
+            with pytest.raises(ValueError):
+                load_csv(out)
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_scan(cfg_from(tmp_path, SMALL_GRID))

@@ -1,4 +1,6 @@
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ class TestMutualInformation:
         paper = ook_mutual_information(lam_s, lam_n, q, paper_exact=True)
         off = lam_n * math.log2(lam_n)
         assert math.isclose(paper - std, q * off, rel_tol=1e-9)
+
+    def test_matches_decimal_reference(self):
+        # large backgrounds make the x*log2(x) terms nearly cancel: on 51 of
+        # these 1,105 inputs the direct three-term sum came out below -1e-9
+        def reference(ls, ln, q):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                s, n, w = Decimal(ls), Decimal(ln), Decimal(q)
+
+                def xln(v):
+                    return v * v.ln() if v > 0 else Decimal(0)
+
+                info = w * xln(s + n) + (1 - w) * xln(n) - xln(w * s + n)
+                return float(info / Decimal(2).ln())
+
+        lam_s = np.logspace(-6, 6, 13)
+        lam_n = np.concatenate(([0.0], np.logspace(-6, 9, 16)))
+        for ls, ln, q in itertools.product(lam_s, lam_n, (0.1, 0.3, 0.5, 0.7, 0.9)):
+            ls, ln = float(ls), float(ln)
+            ref = reference(ls, ln, q)
+            got = ook_mutual_information(ls, ln, q)
+            assert abs(got - ref) <= 1e-9 * ref + 1e-14 * ls, (ls, ln, q, got, ref)
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

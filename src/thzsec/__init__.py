@@ -27,6 +27,7 @@ from .channel import (
     compute_channel_gains,
     los_gain,
     nlos_gain,
+    nlos_gain_field,
     optimize_steering,
     phase_function,
     scattering_segment,

@@ -29,7 +29,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown
-from .numerics import adaptive_gauss_kronrod, golden_section_max
+from .numerics import (
+    adaptive_gauss_kronrod,
+    batched_gauss_kronrod,
+    batched_golden_section_max,
+    golden_section_max,
+)
 
 __all__ = [
     "EmptySegment",
@@ -42,6 +47,7 @@ __all__ = [
     "scattering_segment",
     "nlos_gain",
     "optimize_steering",
+    "nlos_gain_field",
     "compute_channel_gains",
 ]
 
@@ -49,6 +55,7 @@ STEERING_XTOL_RAD = 1e-4
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-30
 _COARSE_STEERING_POINTS = 24
+_FIELD_CHUNK = 512  # positions per batch of nlos_gain_field
 
 
 class EmptySegment(ValueError):
@@ -195,22 +202,26 @@ def scattering_segment(
     if not 0.0 <= steering_rad <= math.pi:
         raise ValueError(f"steering_rad must be in [0, pi], got {steering_rad}")
     x, y = _normalized_eve(scenario)
+    l_a, l_b = _segment_ends(x, y, steering_rad, scenario)
+    if l_a >= l_b:
+        raise EmptySegment(f"FOV cone misses the axis segment [0, {scenario.d:g}] m")
+    return float(l_a), float(l_b)
+
+
+def _segment_ends(x, y, steering, scenario: LinkScenario):
+    """Ends (l_a, l_b) of ``scattering_segment`` for Eve at (x, y), y > 0;
+    elementwise on arrays, and l_a >= l_b where the cone misses [0, d]."""
     half_fov = scenario.eve.fov_full_rad / 2.0
     # A point (l, 0) seen from Eve has bearing beta = atan((l - x)/y) off the
-    # downward vertical; the boresight bearing is steering_rad - pi/2, so the
+    # downward vertical; the boresight bearing is steering - pi/2, so the
     # cone admits beta in [lo, hi] below, clipped to the open (-pi/2, pi/2).
-    beta_lo = steering_rad - math.pi / 2.0 - half_fov
-    beta_hi = steering_rad - math.pi / 2.0 + half_fov
-    if beta_hi <= -math.pi / 2.0 or beta_lo >= math.pi / 2.0:
-        raise EmptySegment("field-of-view cone does not reach the beam axis")
-    l_a = 0.0 if beta_lo <= -math.pi / 2.0 else x + y * math.tan(beta_lo)
-    l_b = scenario.d if beta_hi >= math.pi / 2.0 else x + y * math.tan(beta_hi)
-    l_a = max(l_a, 0.0)
-    l_b = min(l_b, scenario.d)
-    if l_a >= l_b:
-        raise EmptySegment(
-            f"FOV cone meets the axis only outside [0, {scenario.d:g}] m"
-        )
+    beta_lo = steering - math.pi / 2.0 - half_fov
+    beta_hi = steering - math.pi / 2.0 + half_fov
+    misses = (beta_hi <= -math.pi / 2.0) | (beta_lo >= math.pi / 2.0)
+    l_a = np.where(beta_lo <= -math.pi / 2.0, 0.0, x + y * np.tan(beta_lo))
+    l_b = np.where(beta_hi >= math.pi / 2.0, scenario.d, x + y * np.tan(beta_hi))
+    l_a = np.where(misses, scenario.d, np.maximum(l_a, 0.0))
+    l_b = np.where(misses, 0.0, np.minimum(l_b, scenario.d))
     return l_a, l_b
 
 
@@ -234,28 +245,34 @@ def nlos_gain(
     except EmptySegment:
         return 0.0
     x, y = _normalized_eve(scenario)
-    area = scenario.eve.area
-    cos_a = math.cos(steering_rad)
-    sin_a = math.sin(steering_rad)
-    g, f = params.g, params.f
+    # numpy's cos, sin (and tan, arctan2 elsewhere): nlos_gain_field repeats
+    # this arithmetic on arrays and must round the same way
+    cos_a = float(np.cos(steering_rad))
+    y_sin_a = y * float(np.sin(steering_rad))
 
     def integrand(l):
-        dx = x - l
-        r = np.hypot(dx, y)
-        mu = dx / r
-        proj = np.maximum(dx * cos_a + y * sin_a, 0.0)
-        omega = area * proj / r**3
-        return omega * _phase_values(mu, g, f) * alpha_am * np.exp(-alpha_am * (l + r))
+        return _nlos_integrand(l, x, y, cos_a, y_sin_a, scenario.eve.area, alpha_am, params)
 
     return adaptive_gauss_kronrod(
         integrand, l_a, l_b, rel_tol=QUAD_REL_TOL, abs_tol=QUAD_ABS_TOL
     )
 
 
+def _nlos_integrand(l, x, y, cos_a, y_sin_a, area, alpha_am, params):
+    """Omega(l) * p(mu(l)) * alpha_am * exp(-alpha_am * (l + r)) for Eve at
+    (x, y), y > 0, aimed along (cos_a, sin_a); y_sin_a is y * sin_a."""
+    dx = x - l
+    r = np.hypot(dx, y)
+    mu = dx / r
+    proj = np.maximum(dx * cos_a + y_sin_a, 0.0)
+    omega = area * proj / r**3
+    return omega * _phase_values(mu, params.g, params.f) * alpha_am * np.exp(-alpha_am * (l + r))
+
+
 def _steering_bounds(scenario: LinkScenario) -> Tuple[float, float]:
     """Steering angles corresponding to aim points at l* = 0 and l* = d."""
     x, y = _normalized_eve(scenario)
-    return math.atan2(y, x), math.atan2(y, x - scenario.d)
+    return float(np.arctan2(y, x)), float(np.arctan2(y, x - scenario.d))
 
 
 def optimize_steering(
@@ -292,14 +309,116 @@ def optimize_steering(
     return best_angle, best_gain
 
 
+def nlos_gain_field(
+    xs,
+    ys,
+    scenario: LinkScenario,
+    ext: ExtinctionBreakdown,
+    params: ScatteringParams,
+    max_panels: int = 2048,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Steering-optimised NLOS gain for Eve at every position (xs[k], ys[k]).
+
+    Runs ``optimize_steering`` for all positions at once: the FOV segments,
+    the integrand and the quadrature panels of every (position, steering)
+    pair are single numpy calls, each position keeps its own adaptive
+    refinement, and the golden sections run in lockstep.  Eve's position
+    in ``scenario`` is ignored.  A position's result does not depend on the
+    other positions passed with it.  Returns (steering, g_nlos) arrays of
+    the positions' shape; ``QuadratureError`` when a quadrature needs more
+    than ``max_panels`` panels.
+    """
+    x, y = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    shape = x.shape
+    x, y = x.ravel(), np.abs(y.ravel())
+    if (y == 0).any():
+        raise ValueError("eavesdropper y-coordinates must be nonzero")
+    steering, g_nlos = np.empty(x.size), np.empty(x.size)
+    # chunks bound the memory of the (position, steering) panel arrays
+    for lo in range(0, x.size, _FIELD_CHUNK):
+        part = slice(lo, lo + _FIELD_CHUNK)
+        steering[part], g_nlos[part] = _optimised_steering(
+            x[part], y[part], scenario, ext, params, max_panels
+        )
+    return steering.reshape(shape), g_nlos.reshape(shape)
+
+
+def _optimised_steering(x, y, scenario, ext, params, max_panels):
+    """``optimize_steering`` for Eve at every (x[k], y[k]), y > 0."""
+    alpha_am = ext.alpha_att
+    area = scenario.eve.area
+
+    def gain(k: np.ndarray, steering: np.ndarray) -> np.ndarray:
+        """nlos_gain of position k[i] at steering[i], for every i."""
+        if alpha_am == 0.0:
+            return np.zeros(steering.shape)
+        xk, yk = x[k], y[k]
+        l_a, l_b = _segment_ends(xk, yk, steering, scenario)  # b <= a integrates to 0
+        cos_a = np.cos(steering)
+        y_sin_a = yk * np.sin(steering)
+
+        def integrand(i, l):
+            return _nlos_integrand(
+                l, xk[i, None], yk[i, None], cos_a[i, None], y_sin_a[i, None],
+                area, alpha_am, params,
+            )
+
+        return batched_gauss_kronrod(
+            integrand, l_a, l_b, rel_tol=QUAD_REL_TOL, abs_tol=QUAD_ABS_TOL,
+            max_panels=max_panels,
+        )
+
+    # optimize_steering's coarse probes: np.linspace(lo, hi, 24) per position,
+    # plus the foot point pi/2 where it lies strictly inside (lo, hi)
+    n = x.size
+    lo, hi = np.arctan2(y, x), np.arctan2(y, x - scenario.d)
+    step = (hi - lo) / (_COARSE_STEERING_POINTS - 1)
+    probes = np.arange(_COARSE_STEERING_POINTS, dtype=float) * step[:, None] + lo[:, None]
+    probes[:, -1] = hi
+    foot = (lo < math.pi / 2.0) & (math.pi / 2.0 < hi)
+    cells = np.repeat(np.arange(n), _COARSE_STEERING_POINTS)
+    foot_cells = np.flatnonzero(foot)
+    values = gain(
+        np.concatenate([cells, foot_cells]),
+        np.concatenate([probes.ravel(), np.full(foot_cells.size, math.pi / 2.0)]),
+    )
+    # sorted candidates; a position without a foot probe gets a dummy last
+    # entry that is never the best and never a bracket end
+    angles = np.column_stack([probes, np.full(n, np.inf)])
+    gains = np.column_stack([values[: cells.size].reshape(n, -1), np.full(n, -np.inf)])
+    angles[foot_cells, -1] = math.pi / 2.0
+    gains[foot_cells, -1] = values[cells.size:]
+    order = np.argsort(angles, axis=1, kind="stable")
+    angles = np.take_along_axis(angles, order, axis=1)
+    gains = np.take_along_axis(gains, order, axis=1)
+    rows = np.arange(n)
+    i_best = np.argmax(gains, axis=1)
+    i_lo = np.maximum(i_best - 1, 0)
+    i_hi = np.minimum(i_best + 1, _COARSE_STEERING_POINTS - 1 + foot)
+    steering, g_nlos = batched_golden_section_max(
+        gain,
+        angles[rows, i_lo],
+        angles[rows, i_hi],
+        gains[rows, i_lo],
+        gains[rows, i_hi],
+        xtol=STEERING_XTOL_RAD,
+    )
+    coarse_wins = gains[rows, i_best] > g_nlos
+    steering = np.where(coarse_wins, angles[rows, i_best], steering)
+    g_nlos = np.where(coarse_wins, gains[rows, i_best], g_nlos)
+    return steering, g_nlos
+
+
 def compute_channel_gains(
     scenario: LinkScenario,
     ext: ExtinctionBreakdown,
     params: ScatteringParams,
 ) -> ChannelGains:
-    """LOS gain plus steering-optimised NLOS gain for the scenario."""
+    """LOS gain plus steering-optimised NLOS gain for the scenario: the
+    one-position call of ``nlos_gain_field``."""
     g_los = los_gain(scenario, ext)
-    steering, g_nlos = optimize_steering(scenario, ext, params)
+    steering, g_nlos = nlos_gain_field(*scenario.eve_xy, scenario, ext, params)
+    steering, g_nlos = float(steering), float(g_nlos)
     try:
         seg = scattering_segment(scenario, steering)
     except EmptySegment:

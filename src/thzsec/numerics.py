@@ -1,20 +1,33 @@
 """Self-contained 1-D numerics: adaptive Gauss-Kronrod quadrature and
-golden-section maximisation.
+golden-section maximisation, each for one problem and for a batch of
+independent problems solved in lockstep.
 
 The quadrature drives the single-scatter gain integral; the golden-section
 search drives the steering optimisation.  Both work on plain callables; the
 quadrature expects a vectorised integrand (ndarray in, ndarray out) so that
 whole refinement rounds cost a single numpy call.
+
+The batched forms run the one-problem algorithm of every problem side by
+side, with the same rule, tolerances and stopping tests.  A problem's
+arithmetic never mixes with another's: its panels keep their own order and
+its total is a sequential sum of them, so its result does not depend on
+which other problems share the batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_gauss_kronrod", "golden_section_max"]
+__all__ = [
+    "QuadratureError",
+    "adaptive_gauss_kronrod",
+    "batched_gauss_kronrod",
+    "golden_section_max",
+    "batched_golden_section_max",
+]
 
 
 class QuadratureError(RuntimeError):
@@ -66,18 +79,6 @@ _wg_full[1::2] = _WG  # Gauss nodes sit at the odd Kronrod indices plus the cent
 _WEIGHTS_G = np.concatenate([_wg_full[:7], _wg_full[::-1]])
 
 
-def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod/Gauss estimates for a batch of panels in one integrand call."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # shape (n_panels, 15)
-    pts = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    ik = half * (vals @ _WEIGHTS_K)
-    ig = half * (vals @ _WEIGHTS_G)
-    return ik, np.abs(ik - ig)
-
-
 def adaptive_gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -90,39 +91,93 @@ def adaptive_gauss_kronrod(
 
     Each refinement round re-evaluates every out-of-budget panel with the
     (G7, K15) pair; a panel's error estimate is |K15 - G7|.  The local error
-    budget is the global budget prorated by panel width.
+    budget is the global budget prorated by panel width.  This is the
+    one-problem call of ``batched_gauss_kronrod``.
     """
-    if b <= a:
-        return 0.0
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    ik, err = _panel_estimates(f, lo, hi)
+    total = batched_gauss_kronrod(
+        lambda item, x: f(x), [a], [b], rel_tol, abs_tol, max_panels
+    )
+    return float(total[0])
+
+
+def _panel_estimates(f, item: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod/Gauss estimates for a batch of panels in one integrand call.
+
+    Row sums, not a matrix product, whose rows may round differently with
+    the number of panels."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    # shape (n_panels, 15)
+    pts = mid[:, None] + half[:, None] * _NODES[None, :]
+    vals = np.asarray(f(item, pts), dtype=float)
+    ik = half * (vals * _WEIGHTS_K).sum(axis=1)
+    ig = half * (vals * _WEIGHTS_G).sum(axis=1)
+    return ik, np.abs(ik - ig)
+
+
+def batched_gauss_kronrod(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    rel_tol: float = 1e-8,
+    abs_tol: float = 1e-30,
+    max_panels: int = 2048,
+) -> np.ndarray:
+    """Integrate problem k over [a[k], b[k]] for every k at once.
+
+    ``f(item, x)`` evaluates problem ``item[i]`` at the points ``x[i, :]``.
+    Each problem refines on its own: every round splits each of its panels
+    whose |K15 - G7| exceeds the problem's budget, max(rel_tol * |total|,
+    abs_tol), prorated by panel width, and the problem leaves the batch once
+    no panel does.  ``QuadratureError`` when a problem would exceed
+    ``max_panels`` panels or 64 rounds.  Problems with b <= a integrate to 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(a.shape)
+    width = b - a
+    item = np.flatnonzero(width > 0)
+    lo, hi = a[item], b[item]
+    ik, err = _panel_estimates(f, item, lo, hi)
     for _ in range(64):
-        total = float(ik.sum())
-        budget = max(rel_tol * abs(total), abs_tol)
-        local = budget * (hi - lo) / (b - a)
-        bad = err > local
-        if not bad.any():
-            return total
-        if len(lo) + int(bad.sum()) > max_panels:
+        if not item.size:
+            return out
+        # sequential per-problem sums, in each problem's own panel order
+        total = np.bincount(item, weights=ik, minlength=a.size)
+        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
+        bad = err > budget[item] * (hi - lo) / width[item]
+        split = item[bad]
+        panels = np.bincount(item, minlength=a.size)
+        n_bad = np.bincount(split, minlength=a.size)
+        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
+        if not split.size:
+            return out
+        if (panels + n_bad > max_panels).any():
+            k = int(np.argmax(panels + n_bad))
             raise QuadratureError(
-                f"exceeded {max_panels} panels (error {float(err.sum()):.3e}, "
-                f"budget {budget:.3e})"
+                f"exceeded {max_panels} panels (budget {budget[k]:.3e})"
             )
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[~bad], lo[bad], mid])
-        new_hi = np.concatenate([hi[~bad], mid, hi[bad]])
-        keep_ik, keep_err = ik[~bad], err[~bad]
+        keep = (n_bad[item] > 0) & ~bad
+        split_lo, split_hi = lo[bad], hi[bad]
+        mid = 0.5 * (split_lo + split_hi)
         split_ik, split_err = _panel_estimates(
-            f, np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+            f,
+            np.concatenate([split, split]),
+            np.concatenate([split_lo, mid]),
+            np.concatenate([mid, split_hi]),
         )
-        lo, hi = new_lo, new_hi
-        ik = np.concatenate([keep_ik, split_ik])
-        err = np.concatenate([keep_err, split_err])
+        lo = np.concatenate([lo[keep], split_lo, mid])
+        hi = np.concatenate([hi[keep], mid, split_hi])
+        item = np.concatenate([item[keep], split, split])
+        ik = np.concatenate([ik[keep], split_ik])
+        err = np.concatenate([err[keep], split_err])
+    if not item.size:
+        return out
     raise QuadratureError("refinement did not converge in 64 rounds")
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 200
 
 
 def golden_section_max(
@@ -130,7 +185,7 @@ def golden_section_max(
     a: float,
     b: float,
     xtol: float = 1e-6,
-    max_iter: int = 200,
+    max_iter: int = _GOLDEN_MAX_ITER,
 ) -> tuple[float, float]:
     """Locate the maximum of a unimodal f on [a, b].
 
@@ -159,4 +214,49 @@ def golden_section_max(
     for x, fx in ((c, fc), (d, fd)):
         if fx > best_f:
             best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def batched_golden_section_max(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    fa: np.ndarray,
+    fb: np.ndarray,
+    xtol: float = 1e-6,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``golden_section_max`` on [a[k], b[k]], a[k] <= b[k], for every k, in
+    lockstep; fa and fb are the values at a and b.
+
+    ``f(k, x)`` evaluates problems ``k`` at points ``x``.  Each round
+    evaluates one new point of every problem still wider than ``xtol``.
+    Returns (x, f(x)) arrays.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    every = np.arange(a.size)
+    best_x = np.where(fb > fa, b, a)
+    best_f = np.where(fb > fa, fb, fa)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(f(np.concatenate([every, every]), np.concatenate([c, d])), 2)
+    live = every
+    for _ in range(_GOLDEN_MAX_ITER):
+        if not live.size:
+            break
+        left = fc[live] > fd[live]
+        a_new = np.where(left, a[live], c[live])
+        b_new = np.where(left, d[live], b[live])
+        x_new = np.where(
+            left, b_new - _INV_PHI * (b_new - a_new), a_new + _INV_PHI * (b_new - a_new)
+        )
+        f_new = f(live, x_new)
+        c[live], d[live] = np.where(left, x_new, d[live]), np.where(left, c[live], x_new)
+        fc[live], fd[live] = np.where(left, f_new, fd[live]), np.where(left, fc[live], f_new)
+        a[live], b[live] = a_new, b_new
+        live = live[~(np.abs(b_new - a_new) < xtol)]
+    for x, fx in ((c, fc), (d, fd)):
+        better = fx > best_f
+        best_x = np.where(better, x, best_x)
+        best_f = np.where(better, fx, best_f)
     return best_x, best_f

@@ -1,19 +1,21 @@
 """2-D eavesdropper-position scans, 1-D parameter sweeps, insecure-region
 extraction and CSV/JSON emission.
 
-A scan evaluates the full pipeline per grid cell into a preallocated array,
-row-major (y outer, x inner).  The per-cell computation is a pure function
-of the resolved configuration, so parallel execution over rows cannot change
-the output: workers fill disjoint rows addressed by index.  Cells whose
-evaluation hits the turbulence-regime validity limit are recorded as NaN and
-counted; cells at y = 0 (no defined eavesdropper geometry) likewise.
+A scan fills a preallocated array, row-major (y outer, x inner), in three
+parts.  What does not depend on Eve's position (extinction, the LOS gain,
+the scenario) is computed once.  One ``nlos_gain_field`` call then gives the
+steering-optimised NLOS gain of every cell, and the scalar metric (secrecy
+capacity or outage probability) follows per cell.  A cell's gain does not
+depend on the other cells of the field call, so splitting the rows into
+blocks for worker processes cannot change the output.  Cells whose metric
+hits the turbulence-regime validity limit are recorded as NaN and counted;
+cells at y = 0 (no defined eavesdropper geometry) likewise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -21,9 +23,9 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .atmosphere import RegimeError, extinction
-from .channel import compute_channel_gains
+from .channel import ChannelGains, los_gain, nlos_gain_field
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ResolvedConfig
-from .outage import outage_scan_point
+from .outage import outage_from_gains
 from .secrecy import detection_rates, secrecy_capacity
 
 __all__ = [
@@ -69,41 +71,47 @@ class InsecureRegion:
     area_m2: float
 
 
-def _cell_value(scenario, ext, scattering, mode, target_rate_bps, q, paper_exact) -> float:
-    if mode == MODE_DETERMINISTIC:
-        gains = compute_channel_gains(scenario, ext, scattering)
-        rates = detection_rates(scenario, gains, q)
-        return secrecy_capacity(rates, paper_exact).c_s_bps
-    result = outage_scan_point(
-        scenario, ext, scattering, target_rate_bps, q, paper_exact
-    )
-    return result.p_o
-
-
-def _eval_row(payload) -> Tuple[int, List[float], int, int]:
-    (iy, y, xs, scenario, ext, scattering, mode, target, q, paper_exact) = payload
-    row: List[float] = []
+def _eval_rows(payload) -> Tuple[np.ndarray, int, int]:
+    """Values of a block of rows, with its regime-error and invalid-position
+    cell counts: one gain-field call, then the metric per cell."""
+    (ys, xs, scenario, ext, g_los, scattering, mode, target, q, paper_exact) = payload
+    block = np.full((len(ys), len(xs)), math.nan)
+    y_grid, x_grid = np.meshgrid(ys, xs, indexing="ij")
+    valid = y_grid != 0.0
+    invalid = block.size - int(valid.sum())
+    if mode == MODE_PROBABILISTIC and target <= 0.0:
+        # the capacity is never below a nonpositive target (outage_scan_point)
+        block[valid] = 0.0
+        return block, 0, invalid
+    steering, g_nlos = nlos_gain_field(x_grid[valid], y_grid[valid], scenario, ext, scattering)
+    cells: List[float] = []
     regime = 0
-    invalid = 0
-    for x in xs:
-        if y == 0.0:
-            row.append(math.nan)
-            invalid += 1
-            continue
+    for angle, g in zip(steering.tolist(), g_nlos.tolist()):
+        # the metrics read only the two gains, not the segment
+        gains = ChannelGains(g_los=g_los, g_nlos=g, steering_rad=angle, seg=None)
         try:
-            row.append(
-                _cell_value(
-                    scenario.with_eve_at(x, y), ext, scattering, mode, target, q, paper_exact
+            if mode == MODE_DETERMINISTIC:
+                rates = detection_rates(scenario, gains, q)
+                cells.append(secrecy_capacity(rates, paper_exact).c_s_bps)
+            else:
+                cells.append(
+                    outage_from_gains(
+                        scenario, gains, ext.beta_r2_sph, target, q, paper_exact
+                    ).p_o
                 )
-            )
         except RegimeError:
-            row.append(math.nan)
+            cells.append(math.nan)
             regime += 1
-    return iy, row, regime, invalid
+    block[valid] = cells
+    return block, regime, invalid
 
 
 def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
-    """Evaluate the configured grid; deterministic for a fixed config."""
+    """Evaluate the configured grid; deterministic for a fixed config.
+
+    ``threads`` > 1 splits the rows into that many blocks, each computed in
+    its own worker process.
+    """
     spec = cfg.scan_spec()
     scenario = cfg.scenario()
     scattering = cfg.scattering()
@@ -125,20 +133,24 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
         ext = None
 
     if ext is not None:
-        payloads = [
-            (iy, y, xs, scenario, ext, scattering, spec.mode, spec.target_rate_bps, q, paper_exact)
-            for iy, y in enumerate(ys)
+        g_los = los_gain(scenario, ext)
+        blocks = [
+            b for b in np.array_split(np.arange(len(ys)), max(threads, 1)) if b.size
         ]
-        if threads <= 1 or len(ys) <= 1:
-            results = map(_eval_row, payloads)
+        payloads = [
+            ([ys[i] for i in rows], xs, scenario, ext, g_los, scattering, spec.mode,
+             spec.target_rate_bps, q, paper_exact)
+            for rows in blocks
+        ]
+        if len(payloads) == 1:
+            results = map(_eval_rows, payloads)
         else:
-            executor = ProcessPoolExecutor(max_workers=threads)
-            try:
-                results = list(executor.map(_eval_row, payloads))
-            finally:
-                executor.shutdown()
-        for iy, row, regime, invalid in results:
-            values[iy, :] = row
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=len(payloads)) as executor:
+                results = list(executor.map(_eval_rows, payloads))
+        for rows, (block, regime, invalid) in zip(blocks, results):
+            values[rows] = block
             regime_cells += regime
             invalid_cells += invalid
 
@@ -360,10 +372,17 @@ def load_csv(path: Union[str, Path]):
 
 
 def load_json(path: Union[str, Path]):
-    """Re-read an emitted JSON into (xs, ys, values, payload)."""
+    """Re-read an emitted JSON into (xs, ys, values, payload).
+
+    Raises ValueError unless ``values`` is a len(y_m) x len(x_m) grid.
+    """
     payload = json.loads(Path(path).read_text())
+    xs, ys, rows = payload["x_m"], payload["y_m"], payload["values"]
+    if len(rows) != len(ys) or any(
+        not isinstance(row, list) or len(row) != len(xs) for row in rows
+    ):
+        raise ValueError(f"{path}: values are not a {len(ys)} x {len(xs)} grid")
     values = np.array(
-        [[math.nan if v is None else v for v in row] for row in payload["values"]],
-        dtype=float,
-    )
-    return payload["x_m"], payload["y_m"], values, payload
+        [[math.nan if v is None else v for v in row] for row in rows], dtype=float
+    ).reshape(len(ys), len(xs))
+    return xs, ys, values, payload

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from thzsec.atmosphere import ExtinctionBreakdown
+from thzsec.numerics import QuadratureError
 from thzsec.channel import (
     EmptySegment,
     LinkScenario,
@@ -15,6 +16,7 @@ from thzsec.channel import (
     compute_channel_gains,
     los_gain,
     nlos_gain,
+    nlos_gain_field,
     optimize_steering,
     phase_function,
     scattering_segment,
@@ -310,3 +312,76 @@ class TestComputeChannelGains:
         down = compute_channel_gains(SCENARIO.with_eve_at(600.0, -25.0), EXT, FORWARD)
         assert up.g_los == down.g_los
         assert up.g_nlos == pytest.approx(down.g_nlos, rel=1e-12)
+
+
+# Eve positions for the gain field: y of either sign, x on both sides of
+# [0, d] (no foot probe) and inside it (foot probe among the candidates).
+positions = st.tuples(
+    st.floats(min_value=-300.0, max_value=1300.0),
+    st.floats(min_value=0.5, max_value=200.0).flatmap(lambda y: st.sampled_from([y, -y])),
+)
+
+
+def field_scenario(fov_deg):
+    return LinkScenario(eve=ReceiverParams(fov_full_rad=math.radians(fov_deg)))
+
+
+class TestNlosGainField:
+    @given(
+        cells=st.lists(positions, min_size=1, max_size=4),
+        # 0.5 deg leaves many steering probes with an empty segment
+        fov_deg=st.sampled_from([0.5, 3.0, 10.0, 60.0]),
+        ext=st.sampled_from([EXT, breakdown(), breakdown(alpha_g=0.02)]),
+        params=st.sampled_from([FORWARD, ISOTROPIC]),
+    )
+    # near Alice the foot probe is the best coarse candidate and sets the bracket
+    @example(cells=[(10.0, 100.0)], fov_deg=10.0, ext=EXT, params=ISOTROPIC)
+    @example(cells=[(50.0, -100.0)], fov_deg=60.0, ext=EXT, params=FORWARD)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_optimize_steering(self, cells, fov_deg, ext, params):
+        # same operations in the same order, batched: equal, not just close
+        sc = field_scenario(fov_deg)
+        xs, ys = zip(*cells)
+        steering, g_nlos = nlos_gain_field(xs, ys, sc, ext, params)
+        for k, (x, y) in enumerate(cells):
+            want = optimize_steering(sc.with_eve_at(x, y), ext, params)
+            assert (steering[k], g_nlos[k]) == want
+
+    @given(
+        cell=positions,
+        others=st.lists(positions, min_size=1, max_size=40),
+        where=st.integers(min_value=0, max_value=40),
+        fov_deg=st.sampled_from([0.5, 10.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cell_independent_of_its_batch(self, cell, others, where, fov_deg):
+        sc = field_scenario(fov_deg)
+        alone = nlos_gain_field([cell[0]], [cell[1]], sc, EXT, FORWARD)
+        batch = others[:where] + [cell] + others[where:]
+        xs, ys = zip(*batch)
+        steering, g_nlos = nlos_gain_field(xs, ys, sc, EXT, FORWARD)
+        k = min(where, len(others))
+        assert steering[k].tobytes() == alone[0][0].tobytes()
+        assert g_nlos[k].tobytes() == alone[1][0].tobytes()
+
+    def test_keeps_the_positions_shape(self):
+        xs, ys = np.meshgrid([600.0, 750.0, 900.0], [-30.0, 30.0])
+        steering, g_nlos = nlos_gain_field(xs, ys, SCENARIO, EXT, FORWARD)
+        assert steering.shape == g_nlos.shape == (2, 3)
+        assert np.array_equal(g_nlos[0], g_nlos[1])  # reflection y -> -y
+
+    def test_on_axis_position_rejected(self):
+        with pytest.raises(ValueError):
+            nlos_gain_field([500.0], [0.0], SCENARIO, EXT, FORWARD)
+
+    def test_panel_budget_raises(self):
+        sc = field_scenario(60.0)  # wide segments need several panels
+        nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD)
+        with pytest.raises(QuadratureError):
+            nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD, max_panels=4)
+
+    def test_compute_channel_gains_is_the_one_cell_field(self):
+        sc = SCENARIO.with_eve_at(364.0, -30.0)
+        gains = compute_channel_gains(sc, EXT, FORWARD)
+        steering, g_nlos = nlos_gain_field([364.0], [-30.0], sc, EXT, FORWARD)
+        assert (gains.steering_rad, gains.g_nlos) == (steering[0], g_nlos[0])

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thzsec.numerics import QuadratureError, adaptive_gauss_kronrod, golden_section_max
+from thzsec.numerics import (
+    QuadratureError,
+    adaptive_gauss_kronrod,
+    batched_golden_section_max,
+    golden_section_max,
+)
 
 
 @pytest.mark.parametrize(
@@ -51,3 +56,21 @@ def test_golden_section_returns_best_endpoint():
     # monotone increasing: the maximum sits on the right endpoint
     x, fx = golden_section_max(lambda t: t, 0.0, 1.0, xtol=1e-8)
     assert fx >= 1.0 - 1e-6
+
+
+def test_batched_golden_section_equals_scalar_per_problem():
+    # maxima inside, at either end and outside the brackets, which differ in
+    # width so that the problems converge in different rounds
+    centres = np.array([2.0, 0.1, 4.9, -1.0, 7.0, 0.3])
+    a = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.3])
+    b = np.array([5.0, 0.5, 5.0, 3.0, 2.1, 0.3])
+
+    def f(k, x):
+        return -((x - centres[k]) ** 2)
+
+    every = np.arange(centres.size)
+    xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=1e-8)
+    for k, c in enumerate(centres):
+        assert (xs[k], fs[k]) == golden_section_max(
+            lambda t: -((t - c) ** 2), a[k], b[k], xtol=1e-8
+        )

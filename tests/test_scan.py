@@ -396,6 +396,23 @@ class TestEmit:
             with pytest.raises(ValueError):
                 load_csv(out)
 
+    @pytest.mark.parametrize(
+        "xs,ys,rows",
+        [
+            ([0.0, 1.0, 2.0], [5.0], [[1.0, 2.0]]),  # 1 x 2 values for a 1 x 3 grid
+            ([0.0, 1.0], [5.0, 6.0], [[1.0, 2.0], [3.0]]),  # ragged rows
+        ],
+        ids=["shape_mismatch", "ragged"],
+    )
+    def test_json_values_not_matching_axes_rejected(self, tmp_path, xs, ys, rows):
+        out = tmp_path / "map.json"
+        emit(synthetic_result(np.zeros((1, 1))), "json", out)
+        payload = json.loads(out.read_text())
+        payload.update(x_m=xs, y_m=ys, values=rows)
+        out.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="grid"):
+            load_json(out)
+
     def test_unknown_format_rejected(self, tmp_path):
         result = run_scan(cfg_from(tmp_path, SMALL_GRID))
         with pytest.raises(ValueError):

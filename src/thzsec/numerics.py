@@ -89,13 +89,14 @@ def adaptive_gauss_kronrod(
 ) -> float:
     """Integrate a vectorised integrand over [a, b] by adaptive bisection.
 
-    Each refinement round re-evaluates every out-of-budget panel with the
+    ``f`` maps a 1-D array of points to their values.  Each refinement round re-evaluates every out-of-budget panel with the
     (G7, K15) pair; a panel's error estimate is |K15 - G7|.  The local error
     budget is the global budget prorated by panel width.  This is the
     one-problem call of ``batched_gauss_kronrod``.
     """
     total = batched_gauss_kronrod(
-        lambda item, x: f(x), [a], [b], rel_tol, abs_tol, max_panels
+        lambda item, x: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
+        [a], [b], rel_tol, abs_tol, max_panels,
     )
     return float(total[0])
 

@@ -124,7 +124,10 @@ def ook_mutual_information(
         # no signal, no information; exact by construction in both forms
         return 0.0
     mix = q * lambda_s + lambda_noise
-    on_term = q * (lambda_s + lambda_noise) * math.log1p((1.0 - q) * lambda_s / mix)
+    # mix is 0 only when q * lambda_s underflows without noise; the ratio's
+    # limit there is (1 - q) / q
+    ratio = (1.0 - q) * lambda_s / mix if mix > 0.0 else (1.0 - q) / q
+    on_term = q * (lambda_s + lambda_noise) * math.log1p(ratio)
     off_term = 0.0  # ln * log1p(c / ln) -> 0 as ln -> 0
     if lambda_noise > 0.0:
         off_term = (1.0 - q) * lambda_noise * math.log1p(q * lambda_s / lambda_noise)

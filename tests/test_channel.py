@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from thzsec import channel
 from thzsec.atmosphere import ExtinctionBreakdown
 from thzsec.numerics import QuadratureError
 from thzsec.channel import (
@@ -374,14 +375,9 @@ class TestNlosGainField:
         with pytest.raises(ValueError):
             nlos_gain_field([500.0], [0.0], SCENARIO, EXT, FORWARD)
 
-    def test_panel_budget_raises(self):
+    def test_panel_budget_raises(self, monkeypatch):
         sc = field_scenario(60.0)  # wide segments need several panels
         nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD)
+        monkeypatch.setattr(channel, "QUAD_MAX_PANELS", 4)
         with pytest.raises(QuadratureError):
-            nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD, max_panels=4)
-
-    def test_compute_channel_gains_is_the_one_cell_field(self):
-        sc = SCENARIO.with_eve_at(364.0, -30.0)
-        gains = compute_channel_gains(sc, EXT, FORWARD)
-        steering, g_nlos = nlos_gain_field([364.0], [-30.0], sc, EXT, FORWARD)
-        assert (gains.steering_rad, gains.g_nlos) == (steering[0], g_nlos[0])
+            nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD)

@@ -34,6 +34,12 @@ def test_quadrature_empty_and_tiny_interval():
     assert math.isclose(v, 1e-12, rel_tol=1e-12)
 
 
+def test_quadrature_integrand_gets_1d_points():
+    # a pointwise Python loop only works on a 1-D array of points
+    v = adaptive_gauss_kronrod(lambda x: np.array([math.exp(t) for t in x]), 0.0, 1.0)
+    assert math.isclose(v, math.e - 1.0, rel_tol=1e-12)
+
+
 def test_quadrature_panel_budget_raises():
     # integrable singularity needs unbounded refinement at this tolerance
     with pytest.raises(QuadratureError):

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thzsec.channel import ChannelGains, LinkScenario, ReceiverParams
@@ -101,6 +101,8 @@ class TestMutualInformation:
         lam_n=st.floats(min_value=0.0, max_value=1e3),
         q=st.floats(min_value=0.01, max_value=0.99),
     )
+    # q * lam_s underflows to 0 with no noise
+    @example(lam_s=5e-324, lam_n=0.0, q=0.5)
     @settings(max_examples=500, deadline=None)
     def test_nonnegative(self, lam_s, lam_n, q):
         assert ook_mutual_information(lam_s, lam_n, q) >= 0.0

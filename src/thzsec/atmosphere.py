@@ -21,9 +21,11 @@ scattering loss is folded into the backend values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from importlib.resources import as_file, files
 from pathlib import Path
 from typing import NamedTuple, Union
 
@@ -194,9 +196,8 @@ class TableAbsorption:
 
 AbsorptionBackend = Union[ConstantAbsorption, TableAbsorption]
 
-_DEFAULT_TABLE = None
 
-
+@functools.lru_cache(maxsize=None)
 def default_absorption_table() -> TableAbsorption:
     """Bundled absorption table.
 
@@ -204,17 +205,8 @@ def default_absorption_table() -> TableAbsorption:
     reproduce their reference targets; they are not measured ground truth
     for any real atmosphere.
     """
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        from importlib.resources import files
-
-        path = files("thzsec.data").joinpath("absorption_default.csv")
-        with path.open(newline="") as fh:  # type: ignore[call-arg]
-            rows = list(csv.reader(fh))
-        freqs = tuple(float(r[0]) for r in rows[1:] if r)
-        alphas = tuple(float(r[1]) for r in rows[1:] if r)
-        _DEFAULT_TABLE = TableAbsorption(freqs, alphas)
-    return _DEFAULT_TABLE
+    with as_file(files("thzsec.data") / "absorption_default.csv") as path:
+        return TableAbsorption.from_csv(path)
 
 
 def gaseous_extinction(

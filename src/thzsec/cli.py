@@ -40,25 +40,33 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _threads(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thzsec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=Path, default=None, help="config file (INI-style or .json)")
-        p.add_argument("--out", type=Path, default=None, help="output path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--mode", choices=("det", "prob"), default=None,
-                       help="override scan.mode from the config")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for scans")
-
-    for name, doc in (
-        ("scan", "evaluate the 2-D position grid"),
-        ("point", "single-position pipeline breakdown"),
-        ("sweep", "one scan per configured sweep value"),
-        ("validate", "check a configuration file"),
+    options = {
+        "--config": dict(type=Path, default=None, help="config file (INI-style or .json)"),
+        "--out": dict(type=Path, default=None, help="output path"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--mode": dict(choices=("det", "prob"), default=None,
+                       help="override scan.mode from the config"),
+        "--threads": dict(type=_threads, default=1, help="worker processes for scans"),
+    }
+    for name, doc, names in (
+        ("scan", "evaluate the 2-D position grid", options),
+        ("point", "single-position pipeline breakdown", ("--config", "--out", "--mode")),
+        ("sweep", "one scan per configured sweep value", options),
+        ("validate", "check a configuration file", ("--config", "--mode")),
     ):
-        common(sub.add_parser(name, help=doc))
+        p = sub.add_parser(name, help=doc)
+        for option in names:
+            p.add_argument(option, **options[option])
     return parser
 
 

@@ -5,14 +5,15 @@ value`` lines, ``#`` comment lines.  A ``.json`` file with the same
 section/key nesting is accepted as an alternate.  Unknown sections or keys
 are hard errors (no silent typos), every constraint violation names the key
 path and, for the INI format, the line number.  Absent keys fall back to the
-standard-scenario defaults baked into the schema below.
+standard-scenario defaults baked into the schema below.  Overrides and sweep
+values are resolved and checked by the same function as the file's values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -23,6 +24,7 @@ from .atmosphere import (
     TableAbsorption,
     Wave,
     default_absorption_table,
+    gaseous_extinction,
 )
 from .channel import LinkScenario, ReceiverParams, ScatteringParams
 
@@ -31,13 +33,14 @@ __all__ = ["ConfigError", "ScanSpec", "SweepSpec", "ResolvedConfig", "parse_conf
 MODE_DETERMINISTIC = "det"
 MODE_PROBABILISTIC = "prob"
 
-SWEEP_PARAMETERS = (
-    "freq_hz",
-    "cn2",
-    "divergence_rad",
-    "eve_background",
-    "eve_fov_deg",
-)
+# sweep parameter -> the (section, key) it sets
+_SWEEP_KEYS = {
+    "freq_hz": ("link", "freq_hz"),
+    "cn2": ("atmosphere", "cn2"),
+    "divergence_rad": ("link", "divergence_rad"),
+    "eve_background": ("eve", "background_count"),
+    "eve_fov_deg": ("eve", "fov_deg"),
+}
 
 
 class ConfigError(ValueError):
@@ -48,18 +51,22 @@ class ConfigError(ValueError):
 class ScanSpec:
     """Grid over eavesdropper positions plus evaluation mode."""
 
-    x_min_m: float = 0.0
-    x_max_m: float = 1000.0
-    y_min_m: float = 2.0
-    y_max_m: float = 100.0
-    step_m: float = 2.0
-    mode: str = MODE_DETERMINISTIC
-    target_rate_bps: float = 10e9
-    max_cells: float = 4e6
+    x_min_m: float
+    x_max_m: float
+    y_min_m: float
+    y_max_m: float
+    step_m: float
+    mode: str
+    target_rate_bps: float
+    max_cells: float
+
+    def _points(self, lo: float, hi: float) -> Union[int, float]:
+        """Length of the axis from lo to hi; inf if it overflows a float."""
+        n = (hi - lo) / self.step_m + 1e-9
+        return math.floor(n) + 1 if math.isfinite(n) else math.inf
 
     def axis(self, lo: float, hi: float) -> List[float]:
-        n = int(math.floor((hi - lo) / self.step_m + 1e-9)) + 1
-        return [lo + self.step_m * i for i in range(n)]
+        return [lo + self.step_m * i for i in range(self._points(lo, hi))]
 
     @property
     def xs(self) -> List[float]:
@@ -104,7 +111,10 @@ def _choice(name, options):
 
 
 def _parse_float(raw):
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw):
@@ -124,9 +134,9 @@ def _parse_str(raw):
 
 def _parse_float_list(raw):
     if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
+        return tuple(_parse_float(v) for v in raw)
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 _RECEIVER_KEYS = {
@@ -181,15 +191,19 @@ _SCHEMA = {
         "max_cells": (4e6, _parse_float, _positive("max_cells")),
     },
     "sweep": {
-        "parameter": (None, _parse_str, _choice("parameter", set(SWEEP_PARAMETERS))),
+        "parameter": (None, _parse_str, _choice("parameter", _SWEEP_KEYS)),
         "values": (None, _parse_float_list, lambda v: None if len(v) > 0 else "values must be non-empty"),
     },
 }
 
 
-def _read_ini(path: Path) -> Dict[str, Dict[str, Tuple[Any, Optional[int]]]]:
+# Settings as given: {section: {key: (raw, lineno)}}, no line number off an INI file
+Settings = Dict[str, Dict[str, Tuple[Any, Optional[int]]]]
+
+
+def _read_ini(path: Path) -> Settings:
     """Parse the INI-style format into {section: {key: (raw, lineno)}}."""
-    sections: Dict[str, Dict[str, Tuple[Any, Optional[int]]]] = {}
+    sections: Settings = {}
     current = None
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -211,14 +225,14 @@ def _read_ini(path: Path) -> Dict[str, Dict[str, Tuple[Any, Optional[int]]]]:
     return sections
 
 
-def _read_json(path: Path) -> Dict[str, Dict[str, Tuple[Any, Optional[int]]]]:
+def _read_json(path: Path) -> Settings:
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object of sections")
-    sections: Dict[str, Dict[str, Tuple[Any, Optional[int]]]] = {}
+    sections: Settings = {}
     for sec, body in data.items():
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {sec!r} must be an object")
@@ -232,10 +246,11 @@ def _loc(path, lineno) -> str:
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """Fully resolved, validated configuration."""
+    """Fully resolved, validated configuration; built only by ``_resolve``."""
 
     values: Dict[str, Dict[str, Any]]
-    source: Optional[str] = None
+    source: str
+    settings: Settings = field(compare=False, repr=False)
 
     def __getitem__(self, section: str) -> Dict[str, Any]:
         return self.values[section]
@@ -289,23 +304,13 @@ class ResolvedConfig:
         return ScatteringParams(g=s["g"], f=s["f"])
 
     def scan_spec(self) -> ScanSpec:
-        s = self.values["scan"]
-        return ScanSpec(
-            x_min_m=s["x_min_m"],
-            x_max_m=s["x_max_m"],
-            y_min_m=s["y_min_m"],
-            y_max_m=s["y_max_m"],
-            step_m=s["step_m"],
-            mode=s["mode"],
-            target_rate_bps=s["target_rate_bps"],
-            max_cells=s["max_cells"],
-        )
+        return ScanSpec(**self.values["scan"])
 
     def sweep_spec(self) -> Optional[SweepSpec]:
-        s = self.values.get("sweep")
-        if not s or s.get("parameter") is None:
+        s = self.values["sweep"]
+        if s["parameter"] is None:
             return None
-        return SweepSpec(parameter=s["parameter"], values=tuple(s["values"]))
+        return SweepSpec(parameter=s["parameter"], values=s["values"])
 
     def duty_cycle(self) -> float:
         return self.values["secrecy"]["duty_cycle"]
@@ -318,46 +323,29 @@ class ResolvedConfig:
         return {sec: dict(body) for sec, body in self.values.items()}
 
     def with_value(self, section: str, key: str, value: Any) -> "ResolvedConfig":
-        """Copy with one resolved value replaced (no re-validation of others)."""
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {section}.{key}")
-        values = self.to_dict()
-        values[section][key] = value
-        return ResolvedConfig(values=values, source=self.source)
+        """Copy with one setting replaced, resolved and checked exactly as if
+        the file had set it."""
+        return self._override(section, key, value, f"{section}.{key} = {value!r}")
 
     def with_sweep_value(self, parameter: str, value: float) -> "ResolvedConfig":
-        section_key = {
-            "freq_hz": ("link", "freq_hz"),
-            "cn2": ("atmosphere", "cn2"),
-            "divergence_rad": ("link", "divergence_rad"),
-            "eve_background": ("eve", "background_count"),
-            "eve_fov_deg": ("eve", "fov_deg"),
-        }
-        if parameter not in section_key:
+        if parameter not in _SWEEP_KEYS:
             raise ConfigError(f"unknown sweep parameter {parameter!r}")
-        return self.with_value(*section_key[parameter], value)
+        section, key = _SWEEP_KEYS[parameter]
+        return self._override(section, key, value, f"sweep {parameter} = {value!r}", check_sweep=False)
+
+    def _override(self, section, key, value, origin, check_sweep=True):
+        settings = {sec: dict(body) for sec, body in self.settings.items()}
+        settings.setdefault(section, {})[key] = (value, None)
+        return _resolve(settings, f"{self.source} with {origin}", check_sweep)
 
 
-def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:
-    """Load, validate and resolve a config file (or pure defaults for None)."""
-    if path is None:
-        sections: Dict[str, Dict[str, Tuple[Any, Optional[int]]]] = {}
-        src = "<defaults>"
-    else:
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        src = str(p)
-        try:
-            sections = _read_json(p) if p.suffix.lower() == ".json" else _read_ini(p)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {p}: {exc}") from None
-
-    resolved: Dict[str, Dict[str, Any]] = {}
-    for sec, keys in _SCHEMA.items():
-        resolved[sec] = {k: spec[0] for k, spec in keys.items()}
-
-    for sec, body in sections.items():
+def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> ResolvedConfig:
+    """Parse and check each setting, fill in defaults, apply the cross-key
+    rules and build every model object once, so a config that resolves also
+    runs.  ``check_sweep`` resolves each sweep value too (not for a sweep's
+    own sub-configs, so it does not recurse).  ``src`` prefixes the errors."""
+    resolved = {sec: {k: spec[0] for k, spec in keys.items()} for sec, keys in _SCHEMA.items()}
+    for sec, body in settings.items():
         if sec not in _SCHEMA:
             raise ConfigError(f"{src}: unknown section [{sec}]")
         for key, (raw, lineno) in body.items():
@@ -374,36 +362,34 @@ def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:
             resolved[sec][key] = value
 
     # cross-key resolution and constraints
-    if resolved["atmosphere"]["absorption"] == "constant":
-        if resolved["atmosphere"]["absorption_db_per_km"] is None:
-            raise ConfigError(
-                f"{src}: atmosphere.absorption_db_per_km is required when absorption = constant"
-            )
+    atmosphere = resolved["atmosphere"]
+    if atmosphere["absorption"] == "constant" and atmosphere["absorption_db_per_km"] is None:
+        raise ConfigError(
+            f"{src}: atmosphere.absorption_db_per_km is required when absorption = constant"
+        )
     rate = resolved["scan"]["target_rate_bps"]
     for sec in ("bob", "eve"):
         if resolved[sec]["integration_time_s"] is None:
-            if rate <= 0:
-                raise ConfigError(
-                    f"{src}: {sec}.integration_time_s has no default when scan.target_rate_bps <= 0"
-                )
             # slot time defaults to one bit period at the intended data rate
-            resolved[sec]["integration_time_s"] = 1.0 / rate
-    spec = ScanSpec(
-        **{k: resolved["scan"][k] for k in (
-            "x_min_m", "x_max_m", "y_min_m", "y_max_m", "step_m",
-            "mode", "target_rate_bps", "max_cells",
-        )}
-    )
+            slot = 1.0 / rate if rate > 0 else math.inf
+            if not math.isfinite(slot):
+                raise ConfigError(
+                    f"{src}: {sec}.integration_time_s has no default at scan.target_rate_bps = {rate!r}"
+                )
+            resolved[sec]["integration_time_s"] = slot
+    cfg = ResolvedConfig(values=resolved, source=src, settings=settings)
+    spec = cfg.scan_spec()
     if spec.x_max_m < spec.x_min_m:
         raise ConfigError(f"{src}: scan.x_max_m < scan.x_min_m (empty range)")
     if spec.y_max_m < spec.y_min_m:
         raise ConfigError(f"{src}: scan.y_max_m < scan.y_min_m (empty range)")
-    n_cells = len(spec.xs) * len(spec.ys)
+    # counted, not built: a fine step must fail here, not fill memory
+    n_cells = spec._points(spec.x_min_m, spec.x_max_m) * spec._points(spec.y_min_m, spec.y_max_m)
     if n_cells > spec.max_cells:
         raise ConfigError(
             f"{src}: scan grid has {n_cells} cells, above scan.max_cells = {spec.max_cells:g}"
         )
-    if spec.mode == MODE_PROBABILISTIC and resolved["atmosphere"]["cn2"] == 0.0:
+    if spec.mode == MODE_PROBABILISTIC and atmosphere["cn2"] == 0.0:
         raise ConfigError(
             f"{src}: atmosphere.cn2 must be > 0 in probabilistic mode (no fading otherwise)"
         )
@@ -412,18 +398,30 @@ def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:
         raise ConfigError(f"{src}: sweep.values is required when sweep.parameter is set")
     if sweep_param is None and resolved["sweep"]["values"] is not None:
         raise ConfigError(f"{src}: sweep.parameter is required when sweep.values is set")
-    if sweep_param == "cn2" and spec.mode == MODE_PROBABILISTIC:
-        if any(v == 0.0 for v in resolved["sweep"]["values"]):
-            raise ConfigError(f"{src}: sweep over cn2 = 0 is invalid in probabilistic mode")
 
-    cfg = ResolvedConfig(values=resolved, source=src)
-    # fail fast on anything the dataclass validators would reject later
+    # fail fast on anything the model objects would reject later, the
+    # carrier's place in the supported band and the absorption table included
     try:
-        cfg.conditions()
-        cfg.scenario()
+        scenario = cfg.scenario()
         cfg.scattering()
-        if resolved["atmosphere"]["absorption"] == "constant":
-            cfg.backend()
-    except ValueError as exc:
+        gaseous_extinction(scenario.freq_hz, cfg.conditions(), cfg.backend())
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
+    if check_sweep and sweep_param is not None:
+        for value in resolved["sweep"]["values"]:
+            cfg.with_sweep_value(sweep_param, value)
     return cfg
+
+
+def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:
+    """Load, validate and resolve a config file (or pure defaults for None)."""
+    if path is None:
+        return _resolve({}, "<defaults>")
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file not found: {p}")
+    try:
+        settings = _read_json(p) if p.suffix.lower() == ".json" else _read_ini(p)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from None
+    return _resolve(settings, str(p))

@@ -120,6 +120,13 @@ class TestGaseousExtinction:
         for f in (140e9, 220e9, 340e9, 625e9, 675e9):
             assert f in table.freqs_hz
 
+    def test_bundled_table_read_like_any_table(self):
+        from importlib.resources import as_file, files
+
+        with as_file(files("thzsec.data") / "absorption_default.csv") as path:
+            assert default_absorption_table() == TableAbsorption.from_csv(path)
+        assert default_absorption_table() is default_absorption_table()
+
 
 class TestRytov:
     def test_zero_turbulence(self):

@@ -156,3 +156,62 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--threads", "2"],
+        ["point", "--format", "json"],
+        ["validate", "--out", "x.json"],
+        ["validate", "--threads", "2"],
+    ])
+    def test_option_not_read_by_the_subcommand(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        out = tmp_path / "map.csv"
+        assert main(["scan", "--out", str(out), "--threads", threads]) == EXIT_CONFIG
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_subcommand_has_only_its_own_options(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        options = {
+            name: sorted(o for a in p._actions for o in a.option_strings if o.startswith("--")
+                         and o != "--help")
+            for name, p in sub.choices.items()
+        }
+        both = sorted(["--config", "--format", "--mode", "--out", "--threads"])
+        assert options == {
+            "scan": both,
+            "sweep": both,
+            "point": ["--config", "--mode", "--out"],
+            "validate": ["--config", "--mode"],
+        }
+
+
+@pytest.mark.parametrize("text, extra, command", [
+    ("[atmosphere]\ncn2 = 0\n", ["--mode", "prob"], "scan"),
+    ("[sweep]\nparameter = eve_fov_deg\nvalues = 5, 200\n", [], "sweep"),
+    ("[sweep]\nparameter = freq_hz\nvalues = 340e9, -1\n", [], "sweep"),
+    ("[sweep]\nparameter = eve_background\nvalues = 0.01, -5\n", [], "sweep"),
+    ("[atmosphere]\nabsorption_table_path = {bad_header}\n", [], "scan"),
+    ("[atmosphere]\nabsorption_table_path = {missing}\n", [], "point"),
+    ("[link]\nfreq_hz = 700e9\n", [], "point"),
+], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
+        "table-bad-header", "table-missing", "freq-past-table"])
+@pytest.mark.parametrize("run", ["validate", "command"])
+def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
+    """Configs that only fail once the physics or a file read would reach the
+    bad value: validate and the subcommand both reject them as config errors,
+    before any output file is written."""
+    bad_header = tmp_path / "bad_header.csv"
+    bad_header.write_text("freq,alpha\n140e9,2.0\n400e9,30.0\n")
+    text = text.format(bad_header=bad_header, missing=tmp_path / "missing.csv")
+    cfg = write(tmp_path, POINT_CFG + text)
+    out = tmp_path / "out" / "result.csv"
+    out.parent.mkdir()
+    argv = ["validate"] if run == "validate" else [command, "--out", str(out)]
+    assert main(argv + ["--config", str(cfg)] + extra) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []

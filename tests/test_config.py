@@ -2,9 +2,19 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from thzsec.atmosphere import ConstantAbsorption, TableAbsorption
-from thzsec.config import ConfigError, parse_config
+from thzsec.config import (
+    _SCHEMA,
+    _SWEEP_KEYS,
+    ConfigError,
+    _parse_bool,
+    _parse_float,
+    _parse_float_list,
+    parse_config,
+)
 
 
 def write(tmp_path, text, name="case.cfg"):
@@ -204,3 +214,153 @@ class TestSweepResolution:
         echo = cfg.to_dict()
         assert echo["link"]["freq_hz"] == 220e9
         assert json.loads(json.dumps(echo)) == echo
+
+
+# ---- one resolution path for files, overrides and sweep values ---------
+
+
+@pytest.fixture
+def table_dir(tmp_path, monkeypatch):
+    """Work in a directory that holds a good and a bad absorption table."""
+    (tmp_path / "table.csv").write_text("freq_hz,alpha_db_per_km\n140e9,2.0\n400e9,30.0\n")
+    (tmp_path / "bad_header.csv").write_text("freq,alpha\n140e9,2.0\n400e9,30.0\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+_NUMBERS = st.one_of(
+    st.floats(), st.floats(-2e12, 2e12), st.integers(-1000, 1000),
+    st.sampled_from([0, 10, 1, 0.5, 2e-9, 5e-324, 1e300]),
+)
+_WORDS = {
+    "wave": ["plane", "spherical"],
+    "absorption": ["table", "constant"],
+    "absorption_table_path": ["table.csv", "bad_header.csv", "missing.csv"],
+    "mode": ["det", "prob"],
+    "parameter": sorted(_SWEEP_KEYS),
+}
+
+
+@st.composite
+def _setting(draw):
+    """A (section, key, value) drawn from the schema, valid or not."""
+    section = draw(st.sampled_from(sorted(_SCHEMA)))
+    key = draw(st.sampled_from(sorted(_SCHEMA[section])))
+    parser = _SCHEMA[section][key][1]
+    if parser is _parse_float:
+        value = draw(_NUMBERS)
+    elif parser is _parse_float_list:
+        value = tuple(draw(st.lists(_NUMBERS, max_size=3)))
+    elif parser is _parse_bool:
+        value = draw(st.booleans())
+    else:
+        value = draw(st.sampled_from(_WORDS[key] + ["banana"]))
+    return section, key, value
+
+
+def _ini(value):
+    if isinstance(value, tuple):
+        return ", ".join(_ini(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _outcome(resolve):
+    """The metadata echo as JSON text, or ConfigError."""
+    try:
+        return json.dumps(resolve().to_dict(), sort_keys=True)
+    except ConfigError:
+        return ConfigError
+
+
+class TestOneResolutionPath:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(setting=_setting())
+    @example(setting=("scan", "step_m", 10))
+    @example(setting=("scan", "target_rate_bps", 20e9))
+    @example(setting=("scan", "step_m", 0.001))
+    @example(setting=("scan", "mode", "banana"))
+    @example(setting=("atmosphere", "absorption_table_path", "bad_header.csv"))
+    @example(setting=("link", "freq_hz", 700e9))
+    def test_override_equals_file(self, table_dir, setting):
+        section, key, value = setting
+        path = write(table_dir, f"[{section}]\n{key} = {_ini(value)}\n")
+        from_file = _outcome(lambda: parse_config(path))
+        overridden = _outcome(lambda: parse_config(None).with_value(section, key, value))
+        assert overridden == from_file
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(settings_=st.lists(_setting(), max_size=4))
+    @example(settings_=[("scan", "step_m", 10), ("scan", "mode", "prob")])
+    @example(settings_=[("sweep", "parameter", "cn2"), ("sweep", "values", (1e-12, 1e-11))])
+    @example(settings_=[("scan", "target_rate_bps", 5e-324)])
+    def test_echo_round_trips_through_json(self, table_dir, settings_):
+        cfg = parse_config(None)
+        for section, key, value in settings_:
+            try:
+                cfg = cfg.with_value(section, key, value)
+            except ConfigError:
+                pass
+        echo = {
+            sec: {k: v for k, v in body.items() if v is not None}
+            for sec, body in cfg.to_dict().items()
+        }
+        path = table_dir / "echo.json"
+        path.write_text(json.dumps(echo))
+        again = parse_config(path)
+        assert again.values == cfg.values
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(cfg.to_dict(), sort_keys=True)
+
+    def test_override_rederives_defaults(self):
+        cfg = parse_config(None).with_value("scan", "target_rate_bps", 20e9)
+        assert cfg.scenario().bob.integration_time_s == 5e-11
+
+    def test_override_is_checked_against_the_grid_cap(self):
+        with pytest.raises(ConfigError, match=r"scan\.step_m = 0\.001: .*max_cells"):
+            parse_config(None).with_value("scan", "step_m", 0.001)
+
+    def test_grid_cap_with_an_overflowing_cell_count(self, tmp_path):
+        with pytest.raises(ConfigError, match="scan grid has inf cells"):
+            parse_config(write(tmp_path, "[scan]\nstep_m = 5e-324\n"))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numbers_rejected(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match=r"case\.cfg:2: scan\.x_min_m: .*finite"):
+            parse_config(write(tmp_path, f"[scan]\nx_min_m = {raw}\n"))
+
+    @pytest.mark.parametrize("parameter, values, bad", [
+        ("eve_fov_deg", "5, 200", "200.0"),
+        ("freq_hz", "340e9, -1", "-1.0"),
+        ("eve_background", "0.01, -5", "-5.0"),
+    ])
+    def test_each_sweep_value_resolved(self, tmp_path, parameter, values, bad):
+        text = f"[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+        section, key = _SWEEP_KEYS[parameter]
+        pattern = rf"with sweep {parameter} = {bad}: {section}\.{key}"
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(write(tmp_path, text))
+
+    def test_prob_mode_checks_each_cn2_sweep_value(self, tmp_path):
+        text = "[scan]\nmode = prob\n[sweep]\nparameter = cn2\nvalues = 1e-12, 0\n"
+        with pytest.raises(ConfigError, match=r"with sweep cn2 = 0\.0: atmosphere\.cn2 must be > 0"):
+            parse_config(write(tmp_path, text))
+
+    def test_mode_override_checks_the_sweep_values(self, tmp_path):
+        text = "[sweep]\nparameter = cn2\nvalues = 1e-12, 0\n"
+        cfg = parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match="atmosphere.cn2 must be > 0"):
+            cfg.with_value("scan", "mode", "prob")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[atmosphere]\nabsorption_table_path = bad_header.csv\n", "expected header"),
+        ("[atmosphere]\nabsorption_table_path = missing.csv\n", "No such file"),
+        ("[atmosphere]\nabsorption_table_path = table.csv\n[link]\nfreq_hz = 420e9\n",
+         "outside table hull"),
+        ("[link]\nfreq_hz = 700e9\n", "outside table hull"),
+        ("[link]\nfreq_hz = 1.5e12\n[atmosphere]\nabsorption = constant\n"
+         "absorption_db_per_km = 1\n", "outside supported band"),
+    ], ids=["bad-header", "missing", "past-own-table", "past-bundled-table", "past-band"])
+    def test_backend_checked_against_the_carrier(self, table_dir, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(table_dir, text))

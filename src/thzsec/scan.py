@@ -1,15 +1,18 @@
 """2-D eavesdropper-position scans, 1-D parameter sweeps, insecure-region
 extraction and CSV/JSON emission.
 
-A scan fills a preallocated array, row-major (y outer, x inner), in three
-parts.  What does not depend on Eve's position (extinction, the LOS gain,
-the scenario) is computed once.  One ``nlos_gain_field`` call then gives the
-steering-optimised NLOS gain of every cell, and the scalar metric (secrecy
-capacity or outage probability) follows per cell.  A cell's gain does not
-depend on the other cells of the field call, so splitting the rows into
-blocks for worker processes cannot change the output.  Cells whose metric
-hits the turbulence-regime validity limit are recorded as NaN and counted;
-cells at y = 0 (no defined eavesdropper geometry) likewise.
+A scan is constants + field + metric, row-major (y outer, x inner).  The
+constants do not depend on Eve's position: the extinction, the LOS gain,
+the scenario.  The field is the steering-optimised NLOS gain of every cell,
+a ``GainField`` value that ``gain_field`` computes with ``nlos_gain_field``.
+The metric (secrecy capacity or outage probability) then follows per cell
+in ``evaluate``.  A field carries the key of the config inputs that enter
+it (``field_key``); ``evaluate`` refuses a field with another key, and
+``run_sweep`` computes a new field only when the key changes.  A cell's
+gain and metric do not depend on the other cells, so splitting the rows
+into blocks for worker processes cannot change the output.  Cells whose
+metric hits the turbulence-regime validity limit are recorded as NaN and
+counted; cells at y = 0 (no defined eavesdropper geometry) likewise.
 """
 
 from __future__ import annotations
@@ -22,15 +25,19 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .atmosphere import RegimeError, extinction
+from .atmosphere import ExtinctionBreakdown, RegimeError, extinction
 from .channel import ChannelGains, los_gain, nlos_gain_field
-from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ResolvedConfig
+from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ConfigError, ResolvedConfig
 from .outage import outage_from_gains
 from .secrecy import detection_rates, secrecy_capacity
 
 __all__ = [
     "ScanResult",
     "InsecureRegion",
+    "GainField",
+    "field_key",
+    "gain_field",
+    "evaluate",
     "run_scan",
     "run_sweep",
     "extract_insecure_region",
@@ -71,19 +78,117 @@ class InsecureRegion:
     area_m2: float
 
 
-def _eval_rows(payload) -> Tuple[np.ndarray, int, int]:
-    """Values of a block of rows, with its regime-error and invalid-position
-    cell counts: one gain-field call, then the metric per cell."""
-    (ys, xs, scenario, ext, g_los, scattering, mode, target, q, paper_exact) = payload
-    block = np.full((len(ys), len(xs)), math.nan)
+# ((section, key), value) of every config setting that may enter G_NLOS
+FieldKey = Tuple[Tuple[Tuple[str, str], Any], ...]
+
+# (section, key) settings that provably do not enter G_NLOS; None stands for
+# every key of the section.  A setting missing here only costs a reuse.
+_FIELD_FREE = frozenset({
+    ("link", "divergence_rad"),  # the LOS gain only
+    ("link", "tx_power_w"),
+    ("link", "eve_x_m"),  # the field has its own positions
+    ("link", "eve_y_m"),
+    ("bob", None),
+    ("eve", "background_count"),  # Eve's detector, not her optics
+    ("eve", "efficiency"),
+    ("eve", "integration_time_s"),
+    ("scan", "mode"),
+    ("scan", "target_rate_bps"),
+    ("secrecy", "duty_cycle"),
+    ("secrecy", "paper_exact"),
+})
+
+
+def field_key(cfg: ResolvedConfig) -> FieldKey:
+    """The config's settings that may enter its gain field: geometry, Eve's
+    aperture and FOV, every input to the extinction, the scattering
+    parameters and the grid.  Equal keys give bit-identical fields."""
+    return tuple(
+        ((section, key), value)
+        for section, body in sorted(cfg.to_dict().items())
+        if (section, None) not in _FIELD_FREE
+        for key, value in sorted(body.items())
+        if (section, key) not in _FIELD_FREE
+    )
+
+
+@dataclass(frozen=True)
+class GainField:
+    """Steering-optimised NLOS gain and its steering angle (rad) at every cell
+    of a scan grid, both read-only of shape (len(ys), len(xs)).  NaN at
+    y = 0, and everywhere when the extinction is outside the
+    weak-fluctuation regime."""
+
+    xs: Tuple[float, ...]
+    ys: Tuple[float, ...]
+    steering: np.ndarray
+    g_nlos: np.ndarray
+    key: FieldKey
+
+
+class _Workers:
+    """Row blocks of a grid and a map over them: in this process for a single
+    block, else in one process pool, started on first use and shared by
+    every field and metric pass of a scan or sweep."""
+
+    def __init__(self, threads: int):
+        self.threads = max(threads, 1)
+        self._pool = None
+
+    def blocks(self, n_rows: int) -> List[np.ndarray]:
+        return [b for b in np.array_split(np.arange(n_rows), self.threads) if b.size]
+
+    def map(self, fn, payloads: list) -> list:
+        if len(payloads) == 1:
+            return [fn(payloads[0])]
+        if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=len(payloads))
+        return list(self._pool.map(fn, payloads))
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+def _extinction(cfg: ResolvedConfig) -> Optional[ExtinctionBreakdown]:
+    """The config's extinction; None outside the weak-fluctuation regime."""
+    scenario = cfg.scenario()
+    try:
+        return extinction(
+            scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
+        )
+    except RegimeError:
+        return None
+
+
+def _reads_gain(cfg: ResolvedConfig) -> bool:
+    """False where the metric needs no gain: the capacity is never below a
+    nonpositive target (outage_scan_point)."""
+    spec = cfg.scan_spec()
+    return not (spec.mode == MODE_PROBABILISTIC and spec.target_rate_bps <= 0.0)
+
+
+def _field_rows(payload) -> Tuple[np.ndarray, np.ndarray]:
+    """Steering and NLOS gain of a block of rows, NaN at y = 0."""
+    ys, xs, scenario, ext, scattering = payload
     y_grid, x_grid = np.meshgrid(ys, xs, indexing="ij")
     valid = y_grid != 0.0
-    invalid = block.size - int(valid.sum())
-    if mode == MODE_PROBABILISTIC and target <= 0.0:
-        # the capacity is never below a nonpositive target (outage_scan_point)
-        block[valid] = 0.0
-        return block, 0, invalid
-    steering, g_nlos = nlos_gain_field(x_grid[valid], y_grid[valid], scenario, ext, scattering)
+    steering = np.full(y_grid.shape, math.nan)
+    g_nlos = np.full(y_grid.shape, math.nan)
+    steering[valid], g_nlos[valid] = nlos_gain_field(
+        x_grid[valid], y_grid[valid], scenario, ext, scattering
+    )
+    return steering, g_nlos
+
+
+def _metric_cells(payload) -> Tuple[List[float], int]:
+    """Metric of each cell of a block, with its regime-error cell count."""
+    (steering, g_nlos, scenario, ext, g_los, mode, target, q, paper_exact) = payload
     cells: List[float] = []
     regime = 0
     for angle, g in zip(steering.tolist(), g_nlos.tolist()):
@@ -102,64 +207,67 @@ def _eval_rows(payload) -> Tuple[np.ndarray, int, int]:
         except RegimeError:
             cells.append(math.nan)
             regime += 1
-    block[valid] = cells
-    return block, regime, invalid
+    return cells, regime
 
 
-def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
-    """Evaluate the configured grid; deterministic for a fixed config.
+def _gain_field(cfg: ResolvedConfig, workers: _Workers) -> GainField:
+    spec = cfg.scan_spec()
+    xs, ys = spec.xs, spec.ys
+    steering = np.full((len(ys), len(xs)), np.nan)
+    g_nlos = np.full((len(ys), len(xs)), np.nan)
+    ext = _extinction(cfg)
+    if ext is not None:
+        scenario, scattering = cfg.scenario(), cfg.scattering()
+        blocks = workers.blocks(len(ys))
+        payloads = [([ys[i] for i in rows], xs, scenario, ext, scattering) for rows in blocks]
+        for rows, (block_steering, block_g) in zip(blocks, workers.map(_field_rows, payloads)):
+            steering[rows], g_nlos[rows] = block_steering, block_g
+    steering.setflags(write=False)
+    g_nlos.setflags(write=False)
+    return GainField(tuple(xs), tuple(ys), steering, g_nlos, field_key(cfg))
 
-    ``threads`` > 1 splits the rows into that many blocks, each computed in
-    its own worker process.
-    """
+
+def _evaluate(cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers) -> ScanResult:
+    if field is not None and field.key != field_key(cfg):
+        changed = sorted({f"{s}.{k}" for (s, k), _ in set(field.key) ^ set(field_key(cfg))})
+        raise ValueError(f"gain field was computed for other settings: {', '.join(changed)}")
+    if field is None and _reads_gain(cfg):
+        raise ValueError("this configuration's metric needs a gain field")
     spec = cfg.scan_spec()
     scenario = cfg.scenario()
-    scattering = cfg.scattering()
-    conditions = cfg.conditions()
-    q = cfg.duty_cycle()
-    paper_exact = cfg.paper_exact()
     xs, ys = spec.xs, spec.ys
-
     values = np.full((len(ys), len(xs)), np.nan)
+    valid = np.repeat(np.asarray(ys)[:, None] != 0.0, len(xs), axis=1)
     regime_cells = 0
     invalid_cells = 0
-    try:
-        ext = extinction(
-            scenario.freq_hz, conditions, scenario.d, cfg.backend(), cfg.wave()
-        )
-    except RegimeError:
+    ext = _extinction(cfg)
+    if ext is None:
         # whole scan outside the weak-fluctuation regime: all cells NaN
         regime_cells = values.size
-        ext = None
-
-    if ext is not None:
-        g_los = los_gain(scenario, ext)
-        blocks = [
-            b for b in np.array_split(np.arange(len(ys)), max(threads, 1)) if b.size
-        ]
-        payloads = [
-            ([ys[i] for i in rows], xs, scenario, ext, g_los, scattering, spec.mode,
-             spec.target_rate_bps, q, paper_exact)
-            for rows in blocks
-        ]
-        if len(payloads) == 1:
-            results = map(_eval_rows, payloads)
+    else:
+        invalid_cells = values.size - int(valid.sum())
+        if not _reads_gain(cfg):
+            values[valid] = 0.0
         else:
-            from concurrent.futures import ProcessPoolExecutor
+            g_los = los_gain(scenario, ext)
+            payloads = [
+                (field.steering[rows][valid[rows]], field.g_nlos[rows][valid[rows]], scenario,
+                 ext, g_los, spec.mode, spec.target_rate_bps, cfg.duty_cycle(),
+                 cfg.paper_exact())
+                for rows in workers.blocks(len(ys))
+            ]
+            cells: List[float] = []
+            for block_cells, regime in workers.map(_metric_cells, payloads):
+                cells += block_cells
+                regime_cells += regime
+            values[valid] = cells
 
-            with ProcessPoolExecutor(max_workers=len(payloads)) as executor:
-                results = list(executor.map(_eval_rows, payloads))
-        for rows, (block, regime, invalid) in zip(blocks, results):
-            values[rows] = block
-            regime_cells += regime
-            invalid_cells += invalid
-
-    valid = values[~np.isnan(values)]
+    finite = values[~np.isnan(values)]
     msc = mop = None
     if spec.mode == MODE_DETERMINISTIC:
-        msc = float(valid.max()) if valid.size else None
+        msc = float(finite.max()) if finite.size else None
     else:
-        mop = float(valid.min()) if valid.size else None
+        mop = float(finite.min()) if finite.size else None
 
     metadata = {
         "config": cfg.to_dict(),
@@ -180,6 +288,49 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
     )
 
 
+def _field_for(
+    cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers
+) -> Optional[GainField]:
+    """The gain field ``cfg``'s metric reads: ``field`` while its key is the
+    config's, a new one otherwise; None where the metric reads no gain."""
+    if not _reads_gain(cfg):
+        return None
+    if field is not None and field.key == field_key(cfg):
+        return field
+    return _gain_field(cfg, workers)
+
+
+def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
+    """The configured grid's steering-optimised NLOS gain field.
+
+    ``threads`` > 1 splits the rows into that many blocks, each computed in
+    its own worker process.
+    """
+    with _Workers(threads) as workers:
+        return _gain_field(cfg, workers)
+
+
+def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) -> ScanResult:
+    """The configured grid's metric over a gain field of the same key.
+
+    ``field`` may be None only where the metric reads no gain (``prob`` mode
+    at a nonpositive target rate).  Raises ValueError for a field computed
+    from other settings.  ``threads`` as for ``gain_field``.
+    """
+    with _Workers(threads) as workers:
+        return _evaluate(cfg, field, workers)
+
+
+def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
+    """Evaluate the configured grid; deterministic for a fixed config.
+
+    ``threads`` > 1 splits the rows into that many blocks, each computed in
+    its own worker process.
+    """
+    with _Workers(threads) as workers:
+        return _evaluate(cfg, _field_for(cfg, None, workers), workers)
+
+
 def run_sweep(
     cfg: ResolvedConfig,
     out_stem: Optional[Path] = None,
@@ -188,22 +339,27 @@ def run_sweep(
 ):
     """Run one scan per sweep value; emit one file per value when asked.
 
+    The gain field is computed again only when a value changes its key, so
+    an ``eve_background`` or ``divergence_rad`` sweep computes it once.
     Output files follow ``<stem>_<parameter>=<value>.<ext>``.
     """
     sweep = cfg.sweep_spec()
     if sweep is None:
-        raise ValueError("configuration has no [sweep] section")
+        raise ConfigError("configuration has no [sweep] section")
     outputs = []
-    for value in sweep.values:
-        sub_cfg = cfg.with_sweep_value(sweep.parameter, value)
-        result = run_scan(sub_cfg, threads=threads)
-        path = None
-        if out_stem is not None:
-            path = out_stem.with_name(
-                f"{out_stem.stem}_{sweep.parameter}={value!r}.{fmt}"
-            )
-            emit(result, fmt, path)
-        outputs.append((value, result, path))
+    field = None
+    with _Workers(threads) as workers:
+        for value in sweep.values:
+            sub_cfg = cfg.with_sweep_value(sweep.parameter, value)
+            field = _field_for(sub_cfg, field, workers)
+            result = _evaluate(sub_cfg, field, workers)
+            path = None
+            if out_stem is not None:
+                path = out_stem.with_name(
+                    f"{out_stem.stem}_{sweep.parameter}={value!r}.{fmt}"
+                )
+                emit(result, fmt, path)
+            outputs.append((value, result, path))
     return outputs
 
 

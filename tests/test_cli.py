@@ -147,7 +147,7 @@ class TestSweep:
 
     def test_sweep_without_section(self, tmp_path, capsys):
         cfg = write(tmp_path, POINT_CFG)
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_RUNTIME
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 class TestUsage:

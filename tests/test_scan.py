@@ -11,11 +11,15 @@ from thzsec.atmosphere import extinction
 from thzsec.channel import compute_channel_gains
 from thzsec.config import parse_config
 from thzsec.outage import outage_scan_point
+from thzsec import scan
 from thzsec.scan import (
     JSON_SCHEMA,
     ScanResult,
     emit,
+    evaluate,
     extract_insecure_region,
+    field_key,
+    gain_field,
     load_csv,
     load_json,
     run_scan,
@@ -439,3 +443,165 @@ class TestSweep:
         outputs = run_sweep(cfg_from(tmp_path, text))
         msc = [result.msc_bps for _, result, _ in outputs]
         assert msc[0] > msc[1]  # wider beam, weaker LOS, lower capacity
+
+
+# 3 x 3 cells, one row at y = 0
+TINY_GRID = """
+[scan]
+x_min_m = 600
+x_max_m = 800
+y_min_m = 0
+y_max_m = 200
+step_m = 100
+"""
+
+# every sweep parameter, with values that must and must not reuse the field;
+# cn2 = 1e-9 is outside the weak-fluctuation regime
+SWEEPS = [
+    ("freq_hz", "140e9, 340e9", "det"),
+    ("cn2", "1e-12, 1e-9, 5.8e-11", "det"),
+    ("divergence_rad", "0.01, 0.02, 0.04", "det"),
+    ("eve_background", "0.001, 0.1, 1.0", "prob"),
+    ("eve_fov_deg", "5, 20", "det"),
+]
+
+
+def sweep_cfg(tmp_path, parameter, values, mode="det"):
+    text = TINY_GRID + f"mode = {mode}\n[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+    return cfg_from(tmp_path, text)
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Counts nlos_gain_field calls made in this process."""
+    calls = []
+    original = scan.nlos_gain_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scan, "nlos_gain_field", counted)
+    return calls
+
+
+class TestGainField:
+    @pytest.mark.parametrize("parameter,values,mode", SWEEPS)
+    def test_sweep_bytes_equal_fresh_scans(self, tmp_path, parameter, values, mode):
+        cfg = sweep_cfg(tmp_path, parameter, values, mode)
+        outputs = run_sweep(cfg, out_stem=tmp_path / "sweep.csv", fmt="csv")
+        assert len(outputs) == len(cfg.sweep_spec().values)
+        for value, _, path in outputs:
+            fresh = tmp_path / "fresh.csv"
+            emit(run_scan(cfg.with_sweep_value(parameter, value)), "csv", fresh)
+            assert path.read_bytes() == fresh.read_bytes(), value
+
+    def test_out_of_regime_sweep_value_is_all_nan(self, tmp_path):
+        outputs = run_sweep(sweep_cfg(tmp_path, "cn2", "1e-12, 1e-9, 5.8e-11"))
+        counts = [result.regime_error_cells for _, result, _ in outputs]
+        assert counts == [0, 9, 0]
+        assert np.isnan(outputs[1][1].values).all()
+        assert not np.isnan(outputs[2][1].values[1:]).any()
+
+    @pytest.mark.parametrize("parameter,values,expected", [
+        ("eve_background", "0.001, 0.01, 0.1", 1),
+        ("divergence_rad", "0.01, 0.02, 0.04", 1),
+        ("cn2", "1e-12, 5.8e-11", 2),
+    ])
+    def test_sweep_computes_one_field_per_key(
+        self, tmp_path, field_calls, parameter, values, expected
+    ):
+        run_sweep(sweep_cfg(tmp_path, parameter, values, "prob"))
+        assert len(field_calls) == expected
+
+    def test_prob_zero_target_computes_no_field(self, tmp_path, field_calls):
+        text = TINY_GRID + (
+            "mode = prob\ntarget_rate_bps = 0\n"
+            "[bob]\nintegration_time_s = 1e-10\n[eve]\nintegration_time_s = 1e-10\n"
+        )
+        result = run_scan(cfg_from(tmp_path, text))
+        assert field_calls == []
+        assert (result.values[1:] == 0.0).all()
+        assert result.invalid_position_cells == 3
+
+    def test_out_of_regime_field_is_all_nan(self, tmp_path, field_calls):
+        field = gain_field(cfg_from(tmp_path, TINY_GRID + "[atmosphere]\ncn2 = 1e-9\n"))
+        assert field_calls == []
+        assert np.isnan(field.g_nlos).all() and np.isnan(field.steering).all()
+
+    # another valid value for every setting outside the field key
+    FIELD_FREE_CHANGES = {
+        ("link", "divergence_rad"): 0.04,
+        ("link", "tx_power_w"): 0.02,
+        ("link", "eve_x_m"): 100.0,
+        ("link", "eve_y_m"): -5.0,
+        ("bob", "aperture_m"): 0.1,
+        ("bob", "fov_deg"): 20.0,
+        ("bob", "efficiency"): 0.5,
+        ("bob", "integration_time_s"): 2e-10,
+        ("bob", "background_count"): 0.1,
+        ("eve", "background_count"): 0.1,
+        ("eve", "efficiency"): 0.5,
+        ("eve", "integration_time_s"): 2e-10,
+        ("scan", "mode"): "prob",
+        ("scan", "target_rate_bps"): 5e9,
+        ("secrecy", "duty_cycle"): 0.3,
+        ("secrecy", "paper_exact"): True,
+    }
+
+    def test_changes_cover_every_field_free_setting(self, tmp_path):
+        cfg = cfg_from(tmp_path, TINY_GRID)
+        free = {
+            (section, key)
+            for section, body in cfg.to_dict().items()
+            for key in body
+            if (section, key) in scan._FIELD_FREE or (section, None) in scan._FIELD_FREE
+        }
+        assert free == set(self.FIELD_FREE_CHANGES)
+
+    @pytest.mark.parametrize("setting", sorted(FIELD_FREE_CHANGES))
+    def test_field_free_setting_leaves_field_bit_identical(self, tmp_path, setting):
+        base = cfg_from(tmp_path, TINY_GRID)
+        changed = base.with_value(*setting, self.FIELD_FREE_CHANGES[setting])
+        assert changed.to_dict() != base.to_dict()
+        assert field_key(changed) == field_key(base)
+        a, b = gain_field(base), gain_field(changed)
+        assert same_bits(a.g_nlos, b.g_nlos)
+        assert same_bits(a.steering, b.steering)
+
+    @pytest.mark.parametrize("setting,value", [
+        (("link", "freq_hz"), 220e9),
+        (("atmosphere", "cn2"), 1e-12),
+        (("eve", "fov_deg"), 20.0),
+        (("eve", "aperture_m"), 0.1),
+        (("scattering", "g"), 0.5),
+        (("scan", "step_m"), 50.0),
+    ])
+    def test_evaluate_refuses_field_of_other_settings(self, tmp_path, setting, value):
+        base = cfg_from(tmp_path, TINY_GRID)
+        other = base.with_value(*setting, value)
+        field = gain_field(other)
+        assert not same_bits(field.g_nlos, gain_field(base).g_nlos)
+        with pytest.raises(ValueError, match="gain field .*" + ".".join(setting)):
+            evaluate(base, field)
+
+    def test_evaluate_reuses_field_across_metrics(self, tmp_path):
+        det = cfg_from(tmp_path, TINY_GRID)
+        field = gain_field(det)
+        assert not field.g_nlos.flags.writeable
+        for cfg in (det, det.with_value("scan", "mode", "prob")):
+            assert same_bits(evaluate(cfg, field).values, run_scan(cfg).values)
+
+    def test_evaluate_needs_a_field_where_the_metric_reads_gain(self, tmp_path):
+        with pytest.raises(ValueError, match="needs a gain field"):
+            evaluate(cfg_from(tmp_path, TINY_GRID), None)
+
+    @pytest.mark.parametrize("parameter,values,mode", SWEEPS)
+    def test_sweep_bytes_independent_of_threads(self, tmp_path, parameter, values, mode):
+        cfg = sweep_cfg(tmp_path, parameter, values, mode)
+        blobs = []
+        for threads in (1, 2):
+            stem = tmp_path / f"t{threads}.json"
+            outputs = run_sweep(cfg, out_stem=stem, fmt="json", threads=threads)
+            blobs.append([path.read_bytes() for _, _, path in outputs])
+        assert blobs[0] == blobs[1]

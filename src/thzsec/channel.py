@@ -18,6 +18,21 @@ inside the field of view the receiving aperture subtends
 clamped at zero because a scatterer behind the aperture plane contributes
 nothing.  The single-scatter gain integrates Omega * p(mu) * alpha_am *
 exp(-alpha_am * (l + r)) over the axis segment visible in the FOV cone.
+
+Inside the cone the clamp never acts.  (x - l) cos(alpha) + y sin(alpha) is
+r times the cosine of the angle between the boresight and the ray to the
+scatterer, and inside the cone that angle is at most FOV/2 <= pi/2, so the
+term is >= r cos(FOV/2) >= 0.  The gain at steering alpha over the segment
+[l_a, l_b] is therefore
+
+    G(alpha) = cos(alpha) * I1 + sin(alpha) * I2,
+    I1 = integral of (x - l) h(l),  I2 = integral of y h(l),
+
+with h = A p(mu) alpha_am exp(-alpha_am (l + r)) / r^3 independent of the
+steering (Luettgen, Shapiro & Reilly, JOSA A 8(12), 1991).  The scalar
+``nlos_gain`` integrates the clamped form at every steering; the gain
+field (``nlos_gain_field``) integrates h1 and h2 over [0, d] once per
+position and answers every steering from that table.
 """
 
 from __future__ import annotations
@@ -30,9 +45,12 @@ import numpy as np
 
 from .atmosphere import ExtinctionBreakdown
 from .numerics import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     adaptive_gauss_kronrod,
     batched_gauss_kronrod,
     batched_golden_section_max,
+    gauss_kronrod_panels,
     golden_section_max,
 )
 
@@ -55,6 +73,10 @@ STEERING_XTOL_RAD = 1e-4
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-30
 QUAD_MAX_PANELS = 2048
+# the steering-free table of nlos_gain_field: per-panel tolerance, and the
+# number of equal panels its refinement starts from
+_TABLE_REL_TOL = QUAD_REL_TOL / 30.0
+_TABLE_FIRST_PANELS = 8
 _COARSE_STEERING_POINTS = 24
 _FIELD_CHUNK = 512  # positions per batch of nlos_gain_field
 
@@ -320,14 +342,17 @@ def nlos_gain_field(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Steering-optimised NLOS gain for Eve at every position (xs[k], ys[k]).
 
-    Runs ``optimize_steering`` for all positions at once: the FOV segments,
-    the integrand and the quadrature panels of every (position, steering)
-    pair are single numpy calls, each position keeps its own adaptive
-    refinement, and the golden sections run in lockstep.  Eve's position
-    in ``scenario`` is ignored.  A position's result does not depend on the
-    other positions passed with it.  Returns (steering, g_nlos) arrays of
-    the positions' shape; ``QuadratureError`` when a quadrature needs more
-    than ``QUAD_MAX_PANELS`` panels.
+    Runs ``optimize_steering``'s search for all positions at once: the same
+    24 probes plus the foot point, the same bracket and a lockstep golden
+    section to ``STEERING_XTOL_RAD``.  Each gain it compares comes from one
+    steering-free table per position (``_steering_free_gain``) instead of
+    an adaptive quadrature per steering, so the field picks the steering
+    ``optimize_steering`` picks and agrees with its G_NLOS to about 1e-10
+    relative, not bit for bit.  Eve's position in ``scenario`` is ignored.
+    A position's result does not depend on the other positions passed with
+    it.  Returns (steering, g_nlos) arrays of the positions' shape;
+    ``QuadratureError`` when a table needs more than ``QUAD_MAX_PANELS``
+    panels.
     """
     x, y = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
     shape = x.shape
@@ -335,8 +360,8 @@ def nlos_gain_field(
     if (y == 0).any():
         raise ValueError("eavesdropper y-coordinates must be nonzero")
     steering, g_nlos = np.empty(x.size), np.empty(x.size)
-    # chunks bound the memory of the (position, steering) panel arrays: the
-    # standard 25,050-cell map peaks at 50 MB RSS in chunks, 774 MB in one call
+    # chunks bound the memory of the tables and of the coarse probes: the
+    # standard 25,050-cell map peaks at 49 MB RSS in chunks, 838 MB in one call
     for lo in range(0, x.size, _FIELD_CHUNK):
         part = slice(lo, lo + _FIELD_CHUNK)
         steering[part], g_nlos[part] = _optimised_steering(
@@ -345,30 +370,159 @@ def nlos_gain_field(
     return steering.reshape(shape), g_nlos.reshape(shape)
 
 
+def _nlos_kernel(l, x, y, area, alpha_am, params):
+    """h(l) = A * p(mu(l)) * alpha_am * exp(-alpha_am * (l + r)) / r^3 for
+    Eve at (x, y), y > 0: ``_nlos_integrand`` without the projection.
+
+    p is ``_phase_values`` with its constants gathered,
+    p(mu) = c * ((1 + g^2 - 2 g mu)^(-3/2) + b (3 mu^2 - 1)), and the
+    arithmetic runs in place: this function is most of the gain field's
+    cost per integrand point."""
+    g, f = params.g, params.f
+    c = area * alpha_am * (1.0 - g * g) / (4.0 * math.pi)
+    b = f / (2.0 * (1.0 + g * g) ** 1.5)
+    dx = x - l
+    r2 = dx * dx
+    r2 += y * y
+    r = np.sqrt(r2)
+    mu = dx / r
+    p = (1.0 + g * g) - (2.0 * g) * mu
+    p **= -1.5
+    mu *= mu
+    mu *= 3.0 * b
+    p += mu
+    p -= b
+    r2 *= r
+    r += l
+    r *= -alpha_am
+    p *= np.exp(r, out=r)
+    p /= r2
+    p *= c
+    return p
+
+
+def _steering_free_gain(x, y, scenario, ext, params):
+    """``gain(k, steering)``: nlos_gain of Eve at (x[k], y[k]), y > 0, at
+    steering[i] for every i, from one steering-free table per position.
+
+    The table holds the final panels of one adaptive refinement over
+    [0, d] of h1 = (x - l) h and h2 = y h together (``gauss_kronrod_panels``
+    at _TABLE_REL_TOL), their K15 integrals and |K15 - G7| on each panel,
+    and each position's prefix and suffix sums of them.  A query is
+    G = cos(s) I1 + sin(s) I2 over [l_a, l_b]: the full panels from the
+    sums (suffix sums where the segment lies past most of h2, so that a
+    small tail integral is not the difference of two near-total sums), and
+    the one or two partial panels by a G7 rule each.  Its error estimate is
+    the full panels' |K15 - G7| plus each partial panel's, prorated by the
+    share of the panel the rule covers.  A query over its QUAD_REL_TOL
+    budget is integrated adaptively instead, as ``nlos_gain`` does.  Every
+    sum runs over one position's panels only.
+    """
+    n, d = x.size, scenario.d
+    alpha_am, area = ext.alpha_att, scenario.eve.area
+
+    def integrands(i, l):
+        """(h1, h2) of positions i at l[i, :], shape (len(i), 2, 15)"""
+        xi, yi = x[i, None], y[i, None]
+        h = _nlos_kernel(l, xi, yi, area, alpha_am, params)
+        out = np.empty((l.shape[0], 2, l.shape[1]))
+        np.multiply(xi - l, h, out=out[:, 0])
+        np.multiply(yi, h, out=out[:, 1])
+        return out
+
+    item, lo, hi, ik, err = gauss_kronrod_panels(
+        integrands, np.zeros(n), np.full(n, d), _TABLE_REL_TOL, QUAD_ABS_TOL,
+        QUAD_MAX_PANELS, _TABLE_FIRST_PANELS,
+    )
+    # one row per position, padded after its last panel; rows of the flat
+    # tables: panel (k, j) at k * width + j, boundary (k, j) at
+    # k * (width + 1) + j
+    count = np.bincount(item, minlength=n)
+    col = np.arange(item.size) - np.repeat(np.cumsum(count) - count, count)
+    width = int(count.max())
+    panel_hi = np.full((n, width), np.inf)
+    panel_hi[item, col] = hi
+    panels = np.zeros((n, width, 6))  # lo, hi, K15 of (h1, h2), their |K15 - G7|
+    panels[item, col] = np.column_stack([lo, hi, ik, err])
+    # at boundary j: sums over panels < j of (I1, I2), minus the sums over
+    # panels >= j of them, and the sums over panels < j of their |K15 - G7|
+    sums = np.zeros((n, width + 1, 6))
+    sums[:, 1:, :2] = np.cumsum(panels[:, :, 2:4], axis=1)
+    sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, 2:4], axis=1)[:, ::-1]
+    sums[:, 1:, 4:] = np.cumsum(panels[:, :, 4:], axis=1)
+    panels, sums = panels.reshape(-1, 6), sums.reshape(-1, 6)
+
+    def gain(k, steering):
+        g = np.zeros(steering.shape)
+        if alpha_am == 0.0:
+            return g
+        l_a, l_b = _segment_ends(x[k], y[k], steering, scenario)
+        live = np.flatnonzero(l_a < l_b)
+        k, s, l_a, l_b = k[live], steering[live], l_a[live], l_b[live]
+        # l lies in panel j = the number of panels below it.  The full
+        # panels are [first, j_b); the partial ones are [l_a, its panel's
+        # end] and [its panel's start, l_b], or [l_a, l_b] where both ends
+        # share a panel.  F(0) = 0 and F(d) = the total need none.
+        ends = panel_hi[k]
+        j_a = (ends <= l_a[:, None]).sum(axis=1)
+        j_b = (ends <= l_b[:, None]).sum(axis=1)
+        in_a, in_b = 0.0 < l_a, l_b < d
+        one_panel = in_a & in_b & (j_a == j_b)
+        first = j_a + (in_a & ~one_panel)
+        row = k * (width + 1)
+        at_first, at_b = sums[row + first], sums[row + j_b]
+        # suffix sums where more of h2 lies before the segment than after
+        full = at_b - at_first
+        past = at_b[:, 1] > -at_first[:, 3]
+        full[past, :2] = full[past, 2:4]
+        piece_a = np.flatnonzero(in_a)
+        piece_b = np.flatnonzero(in_b & ~one_panel)
+        q = np.concatenate([piece_a, piece_b])
+        kq = k[q]
+        panel = panels[kq * width + np.concatenate([j_a[piece_a], j_b[piece_b]])]
+        piece_lo = np.concatenate([l_a[piece_a], panel[piece_a.size:, 0]])
+        piece_hi = np.concatenate(
+            [np.where(one_panel[piece_a], l_b[piece_a], panel[: piece_a.size, 1]), l_b[piece_b]]
+        )
+        # G7 on each piece, its nodes along the first axis; each query's
+        # pieces are summed in order, then added to its full panels
+        half = 0.5 * (piece_hi - piece_lo)
+        l = 0.5 * (piece_hi + piece_lo) + half * GAUSS_NODES[:, None]
+        wh = GAUSS_WEIGHTS[:, None] * _nlos_kernel(l, x[kq], y[kq], area, alpha_am, params)
+        part = np.empty((q.size, 4))
+        part[:, 0] = half * ((x[kq] - l) * wh).sum(axis=0)
+        part[:, 1] = half * y[kq] * wh.sum(axis=0)
+        part[:, 2:] = ((piece_hi - piece_lo) / (panel[:, 1] - panel[:, 0]))[:, None] * panel[:, 4:]
+        pieces = np.bincount(
+            (4 * q[:, None] + np.arange(4)).ravel(), part.ravel(), minlength=4 * k.size
+        ).reshape(-1, 4)
+        integral = full[:, :2] + pieces[:, :2]
+        error = full[:, 4:] + pieces[:, 2:]
+        cos_a, sin_a = np.cos(s), np.sin(s)
+        value = cos_a * integral[:, 0] + sin_a * integral[:, 1]
+        bound = np.abs(cos_a) * error[:, 0] + sin_a * error[:, 1]
+        over = np.flatnonzero(bound > np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL))
+        if over.size:
+            ko, co, yo = k[over], cos_a[over, None], (y[k] * sin_a)[over, None]
+
+            def integrand(i, l):
+                return _nlos_integrand(
+                    l, x[ko[i], None], y[ko[i], None], co[i], yo[i], area, alpha_am, params
+                )
+
+            value[over] = batched_gauss_kronrod(
+                integrand, l_a[over], l_b[over], rel_tol=QUAD_REL_TOL,
+                abs_tol=QUAD_ABS_TOL, max_panels=QUAD_MAX_PANELS,
+            )
+        g[live] = value
+        return g
+
+    return gain
+
+
 def _optimised_steering(x, y, scenario, ext, params):
     """``optimize_steering`` for Eve at every (x[k], y[k]), y > 0."""
-    alpha_am = ext.alpha_att
-    area = scenario.eve.area
-
-    def gain(k: np.ndarray, steering: np.ndarray) -> np.ndarray:
-        """nlos_gain of position k[i] at steering[i], for every i."""
-        if alpha_am == 0.0:
-            return np.zeros(steering.shape)
-        xk, yk = x[k], y[k]
-        l_a, l_b = _segment_ends(xk, yk, steering, scenario)  # b <= a integrates to 0
-        cos_a = np.cos(steering)
-        y_sin_a = yk * np.sin(steering)
-
-        def integrand(i, l):
-            return _nlos_integrand(
-                l, xk[i, None], yk[i, None], cos_a[i, None], y_sin_a[i, None],
-                area, alpha_am, params,
-            )
-
-        return batched_gauss_kronrod(
-            integrand, l_a, l_b, rel_tol=QUAD_REL_TOL, abs_tol=QUAD_ABS_TOL,
-            max_panels=QUAD_MAX_PANELS,
-        )
+    gain = _steering_free_gain(x, y, scenario, ext, params)
 
     # optimize_steering's coarse probes: np.linspace(lo, hi, 24) per position,
     # plus the foot point pi/2 where it lies strictly inside (lo, hi)

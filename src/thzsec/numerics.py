@@ -11,7 +11,10 @@ The batched forms run the one-problem algorithm of every problem side by
 side, with the same rule, tolerances and stopping tests.  A problem's
 arithmetic never mixes with another's: its panels keep their own order and
 its total is a sequential sum of them, so its result does not depend on
-which other problems share the batch.
+which other problems share the batch.  ``gauss_kronrod_panels`` runs the
+same refinement loop with a per-panel stopping test and returns the final
+panels themselves, for callers that integrate many sub-intervals of one
+problem from them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ __all__ = [
     "QuadratureError",
     "adaptive_gauss_kronrod",
     "batched_gauss_kronrod",
+    "gauss_kronrod_panels",
+    "GAUSS_NODES",
+    "GAUSS_WEIGHTS",
     "golden_section_max",
     "batched_golden_section_max",
 ]
@@ -77,6 +83,8 @@ _WEIGHTS_K = np.concatenate([_WK[:7], _WK[::-1]])
 _wg_full = np.zeros(8)
 _wg_full[1::2] = _WG  # Gauss nodes sit at the odd Kronrod indices plus the centre
 _WEIGHTS_G = np.concatenate([_wg_full[:7], _wg_full[::-1]])
+GAUSS_NODES = _NODES[1::2]
+GAUSS_WEIGHTS = _WEIGHTS_G[1::2]
 
 
 def adaptive_gauss_kronrod(
@@ -89,10 +97,11 @@ def adaptive_gauss_kronrod(
 ) -> float:
     """Integrate a vectorised integrand over [a, b] by adaptive bisection.
 
-    ``f`` maps a 1-D array of points to their values.  Each refinement round re-evaluates every out-of-budget panel with the
-    (G7, K15) pair; a panel's error estimate is |K15 - G7|.  The local error
-    budget is the global budget prorated by panel width.  This is the
-    one-problem call of ``batched_gauss_kronrod``.
+    ``f`` maps a 1-D array of points to their values.  Each refinement
+    round re-evaluates every out-of-budget panel with the (G7, K15) pair; a
+    panel's error estimate is |K15 - G7|.  The local error budget is the
+    global budget prorated by panel width.  This is the one-problem call of
+    ``batched_gauss_kronrod``.
     """
     total = batched_gauss_kronrod(
         lambda item, x: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
@@ -104,15 +113,18 @@ def adaptive_gauss_kronrod(
 def _panel_estimates(f, item: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Kronrod/Gauss estimates for a batch of panels in one integrand call.
 
-    Row sums, not a matrix product, whose rows may round differently with
-    the number of panels."""
+    ``f`` returns shape (n_panels, 15), or (n_panels, c, 15) for c
+    integrands at once; so are the estimates shaped (n_panels[, c]).  Row
+    sums, not a matrix product, whose rows may round differently with the
+    number of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     # shape (n_panels, 15)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(item, pts), dtype=float)
-    ik = half * (vals * _WEIGHTS_K).sum(axis=1)
-    ig = half * (vals * _WEIGHTS_G).sum(axis=1)
+    half = half.reshape(half.shape + (1,) * (vals.ndim - 2))
+    ik = half * (vals * _WEIGHTS_K).sum(axis=-1)
+    ig = half * (vals * _WEIGHTS_G).sum(axis=-1)
     return ik, np.abs(ik - ig)
 
 
@@ -133,31 +145,72 @@ def batched_gauss_kronrod(
     no panel does.  ``QuadratureError`` when a problem would exceed
     ``max_panels`` panels or 64 rounds.  Problems with b <= a integrate to 0.
     """
+    return _refine(f, a, b, rel_tol, abs_tol, max_panels, 1, per_panel=False)[0]
+
+
+def gauss_kronrod_panels(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+    max_panels: int,
+    first_panels: int = 1,
+):
+    """Final panels of an adaptive refinement of problem k over [a[k], b[k]].
+
+    ``f(item, x)`` returns c integrands at once, shape (len(item), c, 15).
+    The refinement is ``batched_gauss_kronrod``'s, except that each panel
+    meets the tolerance on its own: a panel is split while the sum of its c
+    values of |K15 - G7| exceeds max(rel_tol * m, abs_tol), m being its
+    largest |K15|, and the refinement starts from ``first_panels`` equal
+    panels.  Returns (item, lo, hi, ik, err): panel i spans
+    [lo[i], hi[i]] of problem item[i], ordered by problem and then by
+    position, with its K15 integrals ik[i] and |K15 - G7| err[i], shape
+    (c,) each.
+    """
+    _, *panels = _refine(f, a, b, rel_tol, abs_tol, max_panels, first_panels, per_panel=True)
+    order = np.lexsort((panels[1], panels[0]))
+    return tuple(p[order] for p in panels)
+
+
+def _refine(f, a, b, rel_tol, abs_tol, max_panels, first_panels, per_panel):
+    """The refinement loop: (totals, item, lo, hi, ik, err), the last five
+    of the final panels.  ``per_panel`` selects the stopping test of
+    ``gauss_kronrod_panels`` instead of the prorated budget."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.zeros(a.shape)
     width = b - a
-    item = np.flatnonzero(width > 0)
-    lo, hi = a[item], b[item]
+    item = np.repeat(np.flatnonzero(width > 0), first_panels)
+    part = np.arange(item.size) % first_panels
+    lo = a[item] + width[item] * part / first_panels
+    hi = np.where(part == first_panels - 1, b[item], a[item] + width[item] * (part + 1) / first_panels)
     ik, err = _panel_estimates(f, item, lo, hi)
+    final = [(item[:0], lo[:0], hi[:0], ik[:0], err[:0])]
     for _ in range(64):
         if not item.size:
-            return out
-        # sequential per-problem sums, in each problem's own panel order
-        total = np.bincount(item, weights=ik, minlength=a.size)
-        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
-        bad = err > budget[item] * (hi - lo) / width[item]
+            break
+        if per_panel:
+            bad = err.sum(axis=1) > np.maximum(rel_tol * np.abs(ik).max(axis=1), abs_tol)
+        else:
+            # sequential per-problem sums, in each problem's own panel order
+            total = np.bincount(item, weights=ik, minlength=a.size)
+            budget = np.maximum(rel_tol * np.abs(total), abs_tol)
+            bad = err > budget[item] * (hi - lo) / width[item]
         split = item[bad]
         panels = np.bincount(item, minlength=a.size)
         n_bad = np.bincount(split, minlength=a.size)
-        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
-        if not split.size:
-            return out
+        done = n_bad[item] == 0
+        if per_panel:
+            final.append((item[done], lo[done], hi[done], ik[done], err[done]))
+        else:
+            np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
         if (panels + n_bad > max_panels).any():
             k = int(np.argmax(panels + n_bad))
-            raise QuadratureError(
-                f"exceeded {max_panels} panels (budget {budget[k]:.3e})"
-            )
+            raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
+        if not split.size:
+            break
         keep = (n_bad[item] > 0) & ~bad
         split_lo, split_hi = lo[bad], hi[bad]
         mid = 0.5 * (split_lo + split_hi)
@@ -172,9 +225,9 @@ def batched_gauss_kronrod(
         item = np.concatenate([item[keep], split, split])
         ik = np.concatenate([ik[keep], split_ik])
         err = np.concatenate([err[keep], split_err])
-    if not item.size:
-        return out
-    raise QuadratureError("refinement did not converge in 64 rounds")
+    else:
+        raise QuadratureError("refinement did not converge in 64 rounds")
+    return (out,) + tuple(np.concatenate(parts) for parts in zip(*final))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

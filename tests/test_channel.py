@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from thzsec import channel
-from thzsec.atmosphere import ExtinctionBreakdown
-from thzsec.numerics import QuadratureError
+from thzsec.atmosphere import ExtinctionBreakdown, default_absorption_table, extinction
+from thzsec.config import parse_config
+from thzsec.numerics import QuadratureError, batched_gauss_kronrod
 from thzsec.channel import (
     EmptySegment,
     LinkScenario,
@@ -23,7 +24,7 @@ from thzsec.channel import (
     scattering_segment,
 )
 
-from oracles import hg_phase_mu_integral
+from oracles import extinction_oracle, hg_phase_mu_integral, steered_nlos_gain_oracle
 
 
 def breakdown(alpha_g=0.0, alpha_t=0.0):
@@ -327,6 +328,27 @@ def field_scenario(fov_deg):
     return LinkScenario(eve=ReceiverParams(fov_full_rad=math.radians(fov_deg)))
 
 
+def reference_nlos_gain(scenario, ext, params, steering):
+    """nlos_gain by scipy's quad to 1e-12, split at the foot point.  The
+    package's 1e-8 quadrature can itself be off by more than 1e-9: 2.4e-8
+    at Eve (1026.6, 29.1) m, FOV 120 deg, alpha_att 5e-4, steering
+    0.374 rad."""
+    try:
+        l_a, l_b = scattering_segment(scenario, steering)
+    except EmptySegment:
+        return 0.0
+    x, y = scenario.eve_xy[0], abs(scenario.eve_xy[1])
+    cos_a, sin_a = math.cos(steering), math.sin(steering)
+
+    def integrand(l):
+        return float(channel._nlos_integrand(
+            np.array([l]), x, y, cos_a, y * sin_a, scenario.eve.area, ext.alpha_att, params
+        )[0])
+
+    points = [x] if l_a < x < l_b else None
+    return quad(integrand, l_a, l_b, points=points, epsabs=0.0, epsrel=1e-12, limit=1000)[0]
+
+
 class TestNlosGainField:
     @given(
         cells=st.lists(positions, min_size=1, max_size=4),
@@ -340,13 +362,21 @@ class TestNlosGainField:
     @example(cells=[(50.0, -100.0)], fov_deg=60.0, ext=EXT, params=FORWARD)
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_optimize_steering(self, cells, fov_deg, ext, params):
-        # same operations in the same order, batched: equal, not just close
+        # the same search on gains from the steering-free table: the same
+        # steering (or, at a near-tie of two candidates, two equally good
+        # ones) and G_NLOS to well inside the 1e-8 quadrature tolerance
         sc = field_scenario(fov_deg)
         xs, ys = zip(*cells)
         steering, g_nlos = nlos_gain_field(xs, ys, sc, ext, params)
         for k, (x, y) in enumerate(cells):
-            want = optimize_steering(sc.with_eve_at(x, y), ext, params)
-            assert (steering[k], g_nlos[k]) == want
+            cell = sc.with_eve_at(x, y)
+            want_steering, _ = optimize_steering(cell, ext, params)
+            want_gain = reference_nlos_gain(cell, ext, params, want_steering)
+            if steering[k] != want_steering:
+                assert reference_nlos_gain(cell, ext, params, steering[k]) == pytest.approx(
+                    want_gain, rel=1e-9, abs=0.0
+                )
+            assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
 
     @given(
         cell=positions,
@@ -374,6 +404,82 @@ class TestNlosGainField:
     def test_on_axis_position_rejected(self):
         with pytest.raises(ValueError):
             nlos_gain_field([500.0], [0.0], SCENARIO, EXT, FORWARD)
+
+    @given(
+        cell=positions,
+        where=st.floats(min_value=0.0, max_value=1.0),
+        # 180 deg: the projection reaches 0 at the cone's edge
+        fov_deg=st.sampled_from([0.5, 3.0, 10.0, 60.0, 120.0, 180.0]),
+        ext=st.sampled_from(
+            [EXT, breakdown(), breakdown(alpha_g=0.0005), breakdown(alpha_g=0.02)]
+        ),
+        params=st.sampled_from([FORWARD, ISOTROPIC]),
+    )
+    @example(cell=(750.0, 30.0), where=1.0, fov_deg=10.0, ext=EXT, params=FORWARD)
+    # a segment far down h's tail: prefix sums alone lose it to rounding
+    @example(
+        cell=(-219.12169102644583, 113.82672893035362), where=0.9764977727581451,
+        fov_deg=3.0, ext=breakdown(alpha_g=0.02), params=ISOTROPIC,
+    )
+    @example(cell=(500.0, 30.0), where=0.5, fov_deg=180.0, ext=EXT, params=ISOTROPIC)
+    @example(
+        cell=(1026.6468536056873, -29.096720587743494), where=0.43210195308910504, fov_deg=120.0,
+        ext=breakdown(alpha_g=0.0005), params=FORWARD,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_is_the_clip_free_identity(self, cell, where, fov_deg, ext, params):
+        # G(s) = cos(s) I1 + sin(s) I2 from the steering-free table equals the
+        # clamped integral of nlos_gain at any steering in the search range
+        sc = field_scenario(fov_deg).with_eve_at(*cell)
+        lo, hi = channel._steering_bounds(sc)
+        steering = lo + where * (hi - lo)
+        gain = channel._steering_free_gain(
+            np.array([cell[0]]), np.array([abs(cell[1])]), sc, ext, params
+        )
+        table = gain(np.array([0]), np.array([steering]))[0]
+        try:
+            scattering_segment(sc, steering)
+        except EmptySegment:
+            assert table == 0.0 and nlos_gain(sc, ext, params, steering) == 0.0
+            return
+        want = reference_nlos_gain(sc, ext, params, steering)
+        assert table == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_query_over_its_budget_is_integrated_adaptively(self, monkeypatch):
+        # a coarse table leaves partial panels whose error estimate misses
+        # the 1e-8 budget; those queries must not be trusted
+        monkeypatch.setattr(channel, "_TABLE_REL_TOL", 1e-3)
+        adaptive = []
+        monkeypatch.setattr(
+            channel, "batched_gauss_kronrod",
+            lambda f, a, b, **kw: adaptive.append(len(a)) or batched_gauss_kronrod(f, a, b, **kw),
+        )
+        sc = SCENARIO.with_eve_at(750.0, 30.0)
+        gain = channel._steering_free_gain(np.array([750.0]), np.array([30.0]), sc, EXT, FORWARD)
+        steering = np.linspace(*channel._steering_bounds(sc), 12)
+        values = gain(np.zeros(12, dtype=int), steering)
+        assert sum(adaptive) > 0
+        for angle, value in zip(steering, values):
+            assert value == pytest.approx(
+                reference_nlos_gain(sc, EXT, FORWARD, angle), rel=1e-9, abs=0.0
+            )
+
+    def test_interior_optima_still_found(self):
+        # at x = 0, y = 2-10 m the optimum lies inside the steering range
+        # (2.70-2.88 rad), not at the kink where the cone's edge meets Alice:
+        # only the golden section finds it
+        cfg = parse_config(None)
+        sc = cfg.scenario()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        alpha_att = extinction_oracle(
+            default_absorption_table().alpha_db_per_km(sc.freq_hz), cfg.conditions().cn2
+        )
+        ys = [2.0, 4.0, 6.0, 8.0, 10.0]
+        _, g_nlos = nlos_gain_field(np.zeros(5), ys, sc, ext, cfg.scattering())
+        for y, gain in zip(ys, g_nlos):
+            want_angle, want_gain = steered_nlos_gain_oracle(alpha_att, 0.0, y)
+            assert 2.6 < want_angle < 2.9
+            assert gain == pytest.approx(want_gain, rel=1e-8, abs=0.0)
 
     def test_panel_budget_raises(self, monkeypatch):
         sc = field_scenario(60.0)  # wide segments need several panels

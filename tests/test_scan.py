@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thzsec.atmosphere import extinction
-from thzsec.channel import compute_channel_gains
+from thzsec.channel import ChannelGains, compute_channel_gains, los_gain
 from thzsec.config import parse_config
 from thzsec.outage import outage_scan_point
 from thzsec import scan
@@ -101,11 +101,18 @@ step_m = 1
         ext = extinction(
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
-        gains = compute_channel_gains(scenario, ext, cfg.scattering())
+        field = gain_field(cfg)
+        gains = ChannelGains(
+            g_los=los_gain(scenario, ext), g_nlos=float(field.g_nlos[0, 0]),
+            steering_rad=float(field.steering[0, 0]), seg=None,
+        )
         rates = detection_rates(scenario, gains, cfg.duty_cycle())
         direct = secrecy_capacity(rates).c_s_bps
         assert result.values[0, 0] == direct  # bit-exact composition
         assert result.msc_bps == direct
+        # the field's gain is the scalar pipeline's to the table's accuracy
+        scalar = compute_channel_gains(scenario, ext, cfg.scattering())
+        assert gains.g_nlos == pytest.approx(scalar.g_nlos, rel=1e-9, abs=0.0)
 
     def test_single_cell_probabilistic(self, tmp_path):
         text = """

@@ -257,7 +257,8 @@ def nlos_gain(
     """Single-scatter gain of the NLOS path for a given steering angle.
 
     Adaptive quadrature at 1e-8 relative tolerance over the FOV-visible
-    segment; zero when the medium does not scatter (alpha_att = 0) or the
+    segment (its error test is an estimate, not a bound: 2.4e-8 off at one
+    cell); zero when the medium does not scatter (alpha_att = 0) or the
     segment is empty.
     """
     alpha_am = ext.alpha_att

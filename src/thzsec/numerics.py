@@ -99,8 +99,9 @@ def adaptive_gauss_kronrod(
 
     ``f`` maps a 1-D array of points to their values.  Each refinement
     round re-evaluates every out-of-budget panel with the (G7, K15) pair; a
-    panel's error estimate is |K15 - G7|.  The local error budget is the
-    global budget prorated by panel width.  This is the one-problem call of
+    panel's error estimate is |K15 - G7|, an estimate and not a bound, so the
+    result can miss ``rel_tol``.  The local error budget is the global budget
+    prorated by panel width.  This is the one-problem call of
     ``batched_gauss_kronrod``.
     """
     total = batched_gauss_kronrod(

@@ -17,7 +17,9 @@ import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError
 from .channel import ChannelGains, LinkScenario, ScatteringParams, compute_channel_gains
-from .secrecy import DetectionRates, detection_rates, ook_mutual_information
+from .secrecy import (
+    DetectionRates, _ook_information, _signal_count, detection_rates, ook_mutual_information,
+)
 from .units import photon_energy_j
 
 __all__ = [
@@ -109,24 +111,17 @@ def _capacity_vs_gain(
     target exactly where this does.
     """
     e_p = photon_energy_j(scenario.freq_hz)
-    k_bob = (
-        scenario.bob.integration_time_s
-        * scenario.bob.efficiency
-        * scenario.tx_power_w
-        / e_p
-    )
-    k_eve = (
-        scenario.eve.integration_time_s
-        * scenario.eve.efficiency
-        * scenario.tx_power_w
-        / e_p
-    )
+    # counts per unit gain (the factor 1.0 is exact)
+    k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
+    k_eve = _signal_count(scenario, scenario.eve, 1.0, e_p)
     i_eve = ook_mutual_information(
         k_eve * g_nlos_fixed, rates_template.lambda_e, rates_template.q, paper_exact
     )
 
+    # the call above checked q, DetectionRates checked lambda_b, and the
+    # bisection's gains are positive: the kernel skips the checks
     def capacity(g: float) -> float:
-        i_bob = ook_mutual_information(
+        i_bob = _ook_information(
             k_bob * g, rates_template.lambda_b, rates_template.q, paper_exact
         )
         return i_bob - i_eve

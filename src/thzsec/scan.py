@@ -5,14 +5,15 @@ A scan is constants + field + metric, row-major (y outer, x inner).  The
 constants do not depend on Eve's position: the extinction, the LOS gain,
 the scenario.  The field is the steering-optimised NLOS gain of every cell,
 a ``GainField`` value that ``gain_field`` computes with ``nlos_gain_field``.
-The metric (secrecy capacity or outage probability) then follows per cell
-in ``evaluate``.  A field carries the key of the config inputs that enter
-it (``field_key``); ``evaluate`` refuses a field with another key, and
-``run_sweep`` computes a new field only when the key changes.  A cell's
-gain and metric do not depend on the other cells, so splitting the rows
-into blocks for worker processes cannot change the output.  Cells whose
-metric hits the turbulence-regime validity limit are recorded as NaN and
-counted; cells at y = 0 (no defined eavesdropper geometry) likewise.
+The metric (secrecy capacity or outage probability) is a function of a
+cell's NLOS gain alone, built once per ``evaluate`` from the constants.  A
+field carries the key of the config inputs that enter it (``field_key``);
+``evaluate`` refuses a field with another key, and ``run_sweep`` computes a
+new field only when the key changes.  A cell's gain and metric do not
+depend on the other cells, so splitting the rows into blocks for worker
+processes cannot change the output.  A scan outside the weak-fluctuation
+regime is NaN and counted as such in every cell; cells at y = 0 (no
+defined eavesdropper geometry) are NaN and counted too.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError, extinction
-from .channel import ChannelGains, los_gain, nlos_gain_field
+from .channel import ChannelGains, LinkScenario, los_gain, nlos_gain_field
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ConfigError, ResolvedConfig
-from .outage import outage_from_gains
-from .secrecy import detection_rates, secrecy_capacity
+from .outage import FadingModel, outage_probability, threshold_gain
+from .secrecy import DetectionRates, _signal_count, detection_rates, ook_mutual_information
 
 __all__ = [
     "ScanResult",
@@ -186,28 +187,40 @@ def _field_rows(payload) -> Tuple[np.ndarray, np.ndarray]:
     return steering, g_nlos
 
 
-def _metric_cells(payload) -> Tuple[List[float], int]:
-    """Metric of each cell of a block, with its regime-error cell count."""
-    (steering, g_nlos, scenario, ext, g_los, mode, target, q, paper_exact) = payload
-    cells: List[float] = []
-    regime = 0
-    for angle, g in zip(steering.tolist(), g_nlos.tolist()):
-        # the metrics read only the two gains, not the segment
-        gains = ChannelGains(g_los=g_los, g_nlos=g, steering_rad=angle, seg=None)
-        try:
-            if mode == MODE_DETERMINISTIC:
-                rates = detection_rates(scenario, gains, q)
-                cells.append(secrecy_capacity(rates, paper_exact).c_s_bps)
-            else:
-                cells.append(
-                    outage_from_gains(
-                        scenario, gains, ext.beta_r2_sph, target, q, paper_exact
-                    ).p_o
-                )
-        except RegimeError:
-            cells.append(math.nan)
-            regime += 1
-    return cells, regime
+@dataclass(frozen=True)
+class _Metric:
+    """A scan's metric as a function of one cell's NLOS gain.  All else it
+    reads is built once per scan, by ``_metric``."""
+
+    scenario: LinkScenario
+    rates: DetectionRates  # Bob's counts, both backgrounds, q; lambda_n unused
+    i_bob: float  # bits/slot
+    fading: Optional[FadingModel]  # prob mode only
+    target_rate_bps: float
+    paper_exact: bool
+
+    def __call__(self, g_nlos: float) -> float:
+        sc, rates = self.scenario, self.rates
+        if self.fading is None:
+            lam_n = _signal_count(sc, sc.eve, g_nlos, rates.e_photon)
+            i_eve = ook_mutual_information(lam_n, rates.lambda_e, rates.q, self.paper_exact)
+            return max(0.0, self.i_bob - i_eve) / rates.integration_time_s
+        g_star = threshold_gain(sc, g_nlos, rates, self.target_rate_bps, self.paper_exact)
+        return 1.0 if g_star is None else outage_probability(self.fading, g_star)
+
+
+def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown) -> _Metric:
+    scenario, spec, exact = cfg.scenario(), cfg.scan_spec(), cfg.paper_exact()
+    g_los = los_gain(scenario, ext)
+    rates = detection_rates(scenario, ChannelGains(g_los, 0.0, math.nan, None), cfg.duty_cycle())
+    i_bob = ook_mutual_information(rates.lambda_l, rates.lambda_b, rates.q, exact)
+    fading = FadingModel(g_los, ext.beta_r2_sph) if spec.mode == MODE_PROBABILISTIC else None
+    return _Metric(scenario, rates, i_bob, fading, spec.target_rate_bps, exact)
+
+
+def _metric_cells(payload) -> List[float]:
+    metric, g_nlos = payload
+    return [metric(g) for g in g_nlos.tolist()]
 
 
 def _gain_field(cfg: ResolvedConfig, workers: _Workers) -> GainField:
@@ -234,33 +247,23 @@ def _evaluate(cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers
     if field is None and _reads_gain(cfg):
         raise ValueError("this configuration's metric needs a gain field")
     spec = cfg.scan_spec()
-    scenario = cfg.scenario()
     xs, ys = spec.xs, spec.ys
     values = np.full((len(ys), len(xs)), np.nan)
     valid = np.repeat(np.asarray(ys)[:, None] != 0.0, len(xs), axis=1)
-    regime_cells = 0
-    invalid_cells = 0
+    regime_cells = invalid_cells = 0
     ext = _extinction(cfg)
     if ext is None:
-        # whole scan outside the weak-fluctuation regime: all cells NaN
+        # all NaN outside the weak-fluctuation regime; inside it no cell can
+        # leave it, as extinction bounded the spherical (fading) variance
         regime_cells = values.size
     else:
         invalid_cells = values.size - int(valid.sum())
         if not _reads_gain(cfg):
             values[valid] = 0.0
         else:
-            g_los = los_gain(scenario, ext)
-            payloads = [
-                (field.steering[rows][valid[rows]], field.g_nlos[rows][valid[rows]], scenario,
-                 ext, g_los, spec.mode, spec.target_rate_bps, cfg.duty_cycle(),
-                 cfg.paper_exact())
-                for rows in workers.blocks(len(ys))
-            ]
-            cells: List[float] = []
-            for block_cells, regime in workers.map(_metric_cells, payloads):
-                cells += block_cells
-                regime_cells += regime
-            values[valid] = cells
+            metric = _metric(cfg, ext)
+            payloads = [(metric, field.g_nlos[r][valid[r]]) for r in workers.blocks(len(ys))]
+            values[valid] = [v for cells in workers.map(_metric_cells, payloads) for v in cells]
 
     finite = values[~np.isnan(values)]
     msc = mop = None

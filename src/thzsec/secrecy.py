@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelGains, LinkScenario
+from .channel import ChannelGains, LinkScenario, ReceiverParams
 from .units import photon_energy_j
 
 __all__ = [
@@ -87,29 +87,21 @@ def detection_rates(
     parameters.
     """
     e_p = photon_energy_j(scenario.freq_hz)
-    lam_l = (
-        scenario.bob.integration_time_s
-        * scenario.bob.efficiency
-        * gains.g_los
-        * scenario.tx_power_w
-        / e_p
-    )
-    lam_n = (
-        scenario.eve.integration_time_s
-        * scenario.eve.efficiency
-        * gains.g_nlos
-        * scenario.tx_power_w
-        / e_p
-    )
     return DetectionRates(
-        lambda_l=lam_l,
-        lambda_n=lam_n,
+        lambda_l=_signal_count(scenario, scenario.bob, gains.g_los, e_p),
+        lambda_n=_signal_count(scenario, scenario.eve, gains.g_nlos, e_p),
         lambda_b=scenario.bob.background_count,
         lambda_e=scenario.eve.background_count,
         q=q,
         e_photon=e_p,
         integration_time_s=scenario.bob.integration_time_s,
     )
+
+
+def _signal_count(scenario: LinkScenario, rx: ReceiverParams, gain: float, e_p: float) -> float:
+    """Mean signal photoelectrons per slot, tau * eta * G * P / E_p in this
+    order, so that the scan metric rounds Eve's count as detection_rates does."""
+    return rx.integration_time_s * rx.efficiency * gain * scenario.tx_power_w / e_p
 
 
 def ook_mutual_information(
@@ -120,6 +112,14 @@ def ook_mutual_information(
         raise ValueError("photoelectron rates must be >= 0")
     if not 0.0 < q < 1.0:
         raise ValueError(f"duty cycle q must be in (0, 1), got {q}")
+    return _ook_information(lambda_s, lambda_noise, q, paper_exact)
+
+
+def _ook_information(
+    lambda_s: float, lambda_noise: float, q: float, paper_exact: bool
+) -> float:
+    """``ook_mutual_information`` without its argument checks, for callers
+    that checked the arguments once and evaluate it many times."""
     if lambda_s == 0.0:
         # no signal, no information; exact by construction in both forms
         return 0.0

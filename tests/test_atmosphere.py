@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thzsec.atmosphere import (
+    FREQ_MAX_HZ,
+    FREQ_MIN_HZ,
     AtmosphereConditions,
     ConstantAbsorption,
     FrequencyRangeError,
@@ -19,6 +21,7 @@ from thzsec.atmosphere import (
     rytov_variances,
     turbulence_attenuation_db,
 )
+from thzsec.outage import FadingModel
 from thzsec.units import np_per_m_to_db_per_km, wavenumber
 
 COND = AtmosphereConditions()
@@ -248,3 +251,26 @@ class TestExtinction:
     def test_propagates_regime_error(self):
         with pytest.raises(RegimeError):
             extinction(340e9, AtmosphereConditions(cn2=1e-9), 1000.0, ConstantAbsorption(1.0))
+
+    @given(
+        freq_hz=st.floats(min_value=FREQ_MIN_HZ, max_value=FREQ_MAX_HZ),
+        path_m=st.floats(min_value=1.0, max_value=1e4),
+        # the selected wave's variance, around the regime edge at 1
+        variance=st.one_of(
+            st.floats(min_value=1e-6, max_value=2.0),
+            st.sampled_from([1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]),
+        ),
+        wave=st.sampled_from(list(Wave)),
+    )
+    def test_fading_model_valid_wherever_extinction_returns(self, freq_hz, path_m, variance, wave):
+        # a scan's fading variance is the spherical one; extinction bounds the
+        # selected wave's, and the plane one is 2.46 times the spherical one
+        cn2 = cn2_for_spherical_variance(variance, freq_hz, path_m)
+        if wave is Wave.PLANE:
+            cn2 /= 2.46
+        try:
+            ext = extinction(freq_hz, AtmosphereConditions(cn2=cn2), path_m,
+                             ConstantAbsorption(1.0), wave)
+        except RegimeError:
+            return
+        FadingModel(g_los_mean=1e-8, sigma_r2=ext.beta_r2_sph)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from thzsec.atmosphere import extinction
 from thzsec.channel import ChannelGains, compute_channel_gains, los_gain
 from thzsec.config import parse_config
-from thzsec.outage import outage_scan_point
+from thzsec.outage import outage_from_gains, outage_scan_point
 from thzsec import scan
 from thzsec.scan import (
     JSON_SCHEMA,
@@ -186,8 +186,9 @@ step_m = 20
         assert np.array_equal(serial.values, parallel.values)
         assert serial.msc_bps == parallel.msc_bps
 
-    def test_byte_identical_csv_across_worker_counts(self, tmp_path):
-        cfg = cfg_from(tmp_path, SMALL_GRID)
+    @pytest.mark.parametrize("mode", ["det", "prob"])
+    def test_byte_identical_csv_across_worker_counts(self, tmp_path, mode):
+        cfg = cfg_from(tmp_path, SMALL_GRID).with_value("scan", "mode", mode)
         blobs = []
         for threads in (1, 4, 8):
             result = run_scan(cfg, threads=threads)
@@ -258,6 +259,52 @@ step_m = 10000
         )
         assert spherical.regime_error_cells == 0
         assert plane.regime_error_cells == plane.values.size
+
+
+# Eve's NLOS gains: exact zero, a subnormal, and the decades below the
+# default G_LOS (2.3e-8), where her information nears Bob's and the last bits
+# of the capacity depend on how her count is rounded
+GAINS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-12, 1e-6]),
+    st.floats(min_value=-12.0, max_value=-7.6).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=1e-6),
+)
+
+
+class TestMetric:
+    @pytest.mark.parametrize("mode", ["det", "prob"])
+    @pytest.mark.parametrize("paper_exact", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g_nlos=st.lists(GAINS, min_size=1, max_size=8),
+        q=st.sampled_from([0.3, 0.5]),
+        eve_background=st.sampled_from([0.0, 0.01, 1.0]),
+    )
+    def test_equals_the_scalar_chain(self, mode, paper_exact, g_nlos, q, eve_background):
+        cfg = (
+            parse_config(None)
+            .with_value("scan", "mode", mode)
+            .with_value("secrecy", "paper_exact", paper_exact)
+            .with_value("secrecy", "duty_cycle", q)
+            .with_value("eve", "background_count", eve_background)
+        )
+        scenario, spec = cfg.scenario(), cfg.scan_spec()
+        ext = extinction(
+            scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
+        )
+        got = scan._metric_cells((scan._metric(cfg, ext), np.array(g_nlos)))
+        for g, value in zip(g_nlos, got):
+            gains = ChannelGains(
+                g_los=los_gain(scenario, ext), g_nlos=g, steering_rad=0.0, seg=None
+            )
+            if mode == "det":
+                rates = detection_rates(scenario, gains, q)
+                want = secrecy_capacity(rates, paper_exact).c_s_bps
+            else:
+                want = outage_from_gains(
+                    scenario, gains, ext.beta_r2_sph, spec.target_rate_bps, q, paper_exact
+                ).p_o
+            assert same_bits(value, want), g
 
 
 class TestInsecureRegion:

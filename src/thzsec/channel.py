@@ -73,10 +73,8 @@ STEERING_XTOL_RAD = 1e-4
 QUAD_REL_TOL = 1e-8
 QUAD_ABS_TOL = 1e-30
 QUAD_MAX_PANELS = 2048
-# the steering-free table of nlos_gain_field: per-panel tolerance, and the
-# number of equal panels its refinement starts from
+# per-panel tolerance of the steering-free table of nlos_gain_field
 _TABLE_REL_TOL = QUAD_REL_TOL / 30.0
-_TABLE_FIRST_PANELS = 8
 _COARSE_STEERING_POINTS = 24
 _FIELD_CHUNK = 512  # positions per batch of nlos_gain_field
 
@@ -362,7 +360,7 @@ def nlos_gain_field(
         raise ValueError("eavesdropper y-coordinates must be nonzero")
     steering, g_nlos = np.empty(x.size), np.empty(x.size)
     # chunks bound the memory of the tables and of the coarse probes: the
-    # standard 25,050-cell map peaks at 49 MB RSS in chunks, 838 MB in one call
+    # standard 25,050-cell map peaks at 50 MB RSS in chunks, 838 MB in one call
     for lo in range(0, x.size, _FIELD_CHUNK):
         part = slice(lo, lo + _FIELD_CHUNK)
         steering[part], g_nlos[part] = _optimised_steering(
@@ -402,14 +400,35 @@ def _nlos_kernel(l, x, y, area, alpha_am, params):
     return p
 
 
+def _graded_mesh(x, y, d):
+    """First panels (item, lo, hi) of the table refinement for Eve at
+    (x[k], y[k]), y > 0: boundaries at 0, d, the foot point c = x clipped to
+    [0, d], where h peaks, and c -+ y 2^j / 2 for j = 0, 1, ..., clipped to
+    [0, d]; no zero-width panel.  Panels grow geometrically away from the
+    peak, as h's scale grows with the distance from Eve.  The ladder runs
+    until the smallest y reaches both ends; for a larger y the extra rungs
+    clip to 0 or d and add no panel, so a position's mesh is its own."""
+    c = np.clip(x, 0.0, d)[:, None]
+    rungs = max(1, 3 + int(np.floor(np.log2(d) - np.log2(y.min()))))
+    step = (0.5 * y)[:, None] * 2.0 ** np.arange(rungs)
+    edges = np.concatenate(
+        [np.zeros_like(c), np.full_like(c, d), c, c - step, c + step], axis=1
+    )
+    edges = np.sort(np.clip(edges, 0.0, d), axis=1)
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    keep = lo < hi
+    return np.nonzero(keep)[0], lo[keep], hi[keep]
+
+
 def _steering_free_gain(x, y, scenario, ext, params):
     """``gain(k, steering)``: nlos_gain of Eve at (x[k], y[k]), y > 0, at
     steering[i] for every i, from one steering-free table per position.
 
     The table holds the final panels of one adaptive refinement over
     [0, d] of h1 = (x - l) h and h2 = y h together (``gauss_kronrod_panels``
-    at _TABLE_REL_TOL), their K15 integrals and |K15 - G7| on each panel,
-    and each position's prefix and suffix sums of them.  A query is
+    at _TABLE_REL_TOL from ``_graded_mesh``), their K15 integrals and
+    |K15 - G7| on each panel, and each position's prefix and suffix sums of
+    them.  A query is
     G = cos(s) I1 + sin(s) I2 over [l_a, l_b]: the full panels from the
     sums (suffix sums where the segment lies past most of h2, so that a
     small tail integral is not the difference of two near-total sums), and
@@ -432,8 +451,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
         return out
 
     item, lo, hi, ik, err = gauss_kronrod_panels(
-        integrands, np.zeros(n), np.full(n, d), _TABLE_REL_TOL, QUAD_ABS_TOL,
-        QUAD_MAX_PANELS, _TABLE_FIRST_PANELS,
+        integrands, *_graded_mesh(x, y, d), _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS
     )
     # one row per position, padded after its last panel; rows of the flat
     # tables: panel (k, j) at k * width + j, boundary (k, j) at

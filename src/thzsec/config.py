@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -251,6 +251,11 @@ class ResolvedConfig:
     values: Dict[str, Dict[str, Any]]
     source: str
     settings: Settings = field(compare=False, repr=False)
+    # the config of each sweep value, resolved with this one; None for a
+    # sweep value's own config
+    sweep_cfgs: Optional[Tuple["ResolvedConfig", ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __getitem__(self, section: str) -> Dict[str, Any]:
         return self.values[section]
@@ -327,6 +332,16 @@ class ResolvedConfig:
         the file had set it."""
         return self._override(section, key, value, f"{section}.{key} = {value!r}")
 
+    def sweep_configs(self) -> Tuple["ResolvedConfig", ...]:
+        """The config of each sweep value, in order: the ones resolved with
+        this config, or resolved now for a sweep value's own config."""
+        if self.sweep_cfgs is not None:
+            return self.sweep_cfgs
+        spec = self.sweep_spec()
+        if spec is None:
+            return ()
+        return tuple(self.with_sweep_value(spec.parameter, v) for v in spec.values)
+
     def with_sweep_value(self, parameter: str, value: float) -> "ResolvedConfig":
         if parameter not in _SWEEP_KEYS:
             raise ConfigError(f"unknown sweep parameter {parameter!r}")
@@ -342,8 +357,9 @@ class ResolvedConfig:
 def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> ResolvedConfig:
     """Parse and check each setting, fill in defaults, apply the cross-key
     rules and build every model object once, so a config that resolves also
-    runs.  ``check_sweep`` resolves each sweep value too (not for a sweep's
-    own sub-configs, so it does not recurse).  ``src`` prefixes the errors."""
+    runs.  ``check_sweep`` resolves each sweep value too and keeps its
+    config (not for a sweep's own sub-configs, so it does not recurse).
+    ``src`` prefixes the errors."""
     resolved = {sec: {k: spec[0] for k, spec in keys.items()} for sec, keys in _SCHEMA.items()}
     for sec, body in settings.items():
         if sec not in _SCHEMA:
@@ -407,9 +423,10 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
         gaseous_extinction(scenario.freq_hz, cfg.conditions(), cfg.backend())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
-    if check_sweep and sweep_param is not None:
-        for value in resolved["sweep"]["values"]:
-            cfg.with_sweep_value(sweep_param, value)
+    if check_sweep:
+        cfg = replace(cfg, sweep_cfgs=() if sweep_param is None else tuple(
+            cfg.with_sweep_value(sweep_param, value) for value in resolved["sweep"]["values"]
+        ))
     return cfg
 
 

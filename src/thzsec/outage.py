@@ -111,11 +111,12 @@ def _capacity_vs_gain(
     target exactly where this does.
     """
     e_p = photon_energy_j(scenario.freq_hz)
-    # counts per unit gain (the factor 1.0 is exact)
+    # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
+    # detection_rates forms lambda_n, so that I_eve is the one it reports
     k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
-    k_eve = _signal_count(scenario, scenario.eve, 1.0, e_p)
     i_eve = ook_mutual_information(
-        k_eve * g_nlos_fixed, rates_template.lambda_e, rates_template.q, paper_exact
+        _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
+        rates_template.lambda_e, rates_template.q, paper_exact,
     )
 
     # the call above checked q, DetectionRates checked lambda_b, and the

@@ -352,8 +352,7 @@ def run_sweep(
     outputs = []
     field = None
     with _Workers(threads) as workers:
-        for value in sweep.values:
-            sub_cfg = cfg.with_sweep_value(sweep.parameter, value)
+        for value, sub_cfg in zip(sweep.values, cfg.sweep_configs()):
             field = _field_for(sub_cfg, field, workers)
             result = _evaluate(sub_cfg, field, workers)
             path = None

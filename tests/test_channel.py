@@ -384,6 +384,10 @@ class TestNlosGainField:
         where=st.integers(min_value=0, max_value=40),
         fov_deg=st.sampled_from([0.5, 10.0]),
     )
+    # the graded first mesh of y = 900 m must not take the rungs that
+    # y = 0.5 m needs, nor the other way round
+    @example(cell=(400.0, 900.0), others=[(600.0, 0.5)], where=1, fov_deg=10.0)
+    @example(cell=(600.0, 0.5), others=[(400.0, 900.0)], where=0, fov_deg=10.0)
     @settings(max_examples=25, deadline=None)
     def test_cell_independent_of_its_batch(self, cell, others, where, fov_deg):
         sc = field_scenario(fov_deg)
@@ -447,8 +451,14 @@ class TestNlosGainField:
 
     def test_query_over_its_budget_is_integrated_adaptively(self, monkeypatch):
         # a coarse table leaves partial panels whose error estimate misses
-        # the 1e-8 budget; those queries must not be trusted
+        # the 1e-8 budget; those queries must not be trusted.  The graded
+        # first mesh alone already meets that budget, so the refinement
+        # starts from the single panel [0, d]
         monkeypatch.setattr(channel, "_TABLE_REL_TOL", 1e-3)
+        monkeypatch.setattr(
+            channel, "_graded_mesh",
+            lambda x, y, d: (np.zeros(1, dtype=int), np.zeros(1), np.full(1, d)),
+        )
         adaptive = []
         monkeypatch.setattr(
             channel, "batched_gauss_kronrod",

@@ -11,7 +11,8 @@ from thzsec.atmosphere import (
     extinction,
     rytov_variances,
 )
-from thzsec.channel import LinkScenario, ReceiverParams, ScatteringParams
+from thzsec.channel import ChannelGains, LinkScenario, ReceiverParams, ScatteringParams
+from thzsec.config import parse_config
 from thzsec.outage import (
     FadingModel,
     MonotonicityError,
@@ -22,7 +23,7 @@ from thzsec.outage import (
     lognormal_pdf,
     threshold_gain,
 )
-from thzsec.secrecy import DetectionRates, ook_mutual_information
+from thzsec.secrecy import DetectionRates, detection_rates, ook_mutual_information
 
 MODEL = FadingModel(g_los_mean=2.3e-8, sigma_r2=0.287)
 
@@ -170,6 +171,22 @@ class TestThresholdGain:
 
         with pytest.raises(MonotonicityError):
             _bisect_monotone(wavy, target=1.0)
+
+    def test_eve_information_is_the_reported_one(self):
+        # the capacity curve's I_eve comes from Eve's count as
+        # detection_rates forms lambda_n, bit for bit: at G = 0 Bob has no
+        # information and the curve is -I_eve.  Forming the count as
+        # (count per unit gain) * G differs in the last bit on thousands of
+        # these gains.
+        from thzsec.outage import _capacity_vs_gain
+
+        cfg = parse_config(None)
+        sc, q = cfg.scenario(), cfg.duty_cycle()
+        for g_nlos in np.logspace(-16.0, -6.0, 20001):
+            gains = ChannelGains(g_los=1e-8, g_nlos=float(g_nlos), steering_rad=1.0, seg=None)
+            rates = detection_rates(sc, gains, q)
+            capacity = _capacity_vs_gain(sc, float(g_nlos), rates)
+            assert capacity(0.0) == -ook_mutual_information(rates.lambda_n, rates.lambda_e, q)
 
     def test_bisection_solves_smooth_monotone(self):
         from thzsec.outage import _bisect_monotone

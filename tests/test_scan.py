@@ -11,7 +11,7 @@ from thzsec.atmosphere import extinction
 from thzsec.channel import ChannelGains, compute_channel_gains, los_gain
 from thzsec.config import parse_config
 from thzsec.outage import outage_from_gains, outage_scan_point
-from thzsec import scan
+from thzsec import config, scan
 from thzsec.scan import (
     JSON_SCHEMA,
     ScanResult,
@@ -567,6 +567,25 @@ class TestGainField:
     ):
         run_sweep(sweep_cfg(tmp_path, parameter, values, "prob"))
         assert len(field_calls) == expected
+
+    def test_sweep_resolves_each_value_once(self, tmp_path, monkeypatch):
+        # parse_config resolves the file and each of the 3 values; run_sweep
+        # runs on those sub-configs and resolves nothing again
+        calls = []
+        original = config._resolve
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(config, "_resolve", counted)
+        cfg = sweep_cfg(tmp_path, "eve_background", "0.001, 0.01, 0.1", "prob")
+        assert len(calls) == 4
+        outputs = run_sweep(cfg)
+        assert len(calls) == 4
+        for (value, result, _), sub_cfg in zip(outputs, cfg.sweep_configs()):
+            assert result.metadata["config"] == sub_cfg.to_dict()
+            assert sub_cfg["eve"]["background_count"] == value
 
     def test_prob_zero_target_computes_no_field(self, tmp_path, field_calls):
         text = TINY_GRID + (

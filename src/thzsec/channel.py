@@ -37,6 +37,7 @@ position and answers every steering from that table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -157,9 +158,7 @@ class ScatteringParams:
             raise ValueError(f"asymmetry factor g must satisfy |g| < 1, got {self.g}")
         if self.f < 0:
             raise ValueError(f"forward-fraction f must be >= 0, got {self.f}")
-        # p(mu) must stay nonnegative over the whole angular range
-        mu = np.linspace(-1.0, 1.0, 2001)
-        if np.min(_phase_values(mu, self.g, self.f)) < 0:
+        if _phase_goes_negative(self.g, self.f):
             raise ValueError(
                 f"phase function goes negative for g={self.g}, f={self.f}"
             )
@@ -189,6 +188,14 @@ def _phase_values(mu, g: float, f: float):
     hg = (1.0 + g * g - 2.0 * g * np.asarray(mu)) ** -1.5
     corr = f * (3.0 * np.square(mu) - 1.0) / (2.0 * (1.0 + g * g) ** 1.5)
     return (1.0 - g * g) / (4.0 * math.pi) * (hg + corr)
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_goes_negative(g: float, f: float) -> bool:
+    """Whether p(mu) falls below 0 anywhere on a 2001-point grid over
+    [-1, 1]; every ScatteringParams of one (g, f) shares the check."""
+    mu = np.linspace(-1.0, 1.0, 2001)
+    return bool(np.min(_phase_values(mu, g, f)) < 0)
 
 
 def phase_function(mu, params: ScatteringParams):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/regime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,7 +48,10 @@ def _threads(raw: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on first use and then reused: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="thzsec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     options = {

@@ -9,16 +9,19 @@ log-mean is pinned to -sigma^2/2 so that E[G] equals the deterministic gain.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError
 from .channel import ChannelGains, LinkScenario, ScatteringParams, compute_channel_gains
 from .secrecy import (
-    DetectionRates, _ook_information, _signal_count, detection_rates, ook_mutual_information,
+    DetectionRates, _ook_information, _ook_information_slope, _signal_count, detection_rates,
+    ook_mutual_information,
 )
 from .units import photon_energy_j
 
@@ -40,10 +43,19 @@ GAIN_BRACKET_HI = 1.0
 BISECT_REL_WIDTH = 1e-10
 BISECT_VALUE_TOL = 1e-9  # bits/slot
 _MAX_BISECT_ITER = 400
+# round-off the monotonicity checks forgive, bits/slot
+_MONOTONE_SLACK = 1e-12
+# 33 log-spaced gains over [GAIN_BRACKET_LO, GAIN_BRACKET_HI], ends exact
+_TABLE_GAINS = (GAIN_BRACKET_LO, *np.logspace(-30.0, 0.0, 33)[1:-1].tolist(), GAIN_BRACKET_HI)
+# just under the relative width tolerance, as a step in ln G
+_MIN_LOG_STEP = 0.5 * BISECT_REL_WIDTH
+# a step in ln G at least this long leaves any bracket
+_LOG_SPAN = math.log(GAIN_BRACKET_HI / GAIN_BRACKET_LO)
 
 
 class MonotonicityError(RuntimeError):
-    """The capacity evaluations seen during bisection were not monotone."""
+    """The capacity values seen while solving for the threshold gain were
+    not monotone."""
 
 
 @dataclass(frozen=True)
@@ -99,17 +111,43 @@ def lognormal_cdf(g: float, model: FadingModel) -> float:
     return _std_normal_cdf(z)
 
 
+class _CapacityCurve:
+    """Unclamped I_bob(G) - I_eve as a function of the LOS gain G.
+
+    Strictly increasing in G, so the clamped capacity crosses any positive
+    target exactly where this does.  ``slope`` is its derivative in ln G and
+    ``table`` its values at ``_TABLE_GAINS``, read from the shared table of
+    Bob's information.
+    """
+
+    __slots__ = ("k_bob", "lambda_b", "q", "paper_exact", "i_eve")
+
+    def __init__(self, k_bob: float, lambda_b: float, q: float, paper_exact: bool, i_eve: float):
+        self.k_bob, self.lambda_b, self.q = k_bob, lambda_b, q
+        self.paper_exact, self.i_eve = paper_exact, i_eve
+
+    # the caller checked q, DetectionRates checked lambda_b, and the solver's
+    # gains are positive: the kernels skip the checks
+    def __call__(self, g: float) -> float:
+        i_bob = _ook_information(self.k_bob * g, self.lambda_b, self.q, self.paper_exact)
+        return i_bob - self.i_eve
+
+    def slope(self, g: float) -> float:
+        lam = self.k_bob * g
+        return lam * _ook_information_slope(lam, self.lambda_b, self.q)
+
+    def table(self) -> List[float]:
+        bob = _bob_information(self.k_bob, self.lambda_b, self.q, self.paper_exact)
+        return [v - self.i_eve for v in bob]
+
+
 def _capacity_vs_gain(
     scenario: LinkScenario,
     g_nlos_fixed: float,
     rates_template: DetectionRates,
     paper_exact: bool = False,
-) -> Callable[[float], float]:
-    """Unclamped I_bob(G) - I_eve as a function of the LOS gain G.
-
-    Strictly increasing in G, so the clamped capacity crosses any positive
-    target exactly where this does.
-    """
+) -> _CapacityCurve:
+    """The capacity curve I_bob(G) - I_eve of one eavesdropper position."""
     e_p = photon_energy_j(scenario.freq_hz)
     # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
     # detection_rates forms lambda_n, so that I_eve is the one it reports
@@ -118,16 +156,26 @@ def _capacity_vs_gain(
         _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
         rates_template.lambda_e, rates_template.q, paper_exact,
     )
+    return _CapacityCurve(k_bob, rates_template.lambda_b, rates_template.q, paper_exact, i_eve)
 
-    # the call above checked q, DetectionRates checked lambda_b, and the
-    # bisection's gains are positive: the kernel skips the checks
-    def capacity(g: float) -> float:
-        i_bob = _ook_information(
-            k_bob * g, rates_template.lambda_b, rates_template.q, paper_exact
-        )
-        return i_bob - i_eve
 
-    return capacity
+def _tabulate(func: Callable[[float], float]) -> Tuple[float, ...]:
+    """func at ``_TABLE_GAINS``; raises ``MonotonicityError`` where the
+    values fall."""
+    values = tuple(func(g) for g in _TABLE_GAINS)
+    for g, prev, value in zip(_TABLE_GAINS[1:], values, values[1:]):
+        if value < prev - _MONOTONE_SLACK:
+            raise MonotonicityError(f"tabulated values fall at {g:.3e}")
+    return values
+
+
+@functools.lru_cache(maxsize=64)
+def _bob_information(
+    k_bob: float, lambda_b: float, q: float, paper_exact: bool
+) -> Tuple[float, ...]:
+    """Bob's information at ``_TABLE_GAINS``.  It depends on the LOS gain
+    alone, so every cell, sweep value and scalar call of one link shares it."""
+    return _tabulate(lambda g: _ook_information(k_bob * g, lambda_b, q, paper_exact))
 
 
 def _bisect_monotone(
@@ -140,7 +188,8 @@ def _bisect_monotone(
 
     Returns None when func(hi) < target, the lower bracket when
     func(lo) > target, and raises ``MonotonicityError`` when an evaluation
-    falls outside the values bracketing it.
+    falls outside the values bracketing it.  The tests' reference for
+    ``_solve_tabulated``.
     """
     f_lo, f_hi = func(lo), func(hi)
     if f_hi < target:
@@ -150,7 +199,7 @@ def _bisect_monotone(
     for _ in range(_MAX_BISECT_ITER):
         mid = math.sqrt(lo * hi)
         f_mid = func(mid)
-        if f_mid < f_lo - 1e-12 or f_mid > f_hi + 1e-12:
+        if f_mid < f_lo - _MONOTONE_SLACK or f_mid > f_hi + _MONOTONE_SLACK:
             raise MonotonicityError(
                 f"evaluation at {mid:.3e} fell outside the bracketing values"
             )
@@ -158,10 +207,65 @@ def _bisect_monotone(
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-        if (hi - lo) <= BISECT_REL_WIDTH * hi and min(
-            abs(f_hi - target), abs(f_lo - target)
-        ) <= BISECT_VALUE_TOL:
+        if _converged(lo, hi, f_lo, f_hi, target):
             break
+    return hi if abs(f_hi - target) <= abs(f_lo - target) else lo
+
+
+def _converged(lo: float, hi: float, f_lo: float, f_hi: float, target: float) -> bool:
+    return (hi - lo) <= BISECT_REL_WIDTH * hi and min(
+        abs(f_hi - target), abs(f_lo - target)
+    ) <= BISECT_VALUE_TOL
+
+
+def _solve_tabulated(
+    func: Callable[[float], float],
+    slope: Callable[[float], float],
+    target: float,
+    values: Sequence[float],
+) -> Optional[float]:
+    """Solve func(g) = target for a non-decreasing func by safeguarded Newton
+    steps in ln g, given its ``values`` at ``_TABLE_GAINS``.
+
+    ``slope(g)`` is d func / d ln g.  The table brackets the root; each
+    Newton step that would leave the bracket is replaced by a bisection
+    (Brent 1973).  While the bracket is wider than the width tolerance, a
+    step shorter than that is lengthened to it, so that the bracket closes
+    from both sides.  Early exits, stop rule and return value are
+    ``_bisect_monotone``'s, and so is the ``MonotonicityError`` on an
+    evaluation outside its bracket's values.
+    """
+    if values[-1] < target:
+        return None
+    if values[0] > target:
+        return GAIN_BRACKET_LO
+    k = bisect.bisect_left(values, target)  # values[k - 1] < target <= values[k]
+    if values[k] == target:
+        return _TABLE_GAINS[k]
+    lo, hi, f_lo, f_hi = _TABLE_GAINS[k - 1], _TABLE_GAINS[k], values[k - 1], values[k]
+    # first point: linear interpolation of the table in ln g
+    g = lo * (hi / lo) ** ((target - f_lo) / (f_hi - f_lo))
+    for _ in range(_MAX_BISECT_ITER):
+        if not lo < g < hi:
+            g = math.sqrt(lo * hi)
+        f = func(g)
+        if f < f_lo - _MONOTONE_SLACK or f > f_hi + _MONOTONE_SLACK:
+            raise MonotonicityError(
+                f"evaluation at {g:.3e} fell outside the bracketing values"
+            )
+        if f >= target:
+            hi, f_hi = g, f
+        else:
+            lo, f_lo = g, f
+        if _converged(lo, hi, f_lo, f_hi, target):
+            break
+        s = slope(g)
+        step = (target - f) / s if s > 0.0 else math.inf
+        if abs(step) < _MIN_LOG_STEP and hi - lo > BISECT_REL_WIDTH * hi:
+            # too short to close the bracket from the other side
+            step = -_MIN_LOG_STEP if f >= target else _MIN_LOG_STEP
+        # no step, or one out of the bracket, bisects the bracket instead
+        g = g * math.exp(step) if abs(step) < _LOG_SPAN else math.nan
     return hi if abs(f_hi - target) <= abs(f_lo - target) else lo
 
 
@@ -174,14 +278,17 @@ def threshold_gain(
 ) -> Optional[float]:
     """LOS gain G* at which the secrecy capacity equals the target rate.
 
-    Bisection in log-gain over [1e-30, 1] down to 1e-10 relative bracket
-    width and 1e-9 bits/slot residual.  Returns None when even G = 1 cannot
-    reach the target (outage certain); returns the lower bracket when the
-    target is already exceeded there (outage negligible).
+    Safeguarded Newton steps in ln G (``_solve_tabulated``) from the shared
+    table of Bob's information, which brackets the root, down to 1e-10
+    relative bracket width and 1e-9 bits/slot residual; of the final
+    bracket's ends it returns the one with the smaller residual.  Returns
+    None when even G = 1 cannot reach the target (outage certain); returns
+    the lower bracket 1e-30 when the target is already met there (outage
+    negligible).
     """
     target_bits = target_rate_bps * rates_template.integration_time_s
     capacity = _capacity_vs_gain(scenario, g_nlos_fixed, rates_template, paper_exact)
-    return _bisect_monotone(capacity, target_bits)
+    return _solve_tabulated(capacity, capacity.slope, target_bits, capacity.table())
 
 
 def outage_probability(model: FadingModel, g_threshold: float) -> float:

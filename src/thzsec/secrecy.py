@@ -138,6 +138,16 @@ def _ook_information(
     return info
 
 
+def _ook_information_slope(lambda_s: float, lambda_noise: float, q: float) -> float:
+    """dI/dlambda_s of ``_ook_information`` in bits/slot per photoelectron:
+    q * log1p((1 - q) * ls / (q * ls + ln)) / ln(2).  The derivatives of the
+    log1p arguments cancel, and ``paper_exact``'s extra term does not depend
+    on the signal, so both forms share this slope."""
+    mix = q * lambda_s + lambda_noise
+    ratio = (1.0 - q) * lambda_s / mix if mix > 0.0 else (1.0 - q) / q
+    return q * math.log1p(ratio) / math.log(2.0)
+
+
 def secrecy_capacity(rates: DetectionRates, paper_exact: bool = False) -> SecrecyResult:
     """Wyner secrecy capacity C_s = [I(X;Y) - I(X;Z)]^+ in bits/slot and bit/s."""
     i_bob = ook_mutual_information(rates.lambda_l, rates.lambda_b, rates.q, paper_exact)

@@ -123,6 +123,12 @@ class TestPhaseFunction:
         with pytest.raises(ValueError):
             ScatteringParams(g=0.9, f=10.0)
 
+    def test_negative_phase_params_rejected_every_time(self):
+        # the check's result is cached per (g, f); the error is not
+        for _ in range(2):
+            with pytest.raises(ValueError, match="goes negative"):
+                ScatteringParams(g=0.5, f=2.5)
+
     @given(
         g=st.floats(min_value=-0.95, max_value=0.95),
         f=st.floats(min_value=0.0, max_value=1.0),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,38 @@ class TestUsage:
         assert main(["scan", "--out", str(out), "--threads", threads]) == EXIT_CONFIG
         assert "threads" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_consecutive_calls_share_no_state(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(vars(args))
+            return EXIT_OK
+
+        for name in ("scan", "point", "sweep", "validate"):
+            monkeypatch.setattr(cli, f"_cmd_{name}", record)
+        cfg = str(write(tmp_path, POINT_CFG))
+        calls = [
+            ["scan", "--config", cfg, "--mode", "prob", "--threads", "2", "--format", "json",
+             "--out", "a.json"],
+            ["validate"],
+            ["sweep", "--config", cfg],
+            ["point", "--mode", "det"],
+            ["scan"],
+        ]
+        for argv in calls:
+            assert main(argv) == EXIT_OK
+            assert main(argv + ["--bogus"]) == EXIT_CONFIG
+        defaults = {"config": None, "out": None, "format": "csv", "mode": None, "threads": 1}
+        assert seen == [
+            {**defaults, "command": "scan", "config": Path(cfg), "mode": "prob", "threads": 2,
+             "format": "json", "out": Path("a.json")},
+            {"command": "validate", "config": None, "mode": None},
+            {**defaults, "command": "sweep", "config": Path(cfg)},
+            {"command": "point", "config": None, "out": None, "mode": "det"},
+            {**defaults, "command": "scan"},
+        ]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_each_subcommand_has_only_its_own_options(self):
         sub = next(a for a in cli._build_parser()._actions if a.dest == "command")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from thzsec.atmosphere import (
@@ -187,6 +189,93 @@ class TestThresholdGain:
             rates = detection_rates(sc, gains, q)
             capacity = _capacity_vs_gain(sc, float(g_nlos), rates)
             assert capacity(0.0) == -ook_mutual_information(rates.lambda_n, rates.lambda_e, q)
+
+    def test_wavy_capacity_fails_in_the_solver(self):
+        from thzsec.outage import _solve_tabulated, _tabulate
+
+        def wavy(g):  # test_monotonicity_guard's function
+            t = math.log(g)
+            return 1.0 + 3.0 * (t / 69.1) + 2.0 * math.sin(t)
+
+        def wavy_slope(g):
+            return 3.0 / 69.1 + 2.0 * math.cos(math.log(g))
+
+        with pytest.raises(MonotonicityError):
+            _solve_tabulated(wavy, wavy_slope, 1.0, _tabulate(wavy))
+
+    def test_solver_checks_each_evaluation_against_its_bracket(self):
+        # rises at every table gain, and wiggles in between
+        from thzsec.outage import _TABLE_GAINS, _solve_tabulated, _tabulate
+
+        step = math.log(_TABLE_GAINS[1] / _TABLE_GAINS[0])
+
+        def rippled(g):
+            t = math.log(g)
+            return t + 5.0 * math.sin(2.0 * math.pi * (t - math.log(1e-30)) / step)
+
+        values = _tabulate(rippled)
+        with pytest.raises(MonotonicityError):
+            _solve_tabulated(rippled, lambda g: 1.0, -30.0, values)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        log_k_bob=st.floats(min_value=2.0, max_value=14.0),
+        lambda_b=st.one_of(st.just(0.0), st.floats(min_value=-4.0, max_value=1.0).map(
+            lambda e: 10.0 ** e)),
+        q=st.floats(min_value=0.05, max_value=0.95),
+        paper_exact=st.booleans(),
+        i_eve=st.floats(min_value=0.0, max_value=3.0),
+        kind=st.sampled_from(["root", "unreachable", "at_top", "met", "at_bottom"]),
+        log_lam=st.floats(min_value=-3.0, max_value=2.5),
+    )
+    def test_solver_matches_bisection_oracle(
+        self, log_k_bob, lambda_b, q, paper_exact, i_eve, kind, log_lam
+    ):
+        from thzsec.outage import _CapacityCurve, _bisect_monotone, _solve_tabulated
+
+        curve = _CapacityCurve(10.0 ** log_k_bob, lambda_b, q, paper_exact, i_eve)
+        if kind == "unreachable":
+            target = math.nextafter(curve(1.0), math.inf)
+        elif kind == "met":
+            target = math.nextafter(curve(1e-30), -math.inf)
+        else:
+            g = {"root": 10.0 ** log_lam / curve.k_bob, "at_top": 1.0, "at_bottom": 1e-30}[kind]
+            assume(1e-30 <= g <= 1.0)
+            target = curve(g)
+            # a root that the capacity's round-off fixes to about 1e-12
+            scale = max(1.0, i_eve, abs(target + i_eve))
+            assume(curve.slope(g) >= 1e-3 * scale)
+        oracle = _bisect_monotone(curve, target)
+        got = _solve_tabulated(curve, curve.slope, target, curve.table())
+        if oracle is None or oracle == 1e-30:
+            assert got == oracle
+        else:
+            assert got is not None
+            assert math.isclose(got, oracle, rel_tol=1e-10)
+            assert abs(curve(got) - target) <= 1e-9
+
+    def test_evaluations_per_solve(self):
+        # beyond the shared table: 6.3 per cell on the standard outage map,
+        # against 42 for the bisection
+        from thzsec.outage import _capacity_vs_gain, _solve_tabulated
+
+        cfg = parse_config(None)
+        sc, q = cfg.scenario(), cfg.duty_cycle()
+        rates = detection_rates(sc, ChannelGains(1e-8, 0.0, 1.0, None), q)
+        target = cfg.scan_spec().target_rate_bps * rates.integration_time_s
+        counts = []
+        for g_nlos in np.logspace(-16.0, -4.0, 121):
+            curve = _capacity_vs_gain(sc, float(g_nlos), rates)
+            calls = []
+
+            def counted(g):
+                calls.append(g)
+                return curve(g)
+
+            assert _solve_tabulated(counted, curve.slope, target, curve.table()) is not None
+            counts.append(len(calls))
+        assert np.mean(counts) <= 7.0
+        assert max(counts) <= 8
 
     def test_bisection_solves_smooth_monotone(self):
         from thzsec.outage import _bisect_monotone

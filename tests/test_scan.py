@@ -130,11 +130,19 @@ mode = prob
         ext = extinction(
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
-        direct = outage_scan_point(
-            scenario, ext, cfg.scattering(), cfg.scan_spec().target_rate_bps
-        ).p_o
-        assert result.values[0, 0] == direct
+        field = gain_field(cfg)
+        gains = ChannelGains(
+            g_los=los_gain(scenario, ext), g_nlos=float(field.g_nlos[0, 0]),
+            steering_rad=float(field.steering[0, 0]), seg=None,
+        )
+        target = cfg.scan_spec().target_rate_bps
+        direct = outage_from_gains(scenario, gains, ext.beta_r2_sph, target, cfg.duty_cycle()).p_o
+        assert result.values[0, 0] == direct  # bit-exact composition
         assert result.mop == direct
+        # the scalar pipeline's G_NLOS differs from the field's within 1e-10
+        # relative, and the threshold solver passes that on continuously
+        scalar = outage_scan_point(scenario, ext, cfg.scattering(), target).p_o
+        assert direct == pytest.approx(scalar, rel=1e-12, abs=0.0)
 
     def test_y_reflection_symmetry(self, tmp_path):
         text = """

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thzsec.channel import ChannelGains, LinkScenario, ReceiverParams
 from thzsec.secrecy import (
     DetectionRates,
+    _ook_information_slope,
     detection_rates,
     ook_mutual_information,
     secrecy_capacity,
@@ -140,6 +141,24 @@ class TestMutualInformation:
             ref = reference(ls, ln, q)
             got = ook_mutual_information(ls, ln, q)
             assert abs(got - ref) <= 1e-9 * ref + 1e-14 * ls, (ls, ln, q, got, ref)
+
+    def test_slope_matches_central_difference(self):
+        lam_s = np.logspace(-4, 4, 9)
+        lam_n = np.concatenate(([0.0], np.logspace(-4, 3, 8)))
+        for ls, ln, q, exact in itertools.product(
+            lam_s, lam_n, (0.1, 0.5, 0.9), (False, True)
+        ):
+            ls, ln, h = float(ls), float(ln), 1e-3 * float(ls)
+            up = ook_mutual_information(ls + h, ln, q, exact)
+            down = ook_mutual_information(ls - h, ln, q, exact)
+            diff = (up - down) / (2.0 * h)
+            # paper_exact's constant term adds the round-off of its size
+            rounding = 1e-15 * max(abs(up), abs(down)) / h
+            slope = _ook_information_slope(ls, ln, q)
+            assert slope > 0.0
+            assert math.isclose(slope, diff, rel_tol=1e-5, abs_tol=rounding), (
+                ls, ln, q, exact, slope, diff
+            )
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):

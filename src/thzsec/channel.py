@@ -30,9 +30,13 @@ term is >= r cos(FOV/2) >= 0.  The gain at steering alpha over the segment
 
 with h = A p(mu) alpha_am exp(-alpha_am (l + r)) / r^3 independent of the
 steering (Luettgen, Shapiro & Reilly, JOSA A 8(12), 1991).  The scalar
-``nlos_gain`` integrates the clamped form at every steering; the gain
-field (``nlos_gain_field``) integrates h1 and h2 over [0, d] once per
-position and answers every steering from that table.
+``nlos_gain`` integrates the clamped form at every steering.  The gain
+field (``nlos_gain_field``) integrates in Eve's bearing beta of the
+scatterer, off the downward vertical: l = x + y tan(beta), r = y sec(beta),
+mu = -sin(beta) and Omega dl = A cos(beta - beta_s) / y dbeta with
+beta_s = alpha - pi/2.  There x enters only through exp(-alpha_am x) and
+the segment's end bearings, so one table per distinct y answers every
+steering of every position in its row.
 """
 
 from __future__ import annotations
@@ -77,7 +81,14 @@ QUAD_MAX_PANELS = 2048
 # per-panel tolerance of the steering-free table of nlos_gain_field
 _TABLE_REL_TOL = QUAD_REL_TOL / 30.0
 _COARSE_STEERING_POINTS = 24
-_FIELD_CHUNK = 512  # positions per batch of nlos_gain_field
+# positions per steering search of nlos_gain_field: the standard 25,050-cell
+# map peaks at 42 MB RSS in chunks of 4096, 71 MB in one search
+_FIELD_CHUNK = 4096
+# queries per numpy round of the gain field: glibc's malloc maps the larger
+# temporaries of bigger rounds afresh each round, and the page faults cost
+# more than the extra rounds
+_QUERY_CHUNK = 1024
+_BEARING_RUNGS = 24  # first-mesh boundaries per half of nlos_gain_field's tables
 
 
 class EmptySegment(ValueError):
@@ -230,27 +241,20 @@ def scattering_segment(
     if not 0.0 <= steering_rad <= math.pi:
         raise ValueError(f"steering_rad must be in [0, pi], got {steering_rad}")
     x, y = _normalized_eve(scenario)
-    l_a, l_b = _segment_ends(x, y, steering_rad, scenario)
-    if l_a >= l_b:
-        raise EmptySegment(f"FOV cone misses the axis segment [0, {scenario.d:g}] m")
-    return float(l_a), float(l_b)
-
-
-def _segment_ends(x, y, steering, scenario: LinkScenario):
-    """Ends (l_a, l_b) of ``scattering_segment`` for Eve at (x, y), y > 0;
-    elementwise on arrays, and l_a >= l_b where the cone misses [0, d]."""
     half_fov = scenario.eve.fov_full_rad / 2.0
     # A point (l, 0) seen from Eve has bearing beta = atan((l - x)/y) off the
     # downward vertical; the boresight bearing is steering - pi/2, so the
     # cone admits beta in [lo, hi] below, clipped to the open (-pi/2, pi/2).
-    beta_lo = steering - math.pi / 2.0 - half_fov
-    beta_hi = steering - math.pi / 2.0 + half_fov
+    beta_lo = steering_rad - math.pi / 2.0 - half_fov
+    beta_hi = steering_rad - math.pi / 2.0 + half_fov
     misses = (beta_hi <= -math.pi / 2.0) | (beta_lo >= math.pi / 2.0)
     l_a = np.where(beta_lo <= -math.pi / 2.0, 0.0, x + y * np.tan(beta_lo))
     l_b = np.where(beta_hi >= math.pi / 2.0, scenario.d, x + y * np.tan(beta_hi))
     l_a = np.where(misses, scenario.d, np.maximum(l_a, 0.0))
     l_b = np.where(misses, 0.0, np.minimum(l_b, scenario.d))
-    return l_a, l_b
+    if l_a >= l_b:
+        raise EmptySegment(f"FOV cone misses the axis segment [0, {scenario.d:g}] m")
+    return float(l_a), float(l_b)
 
 
 def nlos_gain(
@@ -351,8 +355,8 @@ def nlos_gain_field(
     Runs ``optimize_steering``'s search for all positions at once: the same
     24 probes plus the foot point, the same bracket and a lockstep golden
     section to ``STEERING_XTOL_RAD``.  Each gain it compares comes from one
-    steering-free table per position (``_steering_free_gain``) instead of
-    an adaptive quadrature per steering, so the field picks the steering
+    steering-free table per distinct |y| (``_steering_free_gain``) instead
+    of an adaptive quadrature per steering, so the field picks the steering
     ``optimize_steering`` picks and agrees with its G_NLOS to about 1e-10
     relative, not bit for bit.  Eve's position in ``scenario`` is ignored.
     A position's result does not depend on the other positions passed with
@@ -365,195 +369,190 @@ def nlos_gain_field(
     x, y = x.ravel(), np.abs(y.ravel())
     if (y == 0).any():
         raise ValueError("eavesdropper y-coordinates must be nonzero")
+    gain = _steering_free_gain(x, y, scenario, ext, params)
     steering, g_nlos = np.empty(x.size), np.empty(x.size)
-    # chunks bound the memory of the tables and of the coarse probes: the
-    # standard 25,050-cell map peaks at 50 MB RSS in chunks, 838 MB in one call
     for lo in range(0, x.size, _FIELD_CHUNK):
-        part = slice(lo, lo + _FIELD_CHUNK)
-        steering[part], g_nlos[part] = _optimised_steering(
-            x[part], y[part], scenario, ext, params
+        cells = np.arange(lo, min(lo + _FIELD_CHUNK, x.size))
+        steering[cells], g_nlos[cells] = _optimised_steering(
+            lambda i, s: gain(cells[i], s), x[cells], y[cells], scenario.d
         )
     return steering.reshape(shape), g_nlos.reshape(shape)
 
 
-def _nlos_kernel(l, x, y, area, alpha_am, params):
-    """h(l) = A * p(mu(l)) * alpha_am * exp(-alpha_am * (l + r)) / r^3 for
-    Eve at (x, y), y > 0: ``_nlos_integrand`` without the projection.
+def _bearing_weight(beta, y, area, alpha_am, params):
+    """(cos(beta), sin(beta)) * W_y(beta), stacked along a new first axis,
+    for Eve at height y > 0.  W_y(beta) = (A alpha_am / y) p(-sin beta)
+    exp(-alpha_am y (1 + sin beta) / cos beta) is the single-scatter
+    integrand in Eve's bearing beta without the boresight factor
+    cos(beta - beta_s) and without exp(-alpha_am x).
 
-    p is ``_phase_values`` with its constants gathered,
-    p(mu) = c * ((1 + g^2 - 2 g mu)^(-3/2) + b (3 mu^2 - 1)), and the
-    arithmetic runs in place: this function is most of the gain field's
-    cost per integrand point."""
+    All of it comes from t = tan(beta/2 + pi/4) = (1 + sin beta) / cos beta,
+    with cos beta = 2t / (1 + t^2) and sin beta = (t^2 - 1) / (1 + t^2):
+    numpy 2.4's tan costs about a sixth of its sin or cos on x86-64, and
+    these forms keep their relative accuracy at both ends, where cos beta
+    -> 0.  p is
+    ``_phase_values`` with its constants gathered, p(mu) = c * ((1 + g^2 -
+    2 g mu)^(-3/2) + b (3 mu^2 - 1)), and 1 + g^2 + 2 g sin beta =
+    ((1 + g)^2 t^2 + (1 - g)^2) / (1 + t^2) has no cancellation."""
     g, f = params.g, params.f
     c = area * alpha_am * (1.0 - g * g) / (4.0 * math.pi)
     b = f / (2.0 * (1.0 + g * g) ** 1.5)
-    dx = x - l
-    r2 = dx * dx
-    r2 += y * y
-    r = np.sqrt(r2)
-    mu = dx / r
-    p = (1.0 + g * g) - (2.0 * g) * mu
-    p **= -1.5
-    mu *= mu
-    mu *= 3.0 * b
-    p += mu
+    t = np.tan(0.5 * beta + math.pi / 4.0)
+    t2 = t * t
+    den = t2 + 1.0
+    out = np.empty((2,) + t.shape)
+    np.divide(t + t, den, out=out[0])
+    np.subtract(t2, 1.0, out=out[1])
+    out[1] /= den
+    # (1 + g^2 + 2 g sin beta)^(-3/2) = q^(3/2), q = (1 + t^2) / ((1 + g)^2 t^2 + (1 - g)^2)
+    p = (1.0 + g) ** 2 * t2
+    p += (1.0 - g) ** 2
+    np.divide(den, p, out=p)
+    p *= np.sqrt(p)
+    p += (3.0 * b) * out[1] * out[1]
     p -= b
-    r2 *= r
-    r += l
-    r *= -alpha_am
-    p *= np.exp(r, out=r)
-    p /= r2
-    p *= c
-    return p
-
-
-def _graded_mesh(x, y, d):
-    """First panels (item, lo, hi) of the table refinement for Eve at
-    (x[k], y[k]), y > 0: boundaries at 0, d, the foot point c = x clipped to
-    [0, d], where h peaks, and c -+ y 2^j / 2 for j = 0, 1, ..., clipped to
-    [0, d]; no zero-width panel.  Panels grow geometrically away from the
-    peak, as h's scale grows with the distance from Eve.  The ladder runs
-    until the smallest y reaches both ends; for a larger y the extra rungs
-    clip to 0 or d and add no panel, so a position's mesh is its own."""
-    c = np.clip(x, 0.0, d)[:, None]
-    rungs = max(1, 3 + int(np.floor(np.log2(d) - np.log2(y.min()))))
-    step = (0.5 * y)[:, None] * 2.0 ** np.arange(rungs)
-    edges = np.concatenate(
-        [np.zeros_like(c), np.full_like(c, d), c, c - step, c + step], axis=1
-    )
-    edges = np.sort(np.clip(edges, 0.0, d), axis=1)
-    lo, hi = edges[:, :-1], edges[:, 1:]
-    keep = lo < hi
-    return np.nonzero(keep)[0], lo[keep], hi[keep]
+    p *= np.exp((-alpha_am * y) * t)
+    p *= c / y
+    out *= p
+    return out
 
 
 def _steering_free_gain(x, y, scenario, ext, params):
     """``gain(k, steering)``: nlos_gain of Eve at (x[k], y[k]), y > 0, at
-    steering[i] for every i, from one steering-free table per position.
+    steering[i] for every i, from one steering-free table per distinct y.
+
+    In the bearing beta of a scatterer from Eve (l = x + y tan(beta)) the
+    gain at steering s is G = exp(-alpha_am x) (cos(beta_s) C + sin(beta_s)
+    S), beta_s = s - pi/2, where C and S integrate cos(beta) W_y and
+    sin(beta) W_y (``_bearing_weight``) over the cone's bearings
+    [max(beta0, beta_s - FOV/2), min(beta1, beta_s + FOV/2)], beta0 =
+    atan(-x/y) and beta1 = atan((d - x)/y).  So x enters only through
+    exp(-alpha_am x) and the limits, and one table per y serves its row.
 
     The table holds the final panels of one adaptive refinement over
-    [0, d] of h1 = (x - l) h and h2 = y h together (``gauss_kronrod_panels``
-    at _TABLE_REL_TOL from ``_graded_mesh``), their K15 integrals and
-    |K15 - G7| on each panel, and each position's prefix and suffix sums of
-    them.  A query is
-    G = cos(s) I1 + sin(s) I2 over [l_a, l_b]: the full panels from the
-    sums (suffix sums where the segment lies past most of h2, so that a
-    small tail integral is not the difference of two near-total sums), and
-    the one or two partial panels by a G7 rule each.  Its error estimate is
-    the full panels' |K15 - G7| plus each partial panel's, prorated by the
-    share of the panel the rule covers.  A query over its QUAD_REL_TOL
-    budget is integrated adaptively instead, as ``nlos_gain`` does.  Every
-    sum runs over one position's panels only.
+    (-pi/2, pi/2) of (cos(beta) W_y, sin(beta) W_y) together
+    (``gauss_kronrod_panels`` at _TABLE_REL_TOL), from a first mesh graded
+    toward both ends: boundaries at +-(pi/2)(1 - 2^(-j/2)), j = 0, 1, ...,
+    _BEARING_RUNGS, where the forward-scatter peak (beta -> -pi/2) and the
+    exponential edge (beta -> pi/2) lie.  It keeps their K15 integrals,
+    |K15 - G7| on each panel, and each row's prefix and suffix sums of
+    them.  A query reads the full panels from the sums (suffix sums where
+    the segment lies past most of C, so that a small tail integral is not
+    the difference of two near-total sums) and integrates the one or two
+    partial panels by a G7 rule each.  Its error estimate is the full
+    panels' |K15 - G7| plus each partial panel's, prorated by the share of
+    the panel the rule covers.  A query over its QUAD_REL_TOL budget is
+    integrated adaptively instead.  Every sum runs over one row's panels
+    only.
     """
-    n, d = x.size, scenario.d
     alpha_am, area = ext.alpha_att, scenario.eve.area
+    if alpha_am == 0.0:
+        return lambda k, steering: np.zeros(steering.shape)
+    half_fov = scenario.eve.fov_full_rad / 2.0
+    cone, quarter = np.array([[-half_fov], [half_fov]]), np.array([[0.0], [math.pi / 2.0]])
+    decay = np.exp(-alpha_am * x)
+    per_cell = np.stack([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
+    y_row, row = np.unique(y, return_inverse=True)
+    n = y_row.size
 
-    def integrands(i, l):
-        """(h1, h2) of positions i at l[i, :], shape (len(i), 2, 15)"""
-        xi, yi = x[i, None], y[i, None]
-        h = _nlos_kernel(l, xi, yi, area, alpha_am, params)
-        out = np.empty((l.shape[0], 2, l.shape[1]))
-        np.multiply(xi - l, h, out=out[:, 0])
-        np.multiply(yi, h, out=out[:, 1])
-        return out
+    def integrands(i, beta):
+        """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
+        return _bearing_weight(beta, y_row[i, None], area, alpha_am, params).transpose(1, 0, 2)
 
+    rung = (math.pi / 2.0) * (1.0 - 2.0 ** (-0.5 * np.arange(_BEARING_RUNGS + 1)))
+    edges = np.concatenate([[-math.pi / 2.0], -rung[:0:-1], rung, [math.pi / 2.0]])
     item, lo, hi, ik, err = gauss_kronrod_panels(
-        integrands, *_graded_mesh(x, y, d), _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS
+        integrands, np.repeat(np.arange(n), edges.size - 1), np.tile(edges[:-1], n),
+        np.tile(edges[1:], n), _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
     )
-    # one row per position, padded after its last panel; rows of the flat
-    # tables: panel (k, j) at k * width + j, boundary (k, j) at
-    # k * (width + 1) + j
+    # one row per table, padded after its last panel
     count = np.bincount(item, minlength=n)
     col = np.arange(item.size) - np.repeat(np.cumsum(count) - count, count)
     width = int(count.max())
-    panel_hi = np.full((n, width), np.inf)
-    panel_hi[item, col] = hi
-    panels = np.zeros((n, width, 6))  # lo, hi, K15 of (h1, h2), their |K15 - G7|
-    panels[item, col] = np.column_stack([lo, hi, ik, err])
-    # at boundary j: sums over panels < j of (I1, I2), minus the sums over
+    panels = np.zeros((n, width, 6))  # K15 of (C, S), their |K15 - G7|, lo, hi
+    panels[item, col] = np.column_stack([ik, err, lo, hi])
+    # at boundary j: sums over panels < j of (C, S), minus the sums over
     # panels >= j of them, and the sums over panels < j of their |K15 - G7|
     sums = np.zeros((n, width + 1, 6))
-    sums[:, 1:, :2] = np.cumsum(panels[:, :, 2:4], axis=1)
-    sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, 2:4], axis=1)[:, ::-1]
-    sums[:, 1:, 4:] = np.cumsum(panels[:, :, 4:], axis=1)
-    panels, sums = panels.reshape(-1, 6), sums.reshape(-1, 6)
+    sums[:, 1:, :2] = np.cumsum(panels[:, :, :2], axis=1)
+    sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, :2], axis=1)[:, ::-1]
+    sums[:, 1:, 4:] = np.cumsum(panels[:, :, 2:4], axis=1)
+    # the record of panel (r, j), at r * width + j: the sums at its start
+    # and at its end, its two |K15 - G7|, its lo and its hi
+    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 2:]], axis=2)
+    records = records.reshape(-1, 16)
+    # each row's inner panel ends as row + 1j * end, padded with +inf: numpy
+    # orders complex numbers by real, then imaginary part, so one exact
+    # searchsorted finds a bearing's panel within its own row
+    inner = col < count[item] - 1
+    ends = np.empty((n, width - 1), dtype=complex)
+    ends.real, ends.imag = np.arange(n)[:, None], np.inf
+    ends.imag[item[inner], col[inner]] = hi[inner]
+    ends = ends.ravel()
 
     def gain(k, steering):
-        g = np.zeros(steering.shape)
-        if alpha_am == 0.0:
-            return g
-        l_a, l_b = _segment_ends(x[k], y[k], steering, scenario)
-        live = np.flatnonzero(l_a < l_b)
-        k, s, l_a, l_b = k[live], steering[live], l_a[live], l_b[live]
-        # l lies in panel j = the number of panels below it.  The full
-        # panels are [first, j_b); the partial ones are [l_a, its panel's
-        # end] and [its panel's start, l_b], or [l_a, l_b] where both ends
-        # share a panel.  F(0) = 0 and F(d) = the total need none.
-        ends = panel_hi[k]
-        j_a = (ends <= l_a[:, None]).sum(axis=1)
-        j_b = (ends <= l_b[:, None]).sum(axis=1)
-        in_a, in_b = 0.0 < l_a, l_b < d
-        one_panel = in_a & in_b & (j_a == j_b)
-        first = j_a + (in_a & ~one_panel)
-        row = k * (width + 1)
-        at_first, at_b = sums[row + first], sums[row + j_b]
-        # suffix sums where more of h2 lies before the segment than after
-        full = at_b - at_first
-        past = at_b[:, 1] > -at_first[:, 3]
-        full[past, :2] = full[past, 2:4]
-        piece_a = np.flatnonzero(in_a)
-        piece_b = np.flatnonzero(in_b & ~one_panel)
-        q = np.concatenate([piece_a, piece_b])
-        kq = k[q]
-        panel = panels[kq * width + np.concatenate([j_a[piece_a], j_b[piece_b]])]
-        piece_lo = np.concatenate([l_a[piece_a], panel[piece_a.size:, 0]])
-        piece_hi = np.concatenate(
-            [np.where(one_panel[piece_a], l_b[piece_a], panel[: piece_a.size, 1]), l_b[piece_b]]
-        )
-        # G7 on each piece, its nodes along the first axis; each query's
-        # pieces are summed in order, then added to its full panels
-        half = 0.5 * (piece_hi - piece_lo)
-        l = 0.5 * (piece_hi + piece_lo) + half * GAUSS_NODES[:, None]
-        wh = GAUSS_WEIGHTS[:, None] * _nlos_kernel(l, x[kq], y[kq], area, alpha_am, params)
-        part = np.empty((q.size, 4))
-        part[:, 0] = half * ((x[kq] - l) * wh).sum(axis=0)
-        part[:, 1] = half * y[kq] * wh.sum(axis=0)
-        part[:, 2:] = ((piece_hi - piece_lo) / (panel[:, 1] - panel[:, 0]))[:, None] * panel[:, 4:]
-        pieces = np.bincount(
-            (4 * q[:, None] + np.arange(4)).ravel(), part.ravel(), minlength=4 * k.size
-        ).reshape(-1, 4)
-        integral = full[:, :2] + pieces[:, :2]
-        error = full[:, 4:] + pieces[:, 2:]
-        cos_a, sin_a = np.cos(s), np.sin(s)
-        value = cos_a * integral[:, 0] + sin_a * integral[:, 1]
-        bound = np.abs(cos_a) * error[:, 0] + sin_a * error[:, 1]
-        over = np.flatnonzero(bound > np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL))
-        if over.size:
-            ko, co, yo = k[over], cos_a[over, None], (y[k] * sin_a)[over, None]
+        parts = [slice(i, i + _QUERY_CHUNK) for i in range(0, k.size, _QUERY_CHUNK)]
+        return np.concatenate([query(k[part], steering[part]) for part in parts])
 
-            def integrand(i, l):
-                return _nlos_integrand(
-                    l, x[ko[i], None], y[ko[i], None], co[i], yo[i], area, alpha_am, params
-                )
+    def query(k, steering):
+        beta0_k, beta1_k, decay_k, y_k = per_cell[:, k]
+        # the cone's bearings clipped to [beta0, beta1]; a >= b where it
+        # misses the segment
+        beta_s = steering - math.pi / 2.0
+        lim = np.minimum(np.maximum(beta_s + cone, beta0_k), beta1_k)
+        # the records of both ends' panels; a bearing lies in panel j of its
+        # row, j = the number of the row's inner ends at or below it
+        r = row[k]
+        at = ends.searchsorted(r + 1j * lim, side="right") + r
+        panel = records[at]
+        one_panel = at[0] == at[1]
+        # the full panels lie between the ends' panels, none where those are
+        # one; suffix sums where more of C lies before them than after
+        last = panel[1, :, :6]
+        first = np.where(one_panel[:, None], last, panel[0, :, 6:12])
+        full = (last - first).T
+        integral = np.where(last[:, 0] > -first[:, 2], full[2:4], full[:2])
+        # the partial pieces [a, min(b, a's panel end)] and [max(that, b's
+        # panel start), b], empty where the panels are one; G7 on each, its
+        # nodes along the second axis, and its prorated |K15 - G7|
+        hi = np.minimum(lim[1], panel[:, :, 15])
+        lo = np.maximum(panel[:, :, 14], (lim[0], hi[0]))
+        half = 0.5 * (hi - lo)
+        beta = 0.5 * (hi + lo) + half * GAUSS_NODES[:, None, None]
+        weighted = _bearing_weight(beta, y_k, area, alpha_am, params)
+        weighted *= GAUSS_WEIGHTS[:, None, None]
+        integral += (half * weighted.sum(axis=1)).sum(axis=1)
+        share = (hi - lo) / (panel[:, :, 15] - panel[:, :, 14])
+        error = full[4:] + (share * panel[:, :, 12:14].transpose(2, 0, 1)).sum(axis=1)
+        # (cos(beta_s), sin(beta_s)) as cos(beta_s - (0, pi/2))
+        boresight = np.cos(beta_s - quarter)
+        live = lim[0] < lim[1]
+        value = np.where(live, decay_k * (boresight * integral).sum(axis=0), 0.0)
+        bound = decay_k * (np.abs(boresight) * error).sum(axis=0)
+        over = np.flatnonzero(live & (bound > np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)))
+        if over.size:
+            ko, co, so = k[over], boresight[0, over, None], boresight[1, over, None]
+
+            def integrand(i, beta):
+                cs = _bearing_weight(beta, y[ko[i], None], area, alpha_am, params)
+                return decay[ko[i], None] * (co[i] * cs[0] + so[i] * cs[1])
 
             value[over] = batched_gauss_kronrod(
-                integrand, l_a[over], l_b[over], rel_tol=QUAD_REL_TOL,
+                integrand, lim[0, over], lim[1, over], rel_tol=QUAD_REL_TOL,
                 abs_tol=QUAD_ABS_TOL, max_panels=QUAD_MAX_PANELS,
             )
-        g[live] = value
-        return g
+        return value
 
     return gain
 
 
-def _optimised_steering(x, y, scenario, ext, params):
-    """``optimize_steering`` for Eve at every (x[k], y[k]), y > 0."""
-    gain = _steering_free_gain(x, y, scenario, ext, params)
-
+def _optimised_steering(gain, x, y, d):
+    """``optimize_steering`` for Eve at every (x[k], y[k]), y > 0, with the
+    gains ``gain(k, steering)``."""
     # optimize_steering's coarse probes: np.linspace(lo, hi, 24) per position,
     # plus the foot point pi/2 where it lies strictly inside (lo, hi)
     n = x.size
-    lo, hi = np.arctan2(y, x), np.arctan2(y, x - scenario.d)
+    lo, hi = np.arctan2(y, x), np.arctan2(y, x - d)
     step = (hi - lo) / (_COARSE_STEERING_POINTS - 1)
     probes = np.arange(_COARSE_STEERING_POINTS, dtype=float) * step[:, None] + lo[:, None]
     probes[:, -1] = hi

@@ -294,8 +294,9 @@ def _golden_depth(live: int) -> int:
     problems.  A round of depth D evaluates 2^D - 1 points per problem in
     one call to save D - 1 calls: that pays while a call's fixed cost
     outweighs the extra points, so only for few problems.  On the gain
-    field, D = 3 is fastest at 8 and 22 cells, all depths tie at 48, and
-    D = 1 is fastest from 96 cells on."""
+    field's row tables (shared 2-core x86-64 host), D = 3 is fastest at 8
+    and 22 cells, D = 2 and 3 tie at 48, D = 1 and 2 tie at 96 and 154,
+    and D = 1 is fastest at 512 cells."""
     return 3 if live <= 32 else 2 if live <= 64 else 1
 
 

@@ -449,10 +449,13 @@ def _steering_free_gain(x, y, scenario, ext, params):
     if alpha_am == 0.0:
         return lambda k, steering: np.zeros(steering.shape)
     half_fov = scenario.eve.fov_full_rad / 2.0
-    cone, quarter = np.array([[-half_fov], [half_fov]]), np.array([[0.0], [math.pi / 2.0]])
+    # the cone's bearings and (cos(beta_s), sin(beta_s)) = cos(s - (pi/2, pi))
+    cone = np.array([[-math.pi / 2.0 - half_fov], [-math.pi / 2.0 + half_fov]])
+    quarters = np.array([[math.pi / 2.0], [math.pi]])
     decay = np.exp(-alpha_am * x)
-    per_cell = np.stack([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
-    y_row, row = np.unique(y, return_inverse=True)
+    per_cell = np.array([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
+    y_row = np.unique(y)
+    row = y_row.searchsorted(y)
     n = y_row.size
 
     def integrands(i, beta):
@@ -469,8 +472,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
     count = np.bincount(item, minlength=n)
     col = np.arange(item.size) - np.repeat(np.cumsum(count) - count, count)
     width = int(count.max())
-    panels = np.zeros((n, width, 6))  # K15 of (C, S), their |K15 - G7|, lo, hi
-    panels[item, col] = np.column_stack([ik, err, lo, hi])
+    # K15 of (C, S), their |K15 - G7| and its share per radian, lo, hi
+    panels = np.zeros((n, width, 8))
+    panels[item, col] = np.column_stack([ik, err, err / (hi - lo)[:, None], lo, hi])
     # at boundary j: sums over panels < j of (C, S), minus the sums over
     # panels >= j of them, and the sums over panels < j of their |K15 - G7|
     sums = np.zeros((n, width + 1, 6))
@@ -478,8 +482,8 @@ def _steering_free_gain(x, y, scenario, ext, params):
     sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, :2], axis=1)[:, ::-1]
     sums[:, 1:, 4:] = np.cumsum(panels[:, :, 2:4], axis=1)
     # the record of panel (r, j), at r * width + j: the sums at its start
-    # and at its end, its two |K15 - G7|, its lo and its hi
-    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 2:]], axis=2)
+    # and at its end, its |K15 - G7| per radian, its lo and its hi
+    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 4:]], axis=2)
     records = records.reshape(-1, 16)
     # each row's inner panel ends as row + 1j * end, padded with +inf: numpy
     # orders complex numbers by real, then imaginary part, so one exact
@@ -498,8 +502,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
         beta0_k, beta1_k, decay_k, y_k = per_cell[:, k]
         # the cone's bearings clipped to [beta0, beta1]; a >= b where it
         # misses the segment
-        beta_s = steering - math.pi / 2.0
-        lim = np.minimum(np.maximum(beta_s + cone, beta0_k), beta1_k)
+        lim = np.minimum(np.maximum(steering + cone, beta0_k), beta1_k)
         # the records of both ends' panels; a bearing lies in panel j of its
         # row, j = the number of the row's inner ends at or below it
         r = row[k]
@@ -517,15 +520,14 @@ def _steering_free_gain(x, y, scenario, ext, params):
         # nodes along the second axis, and its prorated |K15 - G7|
         hi = np.minimum(lim[1], panel[:, :, 15])
         lo = np.maximum(panel[:, :, 14], (lim[0], hi[0]))
-        half = 0.5 * (hi - lo)
+        span = hi - lo
+        half = 0.5 * span
         beta = 0.5 * (hi + lo) + half * GAUSS_NODES[:, None, None]
         weighted = _bearing_weight(beta, y_k, area, alpha_am, params)
         weighted *= GAUSS_WEIGHTS[:, None, None]
         integral += (half * weighted.sum(axis=1)).sum(axis=1)
-        share = (hi - lo) / (panel[:, :, 15] - panel[:, :, 14])
-        error = full[4:] + (share * panel[:, :, 12:14].transpose(2, 0, 1)).sum(axis=1)
-        # (cos(beta_s), sin(beta_s)) as cos(beta_s - (0, pi/2))
-        boresight = np.cos(beta_s - quarter)
+        error = full[4:] + (span * panel[:, :, 12:14].transpose(2, 0, 1)).sum(axis=1)
+        boresight = np.cos(steering - quarters)
         live = lim[0] < lim[1]
         value = np.where(live, decay_k * (boresight * integral).sum(axis=0), 0.0)
         bound = decay_k * (np.abs(boresight) * error).sum(axis=0)

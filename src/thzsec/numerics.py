@@ -298,10 +298,9 @@ def _golden_depth(live: int) -> int:
     problems.  A round of depth D evaluates 2^D - 1 points per problem in
     one call to save D - 1 calls: that pays while a call's fixed cost
     outweighs the extra points, so only for few problems.  On the gain
-    field's row tables (shared 2-core x86-64 host), D = 3 is fastest at 8
-    and 22 cells, D = 2 and 3 tie at 48, D = 1 and 2 tie at 96 and 154,
-    and D = 1 is fastest at 512 cells."""
-    return 3 if live <= 32 else 2 if live <= 64 else 1
+    field's row tables (shared 2-core x86-64 host), D = 3 is fastest at 8,
+    22 and 48 cells, D = 2 at 96, and D = 1 at 154 and 512."""
+    return 3 if live <= 64 else 2 if live <= 128 else 1
 
 
 def _golden_lookahead(f, live, node, depth):
@@ -335,13 +334,14 @@ def batched_golden_section_max(
     ``f(k, x)`` evaluates problems ``k`` at points ``x``, and a problem's
     value must not depend on the others evaluated with it.  The problems
     still wider than ``xtol`` step one level at a time, in rounds of D
-    levels: a round's first level evaluates, in one call, every point of
-    the D levels that the comparisons may lead to (2^D - 1 per problem),
-    and its levels then read their values.  D comes from the number of
+    levels: a round's first level builds every bracket of the D levels
+    that the comparisons may lead to and evaluates their new points
+    (2^D - 1 per problem) in one call, and its levels then read the
+    bracket and the value of the branch taken.  D comes from the number of
     live problems (``_golden_depth``); at D = 1 each level calls f for its
-    new points alone.  So each problem visits exactly
-    the points, and gets exactly the values, of ``golden_section_max``.
-    Returns (x, f(x)) arrays.
+    new points alone.  So each problem visits exactly the points, and gets
+    exactly the values, of ``golden_section_max``.  Returns (x, f(x))
+    arrays.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)

@@ -454,8 +454,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     quarters = np.array([[math.pi / 2.0], [math.pi]])
     decay = np.exp(-alpha_am * x)
     per_cell = np.array([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
-    y_row = np.unique(y)
-    row = y_row.searchsorted(y)
+    y_row, row = np.unique(y, return_inverse=True)  # without the inverse, it imports numpy.ma
     n = y_row.size
 
     def integrands(i, beta):

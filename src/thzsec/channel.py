@@ -390,10 +390,10 @@ def _bearing_weight(beta, y, area, alpha_am, params):
     with cos beta = 2t / (1 + t^2) and sin beta = (t^2 - 1) / (1 + t^2):
     numpy 2.4's tan costs about a sixth of its sin or cos on x86-64, and
     these forms keep their relative accuracy at both ends, where cos beta
-    -> 0.  p is
-    ``_phase_values`` with its constants gathered, p(mu) = c * ((1 + g^2 -
-    2 g mu)^(-3/2) + b (3 mu^2 - 1)), and 1 + g^2 + 2 g sin beta =
-    ((1 + g)^2 t^2 + (1 - g)^2) / (1 + t^2) has no cancellation."""
+    -> 0.  p is ``_phase_values`` with its constants gathered, p(mu) =
+    c * ((1 + g^2 - 2 g mu)^(-3/2) + b (3 mu^2 - 1)), and 1 + g^2 +
+    2 g sin beta = ((1 + g)^2 t^2 + (1 - g)^2) / (1 + t^2) has no
+    cancellation."""
     g, f = params.g, params.f
     c = area * alpha_am * (1.0 - g * g) / (4.0 * math.pi)
     b = f / (2.0 * (1.0 + g * g) ** 1.5)
@@ -436,7 +436,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     _BEARING_RUNGS, where the forward-scatter peak (beta -> -pi/2) and the
     exponential edge (beta -> pi/2) lie.  It keeps their K15 integrals,
     |K15 - G7| on each panel, and each row's prefix and suffix sums of
-    them.  A query reads the full panels from the sums (suffix sums where
+    them; one complex searchsorted finds the panels of a query's limits.  A query reads the full panels from the sums (suffix sums where
     the segment lies past most of C, so that a small tail integral is not
     the difference of two near-total sums) and integrates the one or two
     partial panels by a G7 rule each.  Its error estimate is the full
@@ -454,7 +454,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     quarters = np.array([[math.pi / 2.0], [math.pi]])
     decay = np.exp(-alpha_am * x)
     per_cell = np.array([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
-    y_row, row = np.unique(y, return_inverse=True)  # without the inverse, it imports numpy.ma
+    y_row, row = np.unique(y, return_inverse=True)
     n = y_row.size
 
     def integrands(i, beta):

@@ -357,8 +357,8 @@ def nlos_gain_field(
     section to ``STEERING_XTOL_RAD``.  Each gain it compares comes from one
     steering-free table per distinct |y| (``_steering_free_gain``) instead
     of an adaptive quadrature per steering, so the field picks the steering
-    ``optimize_steering`` picks and agrees with its G_NLOS to about 1e-10
-    relative, not bit for bit.  Eve's position in ``scenario`` is ignored.
+    ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
+    (8.4e-13 on the standard map), not bit for bit.  Eve's position in ``scenario`` is ignored.
     A position's result does not depend on the other positions passed with
     it.  Returns (steering, g_nlos) arrays of the positions' shape;
     ``QuadratureError`` when a table needs more than ``QUAD_MAX_PANELS``
@@ -471,7 +471,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     count = np.bincount(item, minlength=n)
     col = np.arange(item.size) - np.repeat(np.cumsum(count) - count, count)
     width = int(count.max())
-    # K15 of (C, S), their |K15 - G7| and its share per radian, lo, hi
+    # K15 of (C, S), their |K15 - G7|, the same per radian of the panel, lo, hi
     panels = np.zeros((n, width, 8))
     panels[item, col] = np.column_stack([ik, err, err / (hi - lo)[:, None], lo, hi])
     # at boundary j: sums over panels < j of (C, S), minus the sums over

@@ -34,9 +34,8 @@ steering (Luettgen, Shapiro & Reilly, JOSA A 8(12), 1991).  The scalar
 field (``nlos_gain_field``) integrates in Eve's bearing beta of the
 scatterer, off the downward vertical: l = x + y tan(beta), r = y sec(beta),
 mu = -sin(beta) and Omega dl = A cos(beta - beta_s) / y dbeta with
-beta_s = alpha - pi/2.  There x enters only through exp(-alpha_am x) and
-the segment's end bearings, so one table per distinct y answers every
-steering of every position in its row.
+beta_s = alpha - pi/2, and one table per distinct y serves its row
+(``_steering_free_gain``).
 """
 
 from __future__ import annotations
@@ -358,17 +357,19 @@ def nlos_gain_field(
     steering-free table per distinct |y| (``_steering_free_gain``) instead
     of an adaptive quadrature per steering, so the field picks the steering
     ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
-    (8.4e-13 on the standard map), not bit for bit.  Eve's position in ``scenario`` is ignored.
-    A position's result does not depend on the other positions passed with
-    it.  Returns (steering, g_nlos) arrays of the positions' shape;
-    ``QuadratureError`` when a table needs more than ``QUAD_MAX_PANELS``
-    panels.
+    (8.4e-13 on the standard map), not bit for bit.  Eve's position in
+    ``scenario`` is ignored.  A position's result does not depend on the
+    other positions passed with it.  Returns (steering, g_nlos) arrays of
+    the positions' shape; ``QuadratureError`` when a table needs more than
+    ``QUAD_MAX_PANELS`` panels.
     """
     x, y = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
     shape = x.shape
     x, y = x.ravel(), np.abs(y.ravel())
     if (y == 0).any():
         raise ValueError("eavesdropper y-coordinates must be nonzero")
+    if not x.size:  # no row to tabulate
+        return np.empty(shape), np.empty(shape)
     gain = _steering_free_gain(x, y, scenario, ext, params)
     steering, g_nlos = np.empty(x.size), np.empty(x.size)
     for lo in range(0, x.size, _FIELD_CHUNK):
@@ -402,12 +403,9 @@ def _bearing_weight(beta, y, area, alpha_am, params):
     den = t2 + 1.0
     out = np.empty((2,) + t.shape)
     np.divide(t + t, den, out=out[0])
-    np.subtract(t2, 1.0, out=out[1])
-    out[1] /= den
+    np.divide(t2 - 1.0, den, out=out[1])
     # (1 + g^2 + 2 g sin beta)^(-3/2) = q^(3/2), q = (1 + t^2) / ((1 + g)^2 t^2 + (1 - g)^2)
-    p = (1.0 + g) ** 2 * t2
-    p += (1.0 - g) ** 2
-    np.divide(den, p, out=p)
+    p = den / ((1.0 + g) ** 2 * t2 + (1.0 - g) ** 2)
     p *= np.sqrt(p)
     p += (3.0 * b) * out[1] * out[1]
     p -= b
@@ -436,9 +434,10 @@ def _steering_free_gain(x, y, scenario, ext, params):
     _BEARING_RUNGS, where the forward-scatter peak (beta -> -pi/2) and the
     exponential edge (beta -> pi/2) lie.  It keeps their K15 integrals,
     |K15 - G7| on each panel, and each row's prefix and suffix sums of
-    them; one complex searchsorted finds the panels of a query's limits.  A query reads the full panels from the sums (suffix sums where
-    the segment lies past most of C, so that a small tail integral is not
-    the difference of two near-total sums) and integrates the one or two
+    them; one complex searchsorted finds the panels of a query's limits.
+    A query reads the full panels from the sums (suffix sums where the
+    segment lies past most of C, so that a small tail integral is not the
+    difference of two near-total sums) and integrates the one or two
     partial panels by a G7 rule each.  Its error estimate is the full
     panels' |K15 - G7| plus each partial panel's, prorated by the share of
     the panel the rule covers.  A query over its QUAD_REL_TOL budget is
@@ -459,7 +458,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
 
     def integrands(i, beta):
         """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
-        return _bearing_weight(beta, y_row[i, None], area, alpha_am, params).transpose(1, 0, 2)
+        return _bearing_weight(beta, y_row[i, None], area, alpha_am, params).swapaxes(0, 1)
 
     rung = (math.pi / 2.0) * (1.0 - 2.0 ** (-0.5 * np.arange(_BEARING_RUNGS + 1)))
     edges = np.concatenate([[-math.pi / 2.0], -rung[:0:-1], rung, [math.pi / 2.0]])
@@ -530,7 +529,8 @@ def _steering_free_gain(x, y, scenario, ext, params):
         live = lim[0] < lim[1]
         value = np.where(live, decay_k * (boresight * integral).sum(axis=0), 0.0)
         bound = decay_k * (np.abs(boresight) * error).sum(axis=0)
-        over = np.flatnonzero(live & (bound > np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)))
+        budget = np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)
+        over = np.flatnonzero(live & (bound > budget))
         if over.size:
             ko, co, so = k[over], boresight[0, over, None], boresight[1, over, None]
 

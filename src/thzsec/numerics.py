@@ -277,20 +277,16 @@ def golden_section_max(
     return best_x, best_f
 
 
-# the two next nodes (a, b, x, c, d) of a golden-section node, as indices
-# into (a, b, c, d, x_left, x_right): where f(c) > f(d) the bracket keeps its
-# left part and x is its new c, otherwise its right part and x is its new d
-_CHILDREN = np.array([[0, 3, 4, 4, 2], [2, 1, 5, 3, 5]])
-
-
-def _golden_children(a, b, c, d):
-    """Both next levels of the golden section on [a, b] with inner points
-    c < d, in ``_CHILDREN``'s order along a new last-but-one axis and with
-    (a, b, x, c, d) along the last."""
-    x_left = d - _INV_PHI * (d - a)
-    x_right = c + _INV_PHI * (b - c)
-    both = np.array([a, b, c, d, x_left, x_right])[_CHILDREN]
-    return both.transpose(*range(2, both.ndim), 0, 1)
+def _golden_step(left, a, b, c, d):
+    """One level of the golden section on [a, b] with inner points c < d:
+    the new bracket, its new point and its inner points, where ``left``
+    says f(c) > f(d)."""
+    a_new = np.where(left, a, c)
+    b_new = np.where(left, d, b)
+    x_new = np.where(
+        left, b_new - _INV_PHI * (b_new - a_new), a_new + _INV_PHI * (b_new - a_new)
+    )
+    return a_new, b_new, x_new, np.where(left, x_new, d), np.where(left, c, x_new)
 
 
 def _golden_depth(live: int) -> int:
@@ -298,26 +294,34 @@ def _golden_depth(live: int) -> int:
     problems.  A round of depth D evaluates 2^D - 1 points per problem in
     one call to save D - 1 calls: that pays while a call's fixed cost
     outweighs the extra points, so only for few problems.  On the gain
-    field's row tables (shared 2-core x86-64 host), D = 3 is fastest at 8,
-    22 and 48 cells, D = 2 at 96, and D = 1 at 154 and 512."""
-    return 3 if live <= 64 else 2 if live <= 128 else 1
+    field's row tables, D = 3 is fastest at 8 and 22 cells, D = 1 to 3 tie
+    from 32 to 48, and D = 1 is fastest from 96 cells on."""
+    return 3 if live <= 32 else 1
 
 
-def _golden_lookahead(f, live, node, depth):
-    """The nodes and values of every point that ``depth`` levels may visit,
-    from the node (a, b, x, c, d) of level 0, one row per problem of live.
-    Level t has 2^t nodes per problem, and nodes 2j and 2j + 1 follow node
-    j of level t - 1 where its f(c) > f(d) holds and where it fails; the
-    points of all levels are evaluated in one call of f.  Returns one
-    (nodes, values) pair per level, shaped (len(live), 2^t, 5) and
-    (len(live), 2^t)."""
-    tree = [node[:, None]]
-    for _ in range(1, depth):
-        a, b, _, c, d = tree[-1].transpose(2, 0, 1)
-        tree.append(_golden_children(a, b, c, d).reshape(live.size, -1, 5))
-    points = np.concatenate([nodes[:, :, 2] for nodes in tree], axis=1)
-    values = f(np.repeat(live, points.shape[1]), points.ravel()).reshape(points.shape)
-    return [(nodes, values[:, 2**t - 1:2**(t + 1) - 1]) for t, nodes in enumerate(tree)]
+def _golden_lookahead(f, live, node, x, depth):
+    """Values of every point that ``depth`` levels may visit, from the
+    level whose bracket, inner points and new point are node = (a, b, c, d)
+    and x, one of each per problem of live.  Level t (from 0) has 2^t nodes
+    per problem, and nodes 2j and 2j + 1 follow node j of level t - 1 where
+    its f(c) > f(d) holds and where it fails; all are evaluated in one call
+    of f.  Returns one (len(live), 2^t) array of values per level."""
+    node = tuple(v[:, None] for v in node)
+    points = [x[:, None]]
+    for t in range(1, depth):
+        node = tuple(np.repeat(v, 2, axis=1) for v in node)
+        a_t, b_t, x_t, c_t, d_t = _golden_step(np.arange(2**t) % 2 == 0, *node)
+        node = (a_t, b_t, c_t, d_t)
+        points.append(x_t)
+    values = f(
+        np.concatenate([np.repeat(live, 2**t) for t in range(depth)]),
+        np.concatenate([x_t.ravel() for x_t in points]),
+    )
+    tables, start = [], 0
+    for x_t in points:
+        tables.append(values[start:start + x_t.size].reshape(x_t.shape))
+        start += x_t.size
+    return tables
 
 
 def batched_golden_section_max(
@@ -334,14 +338,13 @@ def batched_golden_section_max(
     ``f(k, x)`` evaluates problems ``k`` at points ``x``, and a problem's
     value must not depend on the others evaluated with it.  The problems
     still wider than ``xtol`` step one level at a time, in rounds of D
-    levels: a round's first level builds every bracket of the D levels
-    that the comparisons may lead to and evaluates their new points
-    (2^D - 1 per problem) in one call, and its levels then read the
-    bracket and the value of the branch taken.  D comes from the number of
+    levels: a round's first level evaluates, in one call, every point of
+    the D levels that the comparisons may lead to (2^D - 1 per problem),
+    and its levels then read their values.  D comes from the number of
     live problems (``_golden_depth``); at D = 1 each level calls f for its
-    new points alone.  So each problem visits exactly the points, and gets
-    exactly the values, of ``golden_section_max``.  Returns (x, f(x))
-    arrays.
+    new points alone.  So each problem visits exactly
+    the points, and gets exactly the values, of ``golden_section_max``.
+    Returns (x, f(x)) arrays.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -351,32 +354,33 @@ def batched_golden_section_max(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = np.split(f(np.concatenate([every, every]), np.concatenate([c, d])), 2)
-    # the live problems' state, compacted as problems finish; the inner
-    # points and values a problem finishes with go to c, d, fc and fd
-    live, state, levels = every, (a, b, c, d, fc, fd), []
+    live, tables = every, []
     for _ in range(_GOLDEN_MAX_ITER):
         if not live.size:
             break
-        a_k, b_k, c_k, d_k, fc_k, fd_k = state
-        left = fc_k > fd_k
-        if levels:  # a later level of a round: follow the branch taken
+        left = fc[live] > fd[live]
+        a_new, b_new, x_new, c_new, d_new = _golden_step(
+            left, a[live], b[live], c[live], d[live]
+        )
+        if tables:  # a later level of a round: follow the branch taken
             j = 2 * j + ~left
-        else:  # a round's first level
-            node = _golden_children(a_k, b_k, c_k, d_k)[every[: live.size], (~left).astype(int)]
-            levels = _golden_lookahead(f, live, node, _golden_depth(live.size))
-            # each live problem's row of the round's levels, and its node
-            row, j = every[: live.size], np.zeros(live.size, dtype=int)
-        nodes, values = levels.pop(0)
-        a_k, b_k, _, c_k, d_k = nodes[row, j].T
-        f_new = values[row, j]
-        state = (a_k, b_k, c_k, d_k, np.where(left, f_new, fd_k), np.where(left, fc_k, f_new))
-        going = ~(np.abs(b_k - a_k) < xtol)
-        if not going.all():
-            done = live[~going]
-            c[done], d[done], fc[done], fd[done] = (v[~going] for v in state[2:])
-            live, row, j = live[going], row[going], j[going]
-            state = tuple(v[going] for v in state)
-    c[live], d[live], fc[live], fd[live] = state[2:]
+        else:
+            depth = _golden_depth(live.size)
+            if depth > 1:  # a round's first level
+                tables = _golden_lookahead(
+                    f, live, (a_new, b_new, c_new, d_new), x_new, depth
+                )
+                # each live problem's row of the tables, and its node
+                row, j = np.arange(live.size), np.zeros(live.size, dtype=int)
+        # at depth 1 a level is the plain lockstep: one call for its points
+        f_new = tables.pop(0)[row, j] if tables else f(live, x_new)
+        c[live], d[live] = c_new, d_new
+        fc[live], fd[live] = np.where(left, f_new, fd[live]), np.where(left, fc[live], f_new)
+        a[live], b[live] = a_new, b_new
+        going = ~(np.abs(b_new - a_new) < xtol)
+        live = live[going]
+        if tables:
+            row, j = row[going], j[going]
     for x, fx in ((c, fc), (d, fd)):
         better = fx > best_f
         best_x = np.where(better, x, best_x)

@@ -424,6 +424,11 @@ class TestNlosGainField:
         assert steering.shape == g_nlos.shape == (2, 3)
         assert np.array_equal(g_nlos[0], g_nlos[1])  # reflection y -> -y
 
+    def test_no_positions(self):
+        # a scan block whose rows all lie on the axis passes no position
+        steering, g_nlos = nlos_gain_field(np.empty((0, 3)), np.ones((0, 3)), SCENARIO, EXT, FORWARD)
+        assert steering.shape == g_nlos.shape == (0, 3)
+
     def test_on_axis_position_rejected(self):
         with pytest.raises(ValueError):
             nlos_gain_field([500.0], [0.0], SCENARIO, EXT, FORWARD)
@@ -451,8 +456,9 @@ class TestNlosGainField:
     )
     @settings(max_examples=150, deadline=None)
     def test_table_is_the_clip_free_identity(self, cell, where, fov_deg, ext, params):
-        # G(s) = cos(s) I1 + sin(s) I2 from the steering-free table equals the
-        # clamped integral of nlos_gain at any steering in the search range
+        # G(s) = e^(-alpha x) (cos(beta_s) C + sin(beta_s) S) from the
+        # steering-free row table equals the clamped integral of nlos_gain at
+        # any steering in the search range
         sc = field_scenario(fov_deg).with_eve_at(*cell)
         lo, hi = channel._steering_bounds(sc)
         steering = lo + where * (hi - lo)

@@ -179,6 +179,23 @@ step_m = 20
         assert result.invalid_position_cells == len(result.xs)
         assert result.regime_error_cells == 0
 
+    def test_block_of_axis_rows_only(self, tmp_path):
+        # three workers take one row each, so the y = 0 row is a block with
+        # no position for the gain field
+        text = """
+[scan]
+x_min_m = 700
+x_max_m = 720
+y_min_m = -20
+y_max_m = 20
+step_m = 20
+"""
+        cfg = cfg_from(tmp_path, text)
+        serial, parallel = run_scan(cfg, threads=1), run_scan(cfg, threads=3)
+        iy0 = list(parallel.ys).index(0.0)
+        assert np.all(np.isnan(parallel.values[iy0]))
+        assert np.array_equal(serial.values, parallel.values, equal_nan=True)
+
     def test_regime_error_scan_completes_all_nan(self, tmp_path):
         text = SMALL_GRID + "[atmosphere]\ncn2 = 1e-9\n"
         cfg = cfg_from(tmp_path, text)

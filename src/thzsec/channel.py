@@ -246,12 +246,10 @@ def scattering_segment(
     # cone admits beta in [lo, hi] below, clipped to the open (-pi/2, pi/2).
     beta_lo = steering_rad - math.pi / 2.0 - half_fov
     beta_hi = steering_rad - math.pi / 2.0 + half_fov
-    misses = (beta_hi <= -math.pi / 2.0) | (beta_lo >= math.pi / 2.0)
-    l_a = np.where(beta_lo <= -math.pi / 2.0, 0.0, x + y * np.tan(beta_lo))
-    l_b = np.where(beta_hi >= math.pi / 2.0, scenario.d, x + y * np.tan(beta_hi))
-    l_a = np.where(misses, scenario.d, np.maximum(l_a, 0.0))
-    l_b = np.where(misses, 0.0, np.minimum(l_b, scenario.d))
-    if l_a >= l_b:
+    misses = beta_hi <= -math.pi / 2.0 or beta_lo >= math.pi / 2.0
+    l_a = 0.0 if beta_lo <= -math.pi / 2.0 else max(x + y * np.tan(beta_lo), 0.0)
+    l_b = scenario.d if beta_hi >= math.pi / 2.0 else min(x + y * np.tan(beta_hi), scenario.d)
+    if misses or l_a >= l_b:
         raise EmptySegment(f"FOV cone misses the axis segment [0, {scenario.d:g}] m")
     return float(l_a), float(l_b)
 

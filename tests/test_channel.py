@@ -426,7 +426,8 @@ class TestNlosGainField:
 
     def test_no_positions(self):
         # a scan block whose rows all lie on the axis passes no position
-        steering, g_nlos = nlos_gain_field(np.empty((0, 3)), np.ones((0, 3)), SCENARIO, EXT, FORWARD)
+        empty = np.ones((0, 3))
+        steering, g_nlos = nlos_gain_field(empty, empty, SCENARIO, EXT, FORWARD)
         assert steering.shape == g_nlos.shape == (0, 3)
 
     def test_on_axis_position_rejected(self):

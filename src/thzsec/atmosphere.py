@@ -97,20 +97,12 @@ def classify_turbulence(cn2: float) -> TurbulenceStrength:
 
 @dataclass(frozen=True)
 class AtmosphereConditions:
-    """Bulk atmospheric state along the path."""
+    """Turbulence strength along the path.  The gaseous state (temperature,
+    pressure, humidity) lives in the absorption backend's dB/km values."""
 
-    temperature_c: float = 30.0
-    pressure_hpa: float = 1013.0
-    relative_humidity_pct: float = 80.0
     cn2: float = 5.8e-11
 
     def __post_init__(self):
-        if self.pressure_hpa <= 0:
-            raise ValueError(f"pressure_hpa must be > 0, got {self.pressure_hpa}")
-        if not 0.0 <= self.relative_humidity_pct <= 100.0:
-            raise ValueError(
-                f"relative_humidity_pct must be in [0, 100], got {self.relative_humidity_pct}"
-            )
         if self.cn2 < 0:
             raise ValueError(f"cn2 must be >= 0, got {self.cn2}")
 
@@ -209,18 +201,9 @@ def default_absorption_table() -> TableAbsorption:
         return TableAbsorption.from_csv(path)
 
 
-def gaseous_extinction(
-    freq_hz: float,
-    conditions: AtmosphereConditions,
-    backend: AbsorptionBackend,
-) -> float:
-    """Gaseous extinction coefficient alpha_g in Np/m.
-
-    The backend owns the spectral model; `conditions` is part of the
-    contract so a future backend can depend on temperature/humidity, but the
-    bundled backends encode those dependencies directly in their dB/km
-    values.
-    """
+def gaseous_extinction(freq_hz: float, backend: AbsorptionBackend) -> float:
+    """Gaseous extinction coefficient alpha_g in Np/m; the backend owns the
+    spectral model."""
     if not FREQ_MIN_HZ <= freq_hz <= FREQ_MAX_HZ:
         raise FrequencyRangeError(
             f"carrier {freq_hz / 1e9:.1f} GHz outside supported band "
@@ -311,7 +294,7 @@ def extinction(
     wave: Wave = Wave.SPHERICAL,
 ) -> ExtinctionBreakdown:
     """Compose gaseous and turbulence extinction for the path."""
-    alpha_g = gaseous_extinction(freq_hz, conditions, backend)
+    alpha_g = gaseous_extinction(freq_hz, backend)
     a_t_db = turbulence_attenuation_db(freq_hz, conditions.cn2, path_m, wave)
     alpha_t = db_to_np(a_t_db) / path_m
     variances = rytov_variances(freq_hz, conditions.cn2, path_m)

@@ -19,22 +19,21 @@ clamped at zero because a scatterer behind the aperture plane contributes
 nothing.  The single-scatter gain integrates Omega * p(mu) * alpha_am *
 exp(-alpha_am * (l + r)) over the axis segment visible in the FOV cone.
 
-Inside the cone the clamp never acts.  (x - l) cos(alpha) + y sin(alpha) is
-r times the cosine of the angle between the boresight and the ray to the
-scatterer, and inside the cone that angle is at most FOV/2 <= pi/2, so the
-term is >= r cos(FOV/2) >= 0.  The gain at steering alpha over the segment
-[l_a, l_b] is therefore
-
-    G(alpha) = cos(alpha) * I1 + sin(alpha) * I2,
-    I1 = integral of (x - l) h(l),  I2 = integral of y h(l),
-
-with h = A p(mu) alpha_am exp(-alpha_am (l + r)) / r^3 independent of the
-steering (Luettgen, Shapiro & Reilly, JOSA A 8(12), 1991).  The scalar
-``nlos_gain`` integrates the clamped form at every steering.  The gain
+The scalar ``nlos_gain`` integrates this clamped form over l.  The gain
 field (``nlos_gain_field``) integrates in Eve's bearing beta of the
 scatterer, off the downward vertical: l = x + y tan(beta), r = y sec(beta),
-mu = -sin(beta) and Omega dl = A cos(beta - beta_s) / y dbeta with
-beta_s = alpha - pi/2, and one table per distinct y serves its row
+mu = -sin(beta) and Omega dl = A cos(beta - beta_s) / y dbeta, where
+beta_s = alpha - pi/2 is the boresight's bearing.  Inside the cone
+|beta - beta_s| <= FOV/2 <= pi/2, so cos(beta - beta_s) >= cos(FOV/2) >= 0
+and the clamp never acts.  The gain at steering alpha is therefore
+
+    G = exp(-alpha_am x) (cos(beta_s) C + sin(beta_s) S),
+
+C and S being the integrals of cos(beta) W_y and sin(beta) W_y over the
+cone's bearings clipped to [atan(-x / y), atan((d - x) / y)], with
+W_y = (A alpha_am / y) p(-sin(beta)) exp(-alpha_am y (tan(beta) +
+sec(beta))) independent of x and of the steering (Luettgen, Shapiro &
+Reilly, JOSA A 8(12), 1991).  So one table per distinct y serves its row
 (``_steering_free_gain``).
 """
 

@@ -139,9 +139,9 @@ def _parse_float_list(raw):
     return tuple(_parse_float(p) for p in parts)
 
 
+# Bob's field of view enters no output, so only [eve] sets one
 _RECEIVER_KEYS = {
     "aperture_m": (0.05, _parse_float, _positive("aperture_m")),
-    "fov_deg": (10.0, _parse_float, _in_range("fov_deg", 0.0, 180.0, lo_open=True)),
     "efficiency": (0.1, _parse_float, _in_range("efficiency", 0.0, 1.0, lo_open=True)),
     "integration_time_s": (None, _parse_float, _positive("integration_time_s")),
     "background_count": (0.01, _parse_float, _nonnegative("background_count")),
@@ -149,13 +149,6 @@ _RECEIVER_KEYS = {
 
 _SCHEMA = {
     "atmosphere": {
-        "temperature_c": (30.0, _parse_float, lambda v: None),
-        "pressure_hpa": (1013.0, _parse_float, _positive("pressure_hpa")),
-        "relative_humidity_pct": (
-            80.0,
-            _parse_float,
-            _in_range("relative_humidity_pct", 0.0, 100.0),
-        ),
         "cn2": (5.8e-11, _parse_float, _nonnegative("cn2")),
         "wave": ("spherical", _parse_str, _choice("wave", {"plane", "spherical"})),
         "absorption": ("table", _parse_str, _choice("absorption", {"table", "constant"})),
@@ -171,7 +164,10 @@ _SCHEMA = {
         "tx_power_w": (0.01, _parse_float, _positive("tx_power_w")),
     },
     "bob": dict(_RECEIVER_KEYS),
-    "eve": dict(_RECEIVER_KEYS),
+    "eve": {
+        **_RECEIVER_KEYS,
+        "fov_deg": (10.0, _parse_float, _in_range("fov_deg", 0.0, 180.0, lo_open=True)),
+    },
     "scattering": {
         "g": (0.9, _parse_float, _in_range("g", -1.0, 1.0, lo_open=True, hi_open=True)),
         "f": (0.5, _parse_float, _nonnegative("f")),
@@ -263,13 +259,7 @@ class ResolvedConfig:
     # ---- builders -----------------------------------------------------
 
     def conditions(self) -> AtmosphereConditions:
-        a = self.values["atmosphere"]
-        return AtmosphereConditions(
-            temperature_c=a["temperature_c"],
-            pressure_hpa=a["pressure_hpa"],
-            relative_humidity_pct=a["relative_humidity_pct"],
-            cn2=a["cn2"],
-        )
+        return AtmosphereConditions(cn2=self.values["atmosphere"]["cn2"])
 
     def wave(self) -> Wave:
         return Wave(self.values["atmosphere"]["wave"])
@@ -282,14 +272,14 @@ class ResolvedConfig:
             return TableAbsorption.from_csv(a["absorption_table_path"])
         return default_absorption_table()
 
-    def _receiver(self, section: str) -> ReceiverParams:
+    def _receiver(self, section: str, **optics) -> ReceiverParams:
         r = self.values[section]
         return ReceiverParams(
             aperture_d=r["aperture_m"],
-            fov_full_rad=math.radians(r["fov_deg"]),
             efficiency=r["efficiency"],
             integration_time_s=r["integration_time_s"],
             background_count=r["background_count"],
+            **optics,
         )
 
     def scenario(self) -> LinkScenario:
@@ -301,7 +291,9 @@ class ResolvedConfig:
             alpha_a=link["divergence_rad"],
             tx_power_w=link["tx_power_w"],
             bob=self._receiver("bob"),
-            eve=self._receiver("eve"),
+            eve=self._receiver(
+                "eve", fov_full_rad=math.radians(self.values["eve"]["fov_deg"])
+            ),
         )
 
     def scattering(self) -> ScatteringParams:
@@ -420,7 +412,7 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
     try:
         scenario = cfg.scenario()
         cfg.scattering()
-        gaseous_extinction(scenario.freq_hz, cfg.conditions(), cfg.backend())
+        gaseous_extinction(scenario.freq_hz, cfg.backend())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
     if check_sweep:

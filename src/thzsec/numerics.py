@@ -245,7 +245,6 @@ def golden_section_max(
     a: float,
     b: float,
     xtol: float = 1e-6,
-    max_iter: int = _GOLDEN_MAX_ITER,
 ) -> tuple[float, float]:
     """Locate the maximum of a unimodal f on [a, b].
 
@@ -260,7 +259,7 @@ def golden_section_max(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -364,16 +363,13 @@ def batched_golden_section_max(
         )
         if tables:  # a later level of a round: follow the branch taken
             j = 2 * j + ~left
-        else:
-            depth = _golden_depth(live.size)
-            if depth > 1:  # a round's first level
-                tables = _golden_lookahead(
-                    f, live, (a_new, b_new, c_new, d_new), x_new, depth
-                )
-                # each live problem's row of the tables, and its node
-                row, j = np.arange(live.size), np.zeros(live.size, dtype=int)
-        # at depth 1 a level is the plain lockstep: one call for its points
-        f_new = tables.pop(0)[row, j] if tables else f(live, x_new)
+        else:  # a round's first level
+            tables = _golden_lookahead(
+                f, live, (a_new, b_new, c_new, d_new), x_new, _golden_depth(live.size)
+            )
+            # each live problem's row of the tables, and its node
+            row, j = np.arange(live.size), np.zeros(live.size, dtype=int)
+        f_new = tables.pop(0)[row, j]
         c[live], d[live] = c_new, d_new
         fc[live], fd[live] = np.where(left, f_new, fd[live]), np.where(left, fc[live], f_new)
         a[live], b[live] = a_new, b_new

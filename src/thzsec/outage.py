@@ -301,30 +301,16 @@ def outage_probability_mc(
     g_threshold: float,
     n_samples: int = 1_000_000,
     seed: int = 0,
-    chunks: int = 1,
 ) -> float:
-    """Monte Carlo estimate of the outage probability.
-
-    The sample stream is partitioned deterministically into ``chunks``
-    sub-streams via spawned seed sequences, so a parallel driver assigning
-    one chunk per worker reproduces this exact estimate.
-    """
-    if n_samples <= 0 or chunks <= 0:
-        raise ValueError("n_samples and chunks must be > 0")
-    base = np.random.SeedSequence(seed)
-    sub_seeds = base.spawn(chunks)
-    per_chunk = [n_samples // chunks] * chunks
-    for i in range(n_samples % chunks):
-        per_chunk[i] += 1
+    """Monte Carlo estimate of the outage probability from ``n_samples``
+    log-normal gains.  The normals come from the first spawned child of
+    ``SeedSequence(seed)``, so a seed keeps the estimate it always gave."""
+    if n_samples <= 0:
+        raise ValueError("n_samples must be > 0")
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     ln_mean = math.log(model.g_los_mean) + model.mu_log
-    sigma = math.sqrt(model.sigma_r2)
-    hits = 0
-    for sub, n in zip(sub_seeds, per_chunk):
-        if n == 0:
-            continue
-        rng = np.random.Generator(np.random.PCG64(sub))
-        gains = np.exp(ln_mean + sigma * rng.standard_normal(n))
-        hits += int(np.count_nonzero(gains <= g_threshold))
+    gains = np.exp(ln_mean + math.sqrt(model.sigma_r2) * rng.standard_normal(n_samples))
+    hits = int(np.count_nonzero(gains <= g_threshold))
     return hits / n_samples
 
 

@@ -133,7 +133,9 @@ class _Workers:
     every field and metric pass of a scan or sweep."""
 
     def __init__(self, threads: int):
-        self.threads = max(threads, 1)
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self.threads = threads
         self._pool = None
 
     def blocks(self, n_rows: int) -> List[np.ndarray]:

@@ -34,14 +34,10 @@ class TestDefaults:
         assert scenario.freq_hz == 340e9
         assert scenario.bob.efficiency == 0.1
         assert scenario.bob.aperture_d == 0.05
-        assert math.isclose(scenario.bob.fov_full_rad, math.radians(10.0), rel_tol=1e-12)
+        assert math.isclose(scenario.eve.fov_full_rad, math.radians(10.0), rel_tol=1e-12)
         # slot time defaults to one bit period at the 10 Gbps target rate
         assert scenario.bob.integration_time_s == 1e-10
-        conditions = cfg.conditions()
-        assert conditions.temperature_c == 30.0
-        assert conditions.pressure_hpa == 1013.0
-        assert conditions.relative_humidity_pct == 80.0
-        assert conditions.cn2 == 5.8e-11
+        assert cfg.conditions().cn2 == 5.8e-11
         spec = cfg.scan_spec()
         assert spec.target_rate_bps == 10e9
         assert spec.mode == "det"
@@ -62,6 +58,15 @@ class TestDefaults:
         assert cfg.scenario().eve.integration_time_s == 1e-10
 
 
+# settings that earlier releases accepted but no model read
+REMOVED_SETTINGS = [
+    ("atmosphere", "temperature_c"),
+    ("atmosphere", "pressure_hpa"),
+    ("atmosphere", "relative_humidity_pct"),
+    ("bob", "fov_deg"),
+]
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -70,6 +75,12 @@ class TestErrors:
     def test_unknown_key_with_line(self, tmp_path):
         path = write(tmp_path, "[link]\ndivergance_angle = 0.02\n")
         with pytest.raises(ConfigError, match=r"case\.cfg:2.*divergance_angle"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section,key", REMOVED_SETTINGS)
+    def test_removed_setting_is_unknown_key(self, tmp_path, section, key):
+        path = write(tmp_path, f"# no longer a setting\n[{section}]\n{key} = 10\n")
+        with pytest.raises(ConfigError, match=rf"case\.cfg:3: unknown key {section}\.{key}$"):
             parse_config(path)
 
     def test_unknown_section(self, tmp_path):
@@ -169,6 +180,13 @@ paper_exact = true
         path = tmp_path / "case.json"
         path.write_text(json.dumps({"link": {"divergance_angle": 0.02}}))
         with pytest.raises(ConfigError, match="divergance_angle"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section,key", REMOVED_SETTINGS)
+    def test_json_removed_setting_is_unknown_key(self, tmp_path, section, key):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps({section: {key: 10}}))
+        with pytest.raises(ConfigError, match=rf"unknown key {section}\.{key}$"):
             parse_config(path)
 
     def test_json_bad_syntax(self, tmp_path):

@@ -109,12 +109,11 @@ class TestOutageProbability:
             tol = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(p_mc - p) <= tol
 
-    def test_monte_carlo_deterministic_partitioning(self):
+    def test_monte_carlo_stream_is_pinned(self):
         g_star = MODEL.g_los_mean * 0.4
-        a = outage_probability_mc(MODEL, g_star, n_samples=10_000, seed=7, chunks=4)
-        b = outage_probability_mc(MODEL, g_star, n_samples=10_000, seed=7, chunks=4)
-        assert a == b
-        c = outage_probability_mc(MODEL, g_star, n_samples=10_000, seed=8, chunks=4)
+        a = outage_probability_mc(MODEL, g_star, n_samples=10_000, seed=7)
+        assert a == 0.0759  # the estimate this seed has always given
+        c = outage_probability_mc(MODEL, g_star, n_samples=10_000, seed=8)
         assert a != c  # different seed, different stream
 
 

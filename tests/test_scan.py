@@ -211,6 +211,13 @@ step_m = 20
         assert np.array_equal(serial.values, parallel.values)
         assert serial.msc_bps == parallel.msc_bps
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_scan(cfg_from(tmp_path, SMALL_GRID), threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_sweep(sweep_cfg(tmp_path, "cn2", "1e-12"), threads=threads)
+
     @pytest.mark.parametrize("mode", ["det", "prob"])
     def test_byte_identical_csv_across_worker_counts(self, tmp_path, mode):
         cfg = cfg_from(tmp_path, SMALL_GRID).with_value("scan", "mode", mode)
@@ -634,7 +641,6 @@ class TestGainField:
         ("link", "eve_x_m"): 100.0,
         ("link", "eve_y_m"): -5.0,
         ("bob", "aperture_m"): 0.1,
-        ("bob", "fov_deg"): 20.0,
         ("bob", "efficiency"): 0.5,
         ("bob", "integration_time_s"): 2e-10,
         ("bob", "background_count"): 0.1,

@@ -23,6 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from thzsec.cli import _threads
 from thzsec.config import parse_config
 from thzsec.scan import emit, evaluate, extract_insecure_region, field_key, gain_field, run_scan
 
@@ -57,7 +58,7 @@ def summarise(result):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=Path("maps"))
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=_threads, default=1)
     parser.add_argument("--step", type=float, default=2.0, help="map grid step in metres")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)

@@ -190,7 +190,7 @@ def los_gain(scenario: LinkScenario, ext: ExtinctionBreakdown) -> float:
     factor G_F = exp(-alpha_att d).
     """
     g_d = 4.0 * scenario.bob.area / (math.pi * scenario.d**2 * scenario.alpha_a**2)
-    return g_d * math.exp(-ext.alpha_att * scenario.d)
+    return g_d * ext.atmospheric_gain(scenario.d)
 
 
 def _phase_values(mu, g: float, f: float):

@@ -252,6 +252,8 @@ class ResolvedConfig:
     sweep_cfgs: Optional[Tuple["ResolvedConfig", ...]] = field(
         default=None, compare=False, repr=False
     )
+    # the absorption backend, built and checked once by _resolve
+    absorption_backend: Optional[AbsorptionBackend] = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, section: str) -> Dict[str, Any]:
         return self.values[section]
@@ -265,12 +267,7 @@ class ResolvedConfig:
         return Wave(self.values["atmosphere"]["wave"])
 
     def backend(self) -> AbsorptionBackend:
-        a = self.values["atmosphere"]
-        if a["absorption"] == "constant":
-            return ConstantAbsorption(a["absorption_db_per_km"])
-        if a["absorption_table_path"] is not None:
-            return TableAbsorption.from_csv(a["absorption_table_path"])
-        return default_absorption_table()
+        return self.absorption_backend
 
     def _receiver(self, section: str, **optics) -> ReceiverParams:
         r = self.values[section]
@@ -412,14 +409,20 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
     try:
         scenario = cfg.scenario()
         cfg.scattering()
-        gaseous_extinction(scenario.freq_hz, cfg.backend())
+        if atmosphere["absorption"] == "constant":
+            backend = ConstantAbsorption(atmosphere["absorption_db_per_km"])
+        elif atmosphere["absorption_table_path"] is not None:
+            backend = TableAbsorption.from_csv(atmosphere["absorption_table_path"])
+        else:
+            backend = default_absorption_table()
+        gaseous_extinction(scenario.freq_hz, backend)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
     if check_sweep:
         cfg = replace(cfg, sweep_cfgs=() if sweep_param is None else tuple(
             cfg.with_sweep_value(sweep_param, value) for value in resolved["sweep"]["values"]
         ))
-    return cfg
+    return replace(cfg, absorption_backend=backend)
 
 
 def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:

@@ -7,7 +7,7 @@ the scenario.  The field is the steering-optimised NLOS gain of every cell,
 a ``GainField`` value that ``gain_field`` computes with ``nlos_gain_field``.
 The metric (secrecy capacity or outage probability) is a function of a
 cell's NLOS gain alone, built once per ``evaluate`` from the constants.  A
-field carries the key of the config inputs that enter it (``field_key``);
+field carries the key of the inputs it is computed from (``field_key``);
 ``evaluate`` refuses a field with another key, and ``run_sweep`` computes a
 new field only when the key changes.  A cell's gain and metric do not
 depend on the other cells, so splitting the rows into blocks for worker
@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError, extinction
-from .channel import ChannelGains, LinkScenario, los_gain, nlos_gain_field
+from .channel import ChannelGains, LinkScenario, ScatteringParams, los_gain, nlos_gain_field
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ConfigError, ResolvedConfig
 from .outage import FadingModel, outage_probability, threshold_gain
 from .secrecy import DetectionRates, _signal_count, detection_rates, ook_mutual_information
@@ -79,49 +79,41 @@ class InsecureRegion:
     area_m2: float
 
 
-# ((section, key), value) of every config setting that may enter G_NLOS
-FieldKey = Tuple[Tuple[Tuple[str, str], Any], ...]
+@dataclass(frozen=True)
+class FieldKey:
+    """The inputs ``_gain_field`` passes to ``nlos_gain_field``: the grid,
+    the link length, Eve's aperture and FOV, the extinction coefficient and
+    the phase function.  Equal keys give bit-identical fields."""
 
-# (section, key) settings that provably do not enter G_NLOS; None stands for
-# every key of the section.  A setting missing here only costs a reuse.
-_FIELD_FREE = frozenset({
-    ("link", "divergence_rad"),  # the LOS gain only
-    ("link", "tx_power_w"),
-    ("link", "eve_x_m"),  # the field has its own positions
-    ("link", "eve_y_m"),
-    ("bob", None),
-    ("eve", "background_count"),  # Eve's detector, not her optics
-    ("eve", "efficiency"),
-    ("eve", "integration_time_s"),
-    ("scan", "mode"),
-    ("scan", "target_rate_bps"),
-    ("secrecy", "duty_cycle"),
-    ("secrecy", "paper_exact"),
-})
+    xs: Tuple[float, ...]
+    ys: Tuple[float, ...]
+    d: float
+    aperture_d: float
+    fov_full_rad: float
+    alpha_att: Optional[float]  # None outside the weak-fluctuation regime
+    scattering: ScatteringParams
+
+
+def _field_key(cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown]) -> FieldKey:
+    spec, scenario = cfg.scan_spec(), cfg.scenario()
+    return FieldKey(
+        tuple(spec.xs), tuple(spec.ys), scenario.d, scenario.eve.aperture_d,
+        scenario.eve.fov_full_rad, None if ext is None else ext.alpha_att, cfg.scattering(),
+    )
 
 
 def field_key(cfg: ResolvedConfig) -> FieldKey:
-    """The config's settings that may enter its gain field: geometry, Eve's
-    aperture and FOV, every input to the extinction, the scattering
-    parameters and the grid.  Equal keys give bit-identical fields."""
-    return tuple(
-        ((section, key), value)
-        for section, body in sorted(cfg.to_dict().items())
-        if (section, None) not in _FIELD_FREE
-        for key, value in sorted(body.items())
-        if (section, key) not in _FIELD_FREE
-    )
+    """The key of the config's gain field."""
+    return _field_key(cfg, _extinction(cfg))
 
 
 @dataclass(frozen=True)
 class GainField:
     """Steering-optimised NLOS gain and its steering angle (rad) at every cell
-    of a scan grid, both read-only of shape (len(ys), len(xs)).  NaN at
+    of the key's grid, both read-only of shape (len(ys), len(xs)).  NaN at
     y = 0, and everywhere when the extinction is outside the
     weak-fluctuation regime."""
 
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
     steering: np.ndarray
     g_nlos: np.ndarray
     key: FieldKey
@@ -225,35 +217,38 @@ def _metric_cells(payload) -> List[float]:
     return [metric(g) for g in g_nlos.tolist()]
 
 
-def _gain_field(cfg: ResolvedConfig, workers: _Workers) -> GainField:
-    spec = cfg.scan_spec()
-    xs, ys = spec.xs, spec.ys
+def _gain_field(
+    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], workers: _Workers
+) -> GainField:
+    key = _field_key(cfg, ext)
+    xs, ys = key.xs, key.ys
     steering = np.full((len(ys), len(xs)), np.nan)
     g_nlos = np.full((len(ys), len(xs)), np.nan)
-    ext = _extinction(cfg)
     if ext is not None:
-        scenario, scattering = cfg.scenario(), cfg.scattering()
+        scenario = cfg.scenario()
         blocks = workers.blocks(len(ys))
-        payloads = [([ys[i] for i in rows], xs, scenario, ext, scattering) for rows in blocks]
+        payloads = [([ys[i] for i in rows], xs, scenario, ext, key.scattering) for rows in blocks]
         for rows, (block_steering, block_g) in zip(blocks, workers.map(_field_rows, payloads)):
             steering[rows], g_nlos[rows] = block_steering, block_g
     steering.setflags(write=False)
     g_nlos.setflags(write=False)
-    return GainField(tuple(xs), tuple(ys), steering, g_nlos, field_key(cfg))
+    return GainField(steering, g_nlos, key)
 
 
-def _evaluate(cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers) -> ScanResult:
-    if field is not None and field.key != field_key(cfg):
-        changed = sorted({f"{s}.{k}" for (s, k), _ in set(field.key) ^ set(field_key(cfg))})
-        raise ValueError(f"gain field was computed for other settings: {', '.join(changed)}")
+def _evaluate(
+    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], field: Optional[GainField], workers: _Workers
+) -> ScanResult:
+    key = _field_key(cfg, ext)
+    if field is not None and field.key != key:
+        changed = [f.name for f in fields(key) if getattr(key, f.name) != getattr(field.key, f.name)]
+        raise ValueError(f"gain field was computed for other inputs: {', '.join(changed)}")
     if field is None and _reads_gain(cfg):
         raise ValueError("this configuration's metric needs a gain field")
     spec = cfg.scan_spec()
-    xs, ys = spec.xs, spec.ys
+    xs, ys = key.xs, key.ys
     values = np.full((len(ys), len(xs)), np.nan)
     valid = np.repeat(np.asarray(ys)[:, None] != 0.0, len(xs), axis=1)
     regime_cells = invalid_cells = 0
-    ext = _extinction(cfg)
     if ext is None:
         # all NaN outside the weak-fluctuation regime; inside it no cell can
         # leave it, as extinction bounded the spherical (fading) variance
@@ -281,8 +276,8 @@ def _evaluate(cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers
         "invalid_position_cells": invalid_cells,
     }
     return ScanResult(
-        xs=tuple(xs),
-        ys=tuple(ys),
+        xs=xs,
+        ys=ys,
         values=values,
         mode=spec.mode,
         msc_bps=msc,
@@ -294,15 +289,14 @@ def _evaluate(cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers
 
 
 def _field_for(
-    cfg: ResolvedConfig, field: Optional[GainField], workers: _Workers
+    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], field: Optional[GainField], workers: _Workers
 ) -> Optional[GainField]:
     """The gain field ``cfg``'s metric reads: ``field`` while its key is the
     config's, a new one otherwise; None where the metric reads no gain."""
     if not _reads_gain(cfg):
         return None
-    if field is not None and field.key == field_key(cfg):
-        return field
-    return _gain_field(cfg, workers)
+    reuse = field is not None and field.key == _field_key(cfg, ext)
+    return field if reuse else _gain_field(cfg, ext, workers)
 
 
 def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
@@ -312,7 +306,7 @@ def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
     its own worker process.
     """
     with _Workers(threads) as workers:
-        return _gain_field(cfg, workers)
+        return _gain_field(cfg, _extinction(cfg), workers)
 
 
 def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) -> ScanResult:
@@ -320,10 +314,10 @@ def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) 
 
     ``field`` may be None only where the metric reads no gain (``prob`` mode
     at a nonpositive target rate).  Raises ValueError for a field computed
-    from other settings.  ``threads`` as for ``gain_field``.
+    from other inputs.  ``threads`` as for ``gain_field``.
     """
     with _Workers(threads) as workers:
-        return _evaluate(cfg, field, workers)
+        return _evaluate(cfg, _extinction(cfg), field, workers)
 
 
 def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
@@ -332,8 +326,9 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
     ``threads`` > 1 splits the rows into that many blocks, each computed in
     its own worker process.
     """
+    ext = _extinction(cfg)
     with _Workers(threads) as workers:
-        return _evaluate(cfg, _field_for(cfg, None, workers), workers)
+        return _evaluate(cfg, ext, _field_for(cfg, ext, None, workers), workers)
 
 
 def run_sweep(
@@ -355,8 +350,9 @@ def run_sweep(
     field = None
     with _Workers(threads) as workers:
         for value, sub_cfg in zip(sweep.values, cfg.sweep_configs()):
-            field = _field_for(sub_cfg, field, workers)
-            result = _evaluate(sub_cfg, field, workers)
+            ext = _extinction(sub_cfg)
+            field = _field_for(sub_cfg, ext, field, workers)
+            result = _evaluate(sub_cfg, ext, field, workers)
             path = None
             if out_stem is not None:
                 path = out_stem.with_name(

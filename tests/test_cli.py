@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +175,18 @@ class TestUsage:
         out = tmp_path / "map.csv"
         assert main(["scan", "--out", str(out), "--threads", threads]) == EXIT_CONFIG
         assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_risk_maps_threads_below_one(self, tmp_path):
+        out = tmp_path / "maps"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "risk_maps.py"
+        run = subprocess.run(
+            [sys.executable, str(script), "--threads", "0", "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert "--threads: must be >= 1, got 0" in run.stderr
+        assert "Traceback" not in run.stderr
         assert not out.exists()
 
     def test_consecutive_calls_share_no_state(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from thzsec.config import (
     _parse_float_list,
     parse_config,
 )
+from thzsec.scan import run_scan, run_sweep
 
 
 def write(tmp_path, text, name="case.cfg"):
@@ -216,6 +218,26 @@ class TestBackends:
     def test_default_backend_is_bundled_table(self, tmp_path):
         cfg = parse_config(write(tmp_path, ""))
         assert isinstance(cfg.backend(), TableAbsorption)
+
+    def test_table_read_once_per_resolution(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("freq_hz,alpha_db_per_km\n140e9,2.0\n400e9,30.0\n")
+        text = (
+            f"[atmosphere]\nabsorption_table_path = {table}\n"
+            "[scan]\nx_min_m = 700\nx_max_m = 800\ny_min_m = 10\ny_max_m = 10\nstep_m = 50\n"
+            "[sweep]\nparameter = eve_background\nvalues = 0.01, 0.1\n"
+        )
+        cfg = parse_config(write(tmp_path, text))
+        scan, sweep = run_scan(cfg), run_sweep(cfg)
+        table.unlink()
+        assert np.array_equal(run_scan(cfg).values, scan.values)
+        assert all(
+            np.array_equal(again.values, first.values)
+            for (_, again, _), (_, first, _) in zip(run_sweep(cfg), sweep)
+        )
+        # a new resolution reads the file again
+        with pytest.raises(ConfigError, match="No such file"):
+            cfg.with_value("scan", "mode", "prob")
 
 
 class TestSweepResolution:

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from thzsec.atmosphere import extinction
 from thzsec.channel import ChannelGains, compute_channel_gains, los_gain
 from thzsec.config import parse_config
 from thzsec.outage import outage_from_gains, outage_scan_point
-from thzsec import config, scan
+from thzsec import atmosphere, config, scan
 from thzsec.scan import (
     JSON_SCHEMA,
     ScanResult,
@@ -557,18 +559,50 @@ def sweep_cfg(tmp_path, parameter, values, mode="det"):
     return cfg_from(tmp_path, text)
 
 
-@pytest.fixture
-def field_calls(monkeypatch):
-    """Counts nlos_gain_field calls made in this process."""
+def count_calls(monkeypatch, module, name):
+    """Counts the calls of ``module.name`` made in this process."""
     calls = []
-    original = scan.nlos_gain_field
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(scan, "nlos_gain_field", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Counts nlos_gain_field calls made in this process."""
+    return count_calls(monkeypatch, scan, "nlos_gain_field")
+
+
+BUNDLED_TABLE = Path(atmosphere.__file__).parent / "data" / "absorption_default.csv"
+
+
+def bundled_table_copy(tmp_path):
+    path = tmp_path / "table_copy.csv"
+    shutil.copyfile(BUNDLED_TABLE, path)
+    return str(path)
+
+
+# settings that only validate when another one changes with them
+TOGETHER = {
+    ("atmosphere", "absorption"): {("atmosphere", "absorption_db_per_km"): 30.0},
+    ("sweep", "parameter"): {("sweep", "values"): (0.01, 0.04)},
+    ("sweep", "values"): {("sweep", "parameter"): "eve_background"},
+}
+
+
+def changed(base, tmp_path, setting, value):
+    """``base`` with ``setting`` set to ``value`` (or to ``value(tmp_path)``
+    where it is a function) and with its TOGETHER settings, resolved at once."""
+    changes = {setting: value(tmp_path) if callable(value) else value, **TOGETHER.get(setting, {})}
+    settings = {section: dict(body) for section, body in base.settings.items()}
+    for (section, key), v in changes.items():
+        settings.setdefault(section, {})[key] = (v, None)
+    return config._resolve(settings, "changed")
 
 
 class TestGainField:
@@ -600,17 +634,18 @@ class TestGainField:
         run_sweep(sweep_cfg(tmp_path, parameter, values, "prob"))
         assert len(field_calls) == expected
 
+    def test_one_extinction_per_config(self, tmp_path, monkeypatch):
+        cfg = sweep_cfg(tmp_path, "eve_background", "0.001, 0.01, 0.1", "prob")
+        calls = count_calls(monkeypatch, scan, "extinction")
+        run_scan(cfg)
+        assert len(calls) == 1
+        run_sweep(cfg)
+        assert len(calls) == 1 + 3
+
     def test_sweep_resolves_each_value_once(self, tmp_path, monkeypatch):
         # parse_config resolves the file and each of the 3 values; run_sweep
         # runs on those sub-configs and resolves nothing again
-        calls = []
-        original = config._resolve
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(config, "_resolve", counted)
+        calls = count_calls(monkeypatch, config, "_resolve")
         cfg = sweep_cfg(tmp_path, "eve_background", "0.001, 0.01, 0.1", "prob")
         assert len(calls) == 4
         outputs = run_sweep(cfg)
@@ -634,7 +669,7 @@ class TestGainField:
         assert field_calls == []
         assert np.isnan(field.g_nlos).all() and np.isnan(field.steering).all()
 
-    # another valid value for every setting outside the field key
+    # another valid value for every setting that leaves the field key equal
     FIELD_FREE_CHANGES = {
         ("link", "divergence_rad"): 0.04,
         ("link", "tx_power_w"): 0.02,
@@ -651,43 +686,72 @@ class TestGainField:
         ("scan", "target_rate_bps"): 5e9,
         ("secrecy", "duty_cycle"): 0.3,
         ("secrecy", "paper_exact"): True,
+        ("scan", "max_cells"): 100.0,
+        ("atmosphere", "absorption_db_per_km"): 30.0,  # read only by constant absorption
+        ("atmosphere", "absorption_table_path"): bundled_table_copy,
+        ("sweep", "parameter"): "divergence_rad",
+        ("sweep", "values"): (0.1, 1.0),
     }
 
-    def test_changes_cover_every_field_free_setting(self, tmp_path):
+    # another valid value for every setting that changes the field key, and
+    # the inputs of the key it changes
+    REFUSED_CHANGES = {
+        ("link", "freq_hz"): (220e9, "alpha_att"),
+        ("atmosphere", "cn2"): (1e-12, "alpha_att"),
+        ("eve", "fov_deg"): (20.0, "fov_full_rad"),
+        ("eve", "aperture_m"): (0.1, "aperture_d"),
+        ("scattering", "g"): (0.5, "scattering"),
+        ("scan", "step_m"): (50.0, "xs, ys"),
+        ("scattering", "f"): (0.2, "scattering"),
+        ("scan", "x_min_m"): (500.0, "xs"),
+        ("scan", "x_max_m"): (900.0, "xs"),
+        ("scan", "y_min_m"): (-100.0, "ys"),
+        ("scan", "y_max_m"): (300.0, "ys"),
+        ("link", "distance_m"): (900.0, "d, alpha_att"),
+        ("atmosphere", "wave"): ("plane", "alpha_att"),
+        ("atmosphere", "absorption"): ("constant", "alpha_att"),
+    }
+
+    def test_changes_cover_every_setting(self, tmp_path):
         cfg = cfg_from(tmp_path, TINY_GRID)
-        free = {
-            (section, key)
-            for section, body in cfg.to_dict().items()
-            for key in body
-            if (section, key) in scan._FIELD_FREE or (section, None) in scan._FIELD_FREE
-        }
-        assert free == set(self.FIELD_FREE_CHANGES)
+        settings = {(section, key) for section, body in cfg.to_dict().items() for key in body}
+        free, refused = set(self.FIELD_FREE_CHANGES), set(self.REFUSED_CHANGES)
+        assert not free & refused
+        assert free | refused == settings
 
     @pytest.mark.parametrize("setting", sorted(FIELD_FREE_CHANGES))
     def test_field_free_setting_leaves_field_bit_identical(self, tmp_path, setting):
         base = cfg_from(tmp_path, TINY_GRID)
-        changed = base.with_value(*setting, self.FIELD_FREE_CHANGES[setting])
-        assert changed.to_dict() != base.to_dict()
-        assert field_key(changed) == field_key(base)
-        a, b = gain_field(base), gain_field(changed)
+        other = changed(base, tmp_path, setting, self.FIELD_FREE_CHANGES[setting])
+        assert other.to_dict() != base.to_dict()
+        assert field_key(other) == field_key(base)
+        a, b = gain_field(base), gain_field(other)
         assert same_bits(a.g_nlos, b.g_nlos)
         assert same_bits(a.steering, b.steering)
+        assert same_bits(evaluate(other, a).values, run_scan(other).values)
 
-    @pytest.mark.parametrize("setting,value", [
-        (("link", "freq_hz"), 220e9),
-        (("atmosphere", "cn2"), 1e-12),
-        (("eve", "fov_deg"), 20.0),
-        (("eve", "aperture_m"), 0.1),
-        (("scattering", "g"), 0.5),
-        (("scan", "step_m"), 50.0),
-    ])
+    @pytest.mark.parametrize("setting,value", [(s, v) for s, (v, _) in REFUSED_CHANGES.items()])
     def test_evaluate_refuses_field_of_other_settings(self, tmp_path, setting, value):
         base = cfg_from(tmp_path, TINY_GRID)
-        other = base.with_value(*setting, value)
+        other = changed(base, tmp_path, setting, value)
         field = gain_field(other)
+        assert field.key != field_key(base)
         assert not same_bits(field.g_nlos, gain_field(base).g_nlos)
-        with pytest.raises(ValueError, match="gain field .*" + ".".join(setting)):
+        inputs = self.REFUSED_CHANGES[setting][1]
+        with pytest.raises(ValueError, match=f"gain field was computed for other inputs: {inputs}$"):
             evaluate(base, field)
+
+    def test_rewritten_absorption_table_refuses_old_field(self, tmp_path):
+        # the key holds the extinction, not the table's path
+        table = tmp_path / "table.csv"
+        text = TINY_GRID + f"[atmosphere]\nabsorption_table_path = {table}\n"
+        shutil.copyfile(BUNDLED_TABLE, table)
+        field = gain_field(cfg_from(tmp_path, text))
+        table.write_text(BUNDLED_TABLE.read_text().replace(",20.95", ",30.0"))
+        cfg = cfg_from(tmp_path, text)
+        with pytest.raises(ValueError, match="other inputs: alpha_att$"):
+            evaluate(cfg, field)
+        assert same_bits(evaluate(cfg, gain_field(cfg)).values, run_scan(cfg).values)
 
     def test_evaluate_reuses_field_across_metrics(self, tmp_path):
         det = cfg_from(tmp_path, TINY_GRID)

@@ -561,15 +561,20 @@ def _optimised_steering(gain, x, y, d):
         np.concatenate([cells, foot_cells]),
         np.concatenate([probes.ravel(), np.full(foot_cells.size, math.pi / 2.0)]),
     )
-    # sorted candidates; a position without a foot probe gets a dummy last
-    # entry that is never the best and never a bracket end
-    angles = np.column_stack([probes, np.full(n, np.inf)])
-    gains = np.column_stack([values[: cells.size].reshape(n, -1), np.full(n, -np.inf)])
-    angles[foot_cells, -1] = math.pi / 2.0
-    gains[foot_cells, -1] = values[cells.size:]
-    order = np.argsort(angles, axis=1, kind="stable")
-    angles = np.take_along_axis(angles, order, axis=1)
-    gains = np.take_along_axis(gains, order, axis=1)
+    # the candidates in ascending order: the probes ascend, and the foot
+    # probe goes after those at or below it; a position without a foot probe
+    # gets a dummy last entry that is never the best and never a bracket end
+    below = np.count_nonzero(probes <= math.pi / 2.0, axis=1)
+    slot = np.where(foot, below, _COARSE_STEERING_POINTS)
+    extra = np.arange(_COARSE_STEERING_POINTS + 1) == slot[:, None]
+    angles = np.empty(extra.shape)
+    gains = np.empty(extra.shape)
+    angles[~extra] = probes.ravel()
+    gains[~extra] = values[: cells.size]
+    angles[extra] = np.where(foot, math.pi / 2.0, np.inf)
+    extra_gains = np.full(n, -np.inf)
+    extra_gains[foot_cells] = values[cells.size:]
+    gains[extra] = extra_gains
     rows = np.arange(n)
     i_best = np.argmax(gains, axis=1)
     i_lo = np.maximum(i_best - 1, 0)

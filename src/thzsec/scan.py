@@ -435,9 +435,8 @@ JSON_SCHEMA: Dict[str, Any] = {
 
 
 def _float_token(v: float) -> str:
-    """Shortest exact decimal representation (round-trips via float())."""
-    if math.isnan(v):
-        return "nan"
+    """Shortest exact decimal representation (round-trips via float());
+    ``nan`` for every NaN.  For a Python float this is ``repr(v)``."""
     return repr(float(v))
 
 
@@ -445,9 +444,68 @@ def _config_json(metadata: Dict[str, Any]) -> str:
     return json.dumps(metadata, sort_keys=True, separators=(",", ":"))
 
 
+# A JSON file's number lists (x_m, y_m, the values grid) are written by one
+# call of the C encoder each, which ``indent`` turns off, then indented by
+# replacing their separators: a number's text holds no ", " and no bracket.
+
+
+def _json_axis(items: list) -> str:
+    """An axis as a member of ``json.dumps(sort_keys=True, indent=1)``'s
+    object."""
+    if not items or not set(map(type, items)) <= {int, float}:
+        # encoded strings hold no raw line break
+        return json.dumps(items, sort_keys=True, indent=1).replace("\n", "\n ")
+    return "[\n  " + json.dumps(items)[1:-1].replace(", ", ",\n  ") + "\n ]"
+
+
+def _json_grid(values: np.ndarray) -> str:
+    """The values grid, NaN as null, as a member of ``json.dumps(sort_keys=True,
+    indent=1)``'s object."""
+    rows = values.tolist()
+    if values.size == 0 or values.dtype.kind not in "biuf":
+        text = json.dumps(rows, sort_keys=True, indent=1).replace("\n", "\n ")
+    else:
+        text = json.dumps(rows).replace(", ", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+        text = "[\n  [\n   " + text[2:-2] + "\n  ]\n ]"
+    # no number's text holds "NaN" but NaN's own
+    return text.replace("NaN", "null")
+
+
+def _json_text(result: ScanResult) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=1)`` of the result's JSON
+    payload.  The number lists sort after every other member, so they follow
+    the stdlib encoding of the rest."""
+    region = extract_insecure_region(result)
+    head = json.dumps(
+        {
+            "schema_version": 1,
+            "mode": result.mode,
+            "msc_bps": result.msc_bps,
+            "mop": result.mop,
+            "regime_error_cells": result.regime_error_cells,
+            "invalid_position_cells": result.invalid_position_cells,
+            "insecure_runs_by_row": {
+                str(iy): [list(r) for r in runs] for iy, runs in region.runs_by_row.items()
+            },
+            "metadata": result.metadata,
+        },
+        sort_keys=True,
+        indent=1,
+    )
+    return (
+        f'{head[:-2]},\n "values": {_json_grid(result.values)},\n'
+        f' "x_m": {_json_axis(list(result.xs))},\n "y_m": {_json_axis(list(result.ys))}\n}}'
+    )
+
+
 def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
     """Write the scan result as CSV or JSON; re-parsing is bit-exact."""
     path = Path(path)
+    if np.shape(result.values) != (len(result.ys), len(result.xs)):
+        raise ValueError(
+            f"values of shape {np.shape(result.values)} for a "
+            f"{len(result.ys)} x {len(result.xs)} grid"
+        )
     if fmt == "csv":
         lines = [f"# config: {_config_json(result.metadata)}"]
         lines.append(f"# mode: {result.mode}")
@@ -458,34 +516,14 @@ def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
         lines.append(f"# regime_error_cells: {result.regime_error_cells}")
         lines.append(f"# invalid_position_cells: {result.invalid_position_cells}")
         lines.append("x_m,y_m,value")
-        for iy, y in enumerate(result.ys):
-            for ix, x in enumerate(result.xs):
-                lines.append(
-                    f"{_float_token(x)},{_float_token(y)},{_float_token(result.values[iy, ix])}"
-                )
+        x_tokens = [_float_token(x) for x in result.xs]
+        # a row of Python floats: each one's repr is its _float_token
+        for y, row in zip(result.ys, np.asarray(result.values, dtype=float).tolist()):
+            y_token = _float_token(y)
+            lines += [f"{x},{y_token},{v!r}" for x, v in zip(x_tokens, row)]
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
-        region = extract_insecure_region(result)
-        payload = {
-            "schema_version": 1,
-            "mode": result.mode,
-            "x_m": list(result.xs),
-            "y_m": list(result.ys),
-            "values": [
-                [None if math.isnan(v) else v for v in row]
-                for row in result.values.tolist()
-            ],
-            "msc_bps": result.msc_bps,
-            "mop": result.mop,
-            "regime_error_cells": result.regime_error_cells,
-            "invalid_position_cells": result.invalid_position_cells,
-            "insecure_runs_by_row": {
-                str(iy): [list(r) for r in runs]
-                for iy, runs in region.runs_by_row.items()
-            },
-            "metadata": result.metadata,
-        }
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        path.write_text(_json_text(result) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
@@ -538,7 +576,6 @@ def load_json(path: Union[str, Path]):
         not isinstance(row, list) or len(row) != len(xs) for row in rows
     ):
         raise ValueError(f"{path}: values are not a {len(ys)} x {len(xs)} grid")
-    values = np.array(
-        [[math.nan if v is None else v for v in row] for row in rows], dtype=float
-    ).reshape(len(ys), len(xs))
+    # np.array reads null (None) as NaN
+    values = np.array(rows, dtype=float).reshape(len(ys), len(xs))
     return xs, ys, values, payload

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -84,6 +85,99 @@ def grids(draw):
     special = st.sampled_from([math.nan, -0.0, 0.0, 5e-324, 2.5e-308, 1e300, -1e300])
     values = draw(arrays(float, (ny, nx), elements=st.one_of(st.floats(), special)))
     return xs, ys, values
+
+
+def reference_csv(result):
+    """The CSV bytes of ``result``, formatted line by line with _float_token."""
+    config = json.dumps(result.metadata, sort_keys=True, separators=(",", ":"))
+    lines = [f"# config: {config}", f"# mode: {result.mode}"]
+    if result.msc_bps is not None:
+        lines.append(f"# msc_bps: {scan._float_token(result.msc_bps)}")
+    if result.mop is not None:
+        lines.append(f"# mop: {scan._float_token(result.mop)}")
+    lines.append(f"# regime_error_cells: {result.regime_error_cells}")
+    lines.append(f"# invalid_position_cells: {result.invalid_position_cells}")
+    lines.append("x_m,y_m,value")
+    for iy, y in enumerate(result.ys):
+        for ix, x in enumerate(result.xs):
+            tokens = (x, y, result.values[iy, ix])
+            lines.append(",".join(scan._float_token(t) for t in tokens))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(result):
+    """The JSON bytes of ``result``: its payload through the stdlib encoder."""
+    region = extract_insecure_region(result)
+    payload = {
+        "schema_version": 1,
+        "mode": result.mode,
+        "x_m": list(result.xs),
+        "y_m": list(result.ys),
+        "values": [
+            [None if math.isnan(v) else v for v in row] for row in result.values.tolist()
+        ],
+        "msc_bps": result.msc_bps,
+        "mop": result.mop,
+        "regime_error_cells": result.regime_error_cells,
+        "invalid_position_cells": result.invalid_position_cells,
+        "insecure_runs_by_row": {
+            str(iy): [list(r) for r in runs] for iy, runs in region.runs_by_row.items()
+        },
+        "metadata": result.metadata,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# strings holding the separators that number lists are indented by, or characters
+# that the encoder escapes
+AWKWARD_TEXT = st.sampled_from(
+    ['a, b', '"quoted", "list"', "line\nbreak, tab\t", "Auße, ω, 東京", "[1, 2]", "NaN, null"]
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), AWKWARD_TEXT, st.text(max_size=8)
+)
+
+
+@st.composite
+def json_results(draw):
+    """Scan results whose JSON text covers NaN, +-inf, -0.0, subnormals, int
+    and float axes, axes of other JSON values, with and without insecure
+    runs, under metadata holding awkward strings."""
+    xs, ys, values = draw(grids())
+    number = st.one_of(st.floats(), st.integers(-(10**20), 10**20))
+    if draw(st.booleans()):
+        xs = draw(st.lists(number, min_size=len(xs), max_size=len(xs)))
+    if draw(st.booleans()):  # not numbers: the stdlib encoder's own path
+        ys = draw(st.lists(JSON_LEAVES, min_size=len(ys), max_size=len(ys)))
+    mode = draw(st.sampled_from(["det", "prob"]))
+    insecure = 0.0 if mode == "det" else 1.0
+    if draw(st.booleans()):  # a run of insecure cells in the first row
+        first = draw(st.integers(0, len(xs) - 1))
+        values[0, first:] = insecure
+    if draw(st.booleans()):
+        values = np.where(values == insecure, 2.0, values)  # no insecure cell
+    if draw(st.booleans()):
+        values = draw(arrays(np.int64, values.shape))
+    extra = draw(
+        st.dictionaries(
+            AWKWARD_TEXT | st.text(max_size=5),
+            st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8),
+            max_size=4,
+        )
+    )
+    optional = st.one_of(st.none(), st.floats())
+    return ScanResult(
+        xs=tuple(xs),
+        ys=tuple(ys),
+        values=values,
+        mode=mode,
+        msc_bps=draw(optional),
+        mop=draw(optional),
+        regime_error_cells=draw(st.integers(0, 100)),
+        invalid_position_cells=draw(st.integers(0, 100)),
+        metadata={"config": {"scan": {"step_m": 2.0}}, "extra": extra},
+    )
 
 
 class TestRunScan:
@@ -504,6 +598,76 @@ class TestEmit:
         out.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="grid"):
             load_json(out)
+
+    @given(json_results())
+    @settings(max_examples=200, deadline=None)
+    def test_json_bytes_equal_stdlib_encoder(self, tmp_path_factory, result):
+        out = tmp_path_factory.getbasetemp() / "stdlib.json"
+        emit(result, "json", out)
+        assert out.read_text() == reference_json(result)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+    def test_json_empty_grid_bytes_equal_stdlib_encoder(self, tmp_path, shape):
+        result = synthetic_result(np.zeros(shape))
+        emit(result, "json", tmp_path / "empty.json")
+        assert (tmp_path / "empty.json").read_text() == reference_json(result)
+
+    @given(grids(), st.sampled_from([None, 5e-324, -0.0, math.inf]))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_bytes_equal_line_by_line_formatter(self, tmp_path_factory, grid, msc):
+        xs, ys, values = grid
+        result = dataclasses.replace(synthetic_result(values, xs=xs, ys=ys), msc_bps=msc)
+        out = tmp_path_factory.getbasetemp() / "reference.csv"
+        emit(result, "csv", out)
+        assert out.read_text() == reference_csv(result)
+
+    def test_int_values_emit_as_their_float_copy(self, tmp_path):
+        ints = np.arange(-6, 6).reshape(3, 4)
+        emit(synthetic_result(ints), "csv", tmp_path / "int.csv")
+        emit(synthetic_result(ints.astype(float)), "csv", tmp_path / "float.csv")
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_values_not_matching_axes_not_emitted(self, tmp_path, fmt):
+        result = synthetic_result(np.zeros((2, 3)), xs=[0.0, 1.0], ys=[0.0, 1.0])
+        with pytest.raises(ValueError, match="grid"):
+            emit(result, fmt, tmp_path / f"map.{fmt}")
+
+    def test_csv_other_spellings_of_the_axes_accepted(self, tmp_path):
+        out = tmp_path / "hand.csv"
+        out.write_text(
+            "# mode: det\n"
+            "x_m,y_m,value\n"
+            "750,2,1.5\n"
+            "800.0,2.0,0\n"
+            "7.5e2,4,nan\n"
+            "8E2,0.4e1,-2.5e-3\n"
+        )
+        xs, ys, values, header = load_csv(out)
+        assert xs == [750.0, 800.0] and ys == [2.0, 4.0]
+        assert same_bits(values, [[1.5, 0.0], [math.nan, -2.5e-3]])
+        assert header == {"mode": "det"}
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["two_fields", "four_fields", "blank_line", "trailing_blank_line"],
+    )
+    def test_csv_malformed_row_rejected(self, tmp_path, damage):
+        out = tmp_path / "map.csv"
+        emit(synthetic_result(np.arange(6.0).reshape(2, 3)), "csv", out)
+        lines = out.read_text().splitlines()
+        row = lines.index("x_m,y_m,value") + 2
+        if damage == "two_fields":
+            lines[row] = "1.0,0.0"
+        elif damage == "four_fields":
+            lines[row] += ",7.0"
+        elif damage == "blank_line":
+            lines.insert(row, "")
+        else:
+            lines.append("")
+        out.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_csv(out)
 
     def test_unknown_format_rejected(self, tmp_path):
         result = run_scan(cfg_from(tmp_path, SMALL_GRID))

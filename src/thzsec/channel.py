@@ -465,36 +465,36 @@ def _steering_free_gain(x, y, scenario, ext, params):
     )
     # one row per table, padded after its last panel
     count = np.bincount(item, minlength=n)
-    col = np.arange(item.size) - np.repeat(np.cumsum(count) - count, count)
-    width = int(count.max())
-    # K15 of (C, S), their |K15 - G7|, the same per radian of the panel, lo, hi
-    panels = np.zeros((n, width, 8))
-    panels[item, col] = np.column_stack([ik, err, err / (hi - lo)[:, None], lo, hi])
-    # at boundary j: sums over panels < j of (C, S), minus the sums over
-    # panels >= j of them, and the sums over panels < j of their |K15 - G7|
-    sums = np.zeros((n, width + 1, 6))
-    sums[:, 1:, :2] = np.cumsum(panels[:, :, :2], axis=1)
+    filled = np.arange(count.max()) < count[:, None]
+    # per panel: K15 of (C, S), the sum of their |K15 - G7|, that sum per
+    # radian of the panel, lo and hi
+    error = err.sum(axis=1)
+    panels = np.zeros(filled.shape + (6,))
+    panels[filled] = np.column_stack([ik, error, error / (hi - lo), lo, hi])
+    # at boundary j: the sums over panels < j of (C, S), minus the sums over
+    # panels >= j of them, and the sum over panels < j of their |K15 - G7|
+    sums = np.zeros((n, filled.shape[1] + 1, 5))
+    sums[:, 1:, [0, 1, 4]] = np.cumsum(panels[:, :, :3], axis=1)
     sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, :2], axis=1)[:, ::-1]
-    sums[:, 1:, 4:] = np.cumsum(panels[:, :, 2:4], axis=1)
     # the record of panel (r, j), at r * width + j: the sums at its start
     # and at its end, its |K15 - G7| per radian, its lo and its hi
-    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 4:]], axis=2)
-    records = records.reshape(-1, 16)
+    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 3:]], axis=2)
+    records = records.reshape(-1, 13)
     # each row's inner panel ends as row + 1j * end, padded with +inf: numpy
     # orders complex numbers by real, then imaginary part, so one exact
     # searchsorted finds a bearing's panel within its own row
-    inner = col < count[item] - 1
-    ends = np.empty((n, width - 1), dtype=complex)
-    ends.real, ends.imag = np.arange(n)[:, None], np.inf
-    ends.imag[item[inner], col[inner]] = hi[inner]
+    ends = np.empty((n, filled.shape[1] - 1), dtype=complex)
+    ends.real = np.arange(n)[:, None]
+    ends.imag = np.where(filled[:, 1:], panels[:, :-1, 5], np.inf)
     ends = ends.ravel()
+    per_cell = tuple(per_cell)
 
     def gain(k, steering):
         parts = [slice(i, i + _QUERY_CHUNK) for i in range(0, k.size, _QUERY_CHUNK)]
         return np.concatenate([query(k[part], steering[part]) for part in parts])
 
     def query(k, steering):
-        beta0_k, beta1_k, decay_k, y_k = per_cell[:, k]
+        beta0_k, beta1_k, decay_k, y_k = (v[k] for v in per_cell)
         # the cone's bearings clipped to [beta0, beta1]; a >= b where it
         # misses the segment
         lim = np.minimum(np.maximum(steering + cone, beta0_k), beta1_k)
@@ -503,29 +503,29 @@ def _steering_free_gain(x, y, scenario, ext, params):
         r = row[k]
         at = ends.searchsorted(r + 1j * lim, side="right") + r
         panel = records[at]
-        one_panel = at[0] == at[1]
         # the full panels lie between the ends' panels, none where those are
         # one; suffix sums where more of C lies before them than after
-        last = panel[1, :, :6]
-        first = np.where(one_panel[:, None], last, panel[0, :, 6:12])
+        last = panel[1, :, :5]
+        first = np.where((at[0] == at[1])[:, None], last, panel[0, :, 5:10])
         full = (last - first).T
         integral = np.where(last[:, 0] > -first[:, 2], full[2:4], full[:2])
         # the partial pieces [a, min(b, a's panel end)] and [max(that, b's
         # panel start), b], empty where the panels are one; G7 on each, its
         # nodes along the second axis, and its prorated |K15 - G7|
-        hi = np.minimum(lim[1], panel[:, :, 15])
-        lo = np.maximum(panel[:, :, 14], (lim[0], hi[0]))
+        hi = np.minimum(lim[1], panel[:, :, 12])
+        lo = np.maximum(panel[:, :, 11], (lim[0], hi[0]))
         span = hi - lo
         half = 0.5 * span
         beta = 0.5 * (hi + lo) + half * GAUSS_NODES[:, None, None]
         weighted = _bearing_weight(beta, y_k, area, alpha_am, params)
         weighted *= GAUSS_WEIGHTS[:, None, None]
         integral += (half * weighted.sum(axis=1)).sum(axis=1)
-        error = full[4:] + (span * panel[:, :, 12:14].transpose(2, 0, 1)).sum(axis=1)
         boresight = np.cos(steering - quarters)
         live = lim[0] < lim[1]
         value = np.where(live, decay_k * (boresight * integral).sum(axis=0), 0.0)
-        bound = decay_k * (np.abs(boresight) * error).sum(axis=0)
+        # the error of C plus that of S bounds that of the gain, as
+        # |cos(beta_s)|, |sin(beta_s)| <= 1
+        bound = decay_k * (full[4] + (span * panel[:, :, 10]).sum(axis=0))
         budget = np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)
         over = np.flatnonzero(live & (bound > budget))
         if over.size:

@@ -19,6 +19,7 @@ problem from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Tuple
 
@@ -276,51 +277,105 @@ def golden_section_max(
     return best_x, best_f
 
 
-def _golden_step(left, a, b, c, d):
-    """One level of the golden section on [a, b] with inner points c < d:
-    the new bracket, its new point and its inner points, where ``left``
-    says f(c) > f(d)."""
-    a_new = np.where(left, a, c)
-    b_new = np.where(left, d, b)
-    x_new = np.where(
-        left, b_new - _INV_PHI * (b_new - a_new), a_new + _INV_PHI * (b_new - a_new)
-    )
-    return a_new, b_new, x_new, np.where(left, x_new, d), np.where(left, c, x_new)
+@functools.lru_cache(maxsize=None)
+def _golden_tree(levels: int):
+    """Index tables of every bracket that ``levels`` levels of the golden
+    section can reach from a root bracket (a, b, c, d), in heap order: node
+    j's children are 2j + 1, taken where f(c) > f(d), and 2j + 2.
+
+    A round keeps its points in one table, a row per point: the root's a,
+    b, c and d in rows 0-3 and node j's new point in row 3 + j.  Returns
+    the rows of each node's (a, b, c, d), shape (nodes, 4); one (rows,
+    sign) per level, rows of shape (3, 2^t) holding the level's a, b and
+    the point its new point steps from by sign * phi * (b - a); and each
+    node's number and its second child's, shape (nodes, 1)."""
+    node, steps = [(0, 1, 2, 3)], []
+    for t in range(levels):
+        level = []
+        for j in range(2**t - 1, 2 ** (t + 1) - 1):
+            a, b, c, d = node[j]
+            # x = d - phi (d - a) on the left, c + phi (b - c) on the right
+            level += [(a, d, 2 * j + 4, c), (c, b, d, 2 * j + 5)]
+        node += level
+        a, b = np.array(level)[:, :2].T
+        left = np.arange(a.size) % 2 == 0
+        sign = np.where(left, -_INV_PHI, _INV_PHI)[:, None]
+        steps.append((np.array([a, b, np.where(left, b, a)]), sign))
+    own = np.arange(len(node))[:, None]
+    return np.array(node), steps, own, 2 * own + 2
 
 
-def _golden_depth(live: int) -> int:
-    """Levels per round of ``batched_golden_section_max`` for ``live``
-    problems.  A round of depth D evaluates 2^D - 1 points per problem in
-    one call to save D - 1 calls: that pays while a call's fixed cost
-    outweighs the extra points, so only for few problems.  On the gain
-    field's row tables, D = 3 is fastest at 8 and 22 cells, D = 1 to 3 tie
-    from 32 to 48, and D = 1 is fastest from 96 cells on."""
-    return 3 if live <= 32 else 1
+def _golden_round(f, live, bracket, levels, xtol):
+    """``levels`` levels of the golden section for the problems live, from
+    their brackets (a, b, c, d, f(c), f(d)), arrays of shape (m,), with one
+    call of f.
+
+    f(c) and f(d) are None in the first round, whose call evaluates c and
+    d too.  A later round takes its first level's branch, which they give,
+    at once.  The levels after that may go either way: a tree
+    (``_golden_tree``) holds every bracket they can reach, and the same
+    call evaluates their new points, 2^(levels+1) points per problem in
+    the first round and 2^levels - 1 in a later one.  Each problem then
+    walks down the tree, following f(c) > f(d), to the first bracket
+    narrower than ``xtol`` or to the round's last level.  Returns the
+    bracket each problem stops at, and whether it is that narrow."""
+    a, b, c, d, fc, fd = bracket
+    m = live.size
+    if fc is None:
+        points, width = [c, d], np.inf  # the first bracket is no level
+    else:
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        points = [x]
+    node, steps, own, right = _golden_tree(levels + len(points) - 2)
+    repeat = len(points) + node.shape[0] - 1  # points per problem
+    if steps:
+        table = np.empty((node.shape[0] + 3, m))
+        table[:4] = a, b, c, d
+        widths = np.empty((node.shape[0], m))
+        widths[0] = width
+        start = 1
+        for rows, sign in steps:
+            lo, hi, base = table[rows]
+            stop = start + sign.size
+            widths[start:stop] = hi - lo
+            table[start + 3:stop + 3] = base + sign * widths[start:stop]
+            start = stop
+        points.append(table[4:].ravel())
+    got = f(np.tile(live, repeat), np.concatenate(points))
+    if fc is None:
+        fc, fd = got[:m], got[m:2 * m]
+    else:
+        fc, fd = np.where(left, got[:m], fd), np.where(left, fc, got[:m])
+    if not steps:  # the round's one level, or in the first round none
+        return (a, b, c, d, fc, fd), np.abs(width) < xtol
+    fx = np.empty(table.shape)  # rows 0 and 1, the root's a and b, stay unread
+    fx[2], fx[3] = fc, fd
+    fx[4:] = got[got.size - table[4:].size:].reshape(-1, m)
+    # each node's next, itself where its bracket is narrower than xtol
+    narrow = np.abs(widths) < xtol
+    step = np.where(narrow, own, right - (fx[node[:, 2]] > fx[node[:, 3]]))
+    cells = np.arange(m)
+    at = step[0]
+    for _ in steps[1:]:
+        at = step.ravel()[at * m + cells]
+    rows = np.take(node, at, axis=0).T * m + cells
+    return (*table.ravel()[rows], *fx.ravel()[rows[2:]]), narrow.ravel()[at * m + cells]
 
 
-def _golden_lookahead(f, live, node, x, depth):
-    """Values of every point that ``depth`` levels may visit, from the
-    level whose bracket, inner points and new point are node = (a, b, c, d)
-    and x, one of each per problem of live.  Level t (from 0) has 2^t nodes
-    per problem, and nodes 2j and 2j + 1 follow node j of level t - 1 where
-    its f(c) > f(d) holds and where it fails; all are evaluated in one call
-    of f.  Returns one (len(live), 2^t) array of values per level."""
-    node = tuple(v[:, None] for v in node)
-    points = [x[:, None]]
-    for t in range(1, depth):
-        node = tuple(np.repeat(v, 2, axis=1) for v in node)
-        a_t, b_t, x_t, c_t, d_t = _golden_step(np.arange(2**t) % 2 == 0, *node)
-        node = (a_t, b_t, c_t, d_t)
-        points.append(x_t)
-    values = f(
-        np.concatenate([np.repeat(live, 2**t) for t in range(depth)]),
-        np.concatenate([x_t.ravel() for x_t in points]),
-    )
-    tables, start = [], 0
-    for x_t in points:
-        tables.append(values[start:start + x_t.size].reshape(x_t.shape))
-        start += x_t.size
-    return tables
+def _golden_depth(live: int) -> Tuple[int, int]:
+    """Levels of the first round and of each later round of
+    ``batched_golden_section_max`` for ``live`` problems.  A later round of
+    D levels evaluates 2^D - 1 points per problem in one call to save
+    D - 1 calls; the first, 2^(D+1) points (c and d among them) to save D.
+    That pays while a call's fixed cost outweighs the extra points, so
+    only for few problems.  On the gain field's row tables, (3, 3) is
+    fastest at 8 and 22 cells, and (0, 1), c and d alone and then one level
+    per call, from 96 cells on."""
+    return (3, 3) if live <= 32 else (0, 1)
 
 
 def batched_golden_section_max(
@@ -336,48 +391,37 @@ def batched_golden_section_max(
 
     ``f(k, x)`` evaluates problems ``k`` at points ``x``, and a problem's
     value must not depend on the others evaluated with it.  The problems
-    still wider than ``xtol`` step one level at a time, in rounds of D
-    levels: a round's first level evaluates, in one call, every point of
-    the D levels that the comparisons may lead to (2^D - 1 per problem),
-    and its levels then read their values.  D comes from the number of
-    live problems (``_golden_depth``); at D = 1 each level calls f for its
-    new points alone.  So each problem visits exactly
-    the points, and gets exactly the values, of ``golden_section_max``.
-    Returns (x, f(x)) arrays.
+    step in rounds of D levels, one call of f each (``_golden_round``): a
+    round evaluates every point that its levels' comparisons may lead to,
+    and its levels then read their values.  The first round evaluates the
+    first inner points c and d as well, and may have its own D, 0 for c
+    and d alone (``_golden_depth``).  A problem leaves the batch at the
+    level that narrows its bracket below ``xtol``.  So each problem
+    visits exactly the points, and gets exactly the values, of
+    ``golden_section_max``.  Returns (x, f(x)) arrays.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    every = np.arange(a.size)
     best_x = np.where(fb > fa, b, a)
     best_f = np.where(fb > fa, fb, fa)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = np.split(f(np.concatenate([every, every]), np.concatenate([c, d])), 2)
-    live, tables = every, []
-    for _ in range(_GOLDEN_MAX_ITER):
-        if not live.size:
-            break
-        left = fc[live] > fd[live]
-        a_new, b_new, x_new, c_new, d_new = _golden_step(
-            left, a[live], b[live], c[live], d[live]
-        )
-        if tables:  # a later level of a round: follow the branch taken
-            j = 2 * j + ~left
-        else:  # a round's first level
-            tables = _golden_lookahead(
-                f, live, (a_new, b_new, c_new, d_new), x_new, _golden_depth(live.size)
-            )
-            # each live problem's row of the tables, and its node
-            row, j = np.arange(live.size), np.zeros(live.size, dtype=int)
-        f_new = tables.pop(0)[row, j]
-        c[live], d[live] = c_new, d_new
-        fc[live], fd[live] = np.where(left, f_new, fd[live]), np.where(left, fc[live], f_new)
-        a[live], b[live] = a_new, b_new
-        going = ~(np.abs(b_new - a_new) < xtol)
-        live = live[going]
-        if tables:
-            row, j = row[going], j[going]
-    for x, fx in ((c, fc), (d, fd)):
+    # (c, d, f(c), f(d)) of each problem's last bracket
+    final = [np.empty(a.size) for _ in range(4)]
+    live = np.arange(a.size)
+    bracket = (a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), None, None)
+    level = 0
+    while live.size:
+        levels = _golden_depth(live.size)[bracket[4] is not None]
+        levels = min(levels, _GOLDEN_MAX_ITER - level)
+        bracket, stop = _golden_round(f, live, bracket, levels, xtol)
+        level += levels
+        if level == _GOLDEN_MAX_ITER:
+            stop = np.ones(live.size, dtype=bool)
+        if stop.any():
+            for out, v in zip(final, bracket[2:]):
+                out[live[stop]] = v[stop]
+            going = ~stop
+            live, bracket = live[going], tuple(v[going] for v in bracket)
+    for x, fx in zip(final[:2], final[2:]):
         better = fx > best_f
         best_x = np.where(better, x, best_x)
         best_f = np.where(better, fx, best_f)

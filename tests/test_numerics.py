@@ -70,23 +70,46 @@ def test_golden_section_returns_best_endpoint():
 
 def test_batched_golden_section_equals_scalar_per_problem():
     # maxima inside, at either end and outside the brackets, which differ in
-    # width so that the problems converge in different rounds; at every
-    # look-ahead depth, so rounds of several levels are replayed
-    centres = np.array([2.0, 0.1, 4.9, -1.0, 7.0, 0.3])
-    a = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.3])
-    b = np.array([5.0, 0.5, 5.0, 3.0, 2.1, 0.3])
+    # width so that the problems converge in different rounds: a zero-width
+    # bracket, and brackets that the first, second and third level narrow
+    # below xtol, so within a folded first round; at every depth of the
+    # first and of the later rounds, so rounds of several levels are replayed
+    centres = np.array([2.0, 0.1, 4.9, -1.0, 7.0, 0.3, 1.0, 1.0, 1.0])
+    a = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.3, 1.0, 1.0, 0.99999999])
+    b = np.array([5.0, 0.5, 5.0, 3.0, 2.1, 0.3, 1.000000001, 1.00000002, 1.00000002])
 
     def f(k, x):
         return -((x - centres[k]) ** 2)
 
     every = np.arange(centres.size)
-    for depth in (1, 2, 3, 4):
+    for first in (0, 1, 2, 3, 4):
+        for later in (1, 2, 3, 4):
+            with mock.patch.object(numerics, "_golden_depth", lambda live: (first, later)):
+                xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=1e-8)
+            for k, c in enumerate(centres):
+                assert (xs[k], fs[k]) == golden_section_max(
+                    lambda t: -((t - c) ** 2), a[k], b[k], xtol=1e-8
+                )
+
+
+def test_batched_golden_section_levels_per_call():
+    # each call of f is one round: the first evaluates c, d and both
+    # branches of its levels, 2^(D+1) points per problem, a later one the
+    # 2^D - 1 points of the branch taken; a problem of 17 levels (a bracket
+    # of 0.27 to 1e-4) then takes 1 + ceil(14 / 3) = 6 calls at (3, 3),
+    # against 1 + 17 at (0, 1)
+    calls = []
+
+    def f(k, x):
+        calls.append(np.bincount(k, minlength=2).tolist())
+        return -((x - 0.1) ** 2)
+
+    a, b = np.array([0.0, 0.0]), np.array([0.27, 0.27])
+    for depth, want in (((3, 3), [16] + [7] * 5), ((0, 1), [2] + [1] * 17)):
+        calls.clear()
         with mock.patch.object(numerics, "_golden_depth", lambda live: depth):
-            xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=1e-8)
-        for k, c in enumerate(centres):
-            assert (xs[k], fs[k]) == golden_section_max(
-                lambda t: -((t - c) ** 2), a[k], b[k], xtol=1e-8
-            )
+            batched_golden_section_max(f, a, b, f(np.arange(2), a), f(np.arange(2), b), 1e-4)
+        assert calls[2:] == [[n, n] for n in want]
 
 
 # a smooth peak, a kink, a plateau (ties f(c) == f(d) on it) and a staircase
@@ -114,14 +137,17 @@ problems = st.tuples(
 
 @given(
     batch=st.lists(problems, min_size=1, max_size=30),
-    depth=st.integers(min_value=1, max_value=5),
+    first=st.integers(min_value=0, max_value=5),
+    later=st.integers(min_value=1, max_value=5),
     xtol=st.sampled_from([1e-8, 1e-4, 1e-2]),
 )
 @settings(max_examples=150, deadline=None)
-def test_speculative_golden_section_equals_lockstep(batch, depth, xtol):
-    # rounds of D levels visit the points, and get the values, of D = 1 and
-    # of the one-problem search, bit for bit per problem: over ragged
-    # brackets that converge at different levels, kinks, ties and maxima
+def test_speculative_golden_section_equals_lockstep(batch, first, later, xtol):
+    # rounds of D levels, and a first round of its own depth that folds in
+    # c and d, visit the points, and get the values, of one level per call
+    # and of the one-problem search, bit for bit per problem: over ragged
+    # brackets that converge at different levels (zero-width ones and ones
+    # narrower than xtol within the first round), kinks, ties and maxima
     # at (or beyond) the bracket ends
     a = np.array([p[0] for p in batch])
     b = a + np.array([p[1] for p in batch])
@@ -137,7 +163,7 @@ def test_speculative_golden_section_equals_lockstep(batch, depth, xtol):
 
     every = np.arange(len(batch))
     results = []
-    for d in (1, depth):
+    for d in ((0, 1), (first, later)):
         with mock.patch.object(numerics, "_golden_depth", lambda live: d):
             xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=xtol)
         results.append((xs.tobytes(), fs.tobytes()))
@@ -149,5 +175,7 @@ def test_speculative_golden_section_equals_lockstep(batch, depth, xtol):
 
 def test_golden_depth_falls_with_the_batch():
     depths = [numerics._golden_depth(n) for n in (1, 8, 22, 48, 64, 128, 512)]
-    assert depths == sorted(depths, reverse=True)
-    assert depths[0] > 1 and depths[-1] == 1
+    for round_depths in zip(*depths):  # the first round's, the later rounds'
+        assert list(round_depths) == sorted(round_depths, reverse=True)
+    assert depths[0][0] > 1 and depths[0][1] > 1
+    assert depths[-1] == (0, 1)

@@ -370,12 +370,14 @@ def _golden_depth(live: int) -> Tuple[int, int]:
     """Levels of the first round and of each later round of
     ``batched_golden_section_max`` for ``live`` problems.  A later round of
     D levels evaluates 2^D - 1 points per problem in one call to save
-    D - 1 calls; the first, 2^(D+1) points (c and d among them) to save D.
-    That pays while a call's fixed cost outweighs the extra points, so
-    only for few problems.  On the gain field's row tables, (3, 3) is
-    fastest at 8 and 22 cells, and (0, 1), c and d alone and then one level
-    per call, from 96 cells on."""
-    return (3, 3) if live <= 32 else (0, 1)
+    D - 1 calls; a first round of D levels, c and d and 2^(D+1) - 2 more
+    points to save D.  That pays while a call's fixed cost outweighs the
+    extra points, so only for few problems.  Timed on the gain field's row
+    tables (standard-map cells, 2-core x86-64 host): (3, 3) is fastest at
+    8 cells; (2, 3) at 22 to 64, with (3, 3) 4-9 % slower and (0, 1) 3-19 %
+    slower; (0, 1), c and d alone and then one level per call, ties with
+    (1, 1) at 128 cells, where (2, 3) is 11 % slower."""
+    return (3, 3) if live <= 16 else (2, 3) if live <= 64 else (0, 1)
 
 
 def batched_golden_section_max(

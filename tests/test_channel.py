@@ -541,6 +541,47 @@ class TestNlosGainField:
             want_gain = reference_nlos_gain(cell, ext, params, want_steering)
             assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
 
+    # the cells perfbench times: det_map's x = 0, 98, ..., 980 m at y = 2 and
+    # 100 m, and prob_bg_sweep's x = 750 m line at y = 2, 16, ..., 100 m
+    BENCH_CELLS = {
+        "det_map": np.meshgrid(98.0 * np.arange(11), [2.0, 100.0]),
+        "prob_bg_sweep": (np.full(8, 750.0), 2.0 + 14.0 * np.arange(8)),
+    }
+
+    @pytest.mark.parametrize("workload", ["det_map", "prob_bg_sweep"])
+    def test_benchmark_cells_match_scalar_search(self, workload):
+        # the scalar search's steering, bit for bit, and its G_NLOS to 1e-9
+        cfg = parse_config(None)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        xs, ys = self.BENCH_CELLS[workload]
+        steering, g_nlos = nlos_gain_field(xs, ys, sc, ext, params)
+        for k in np.ndindex(np.shape(xs)):
+            cell = sc.with_eve_at(xs[k], ys[k])
+            want_steering, _ = optimize_steering(cell, ext, params)
+            assert steering[k].tobytes() == np.float64(want_steering).tobytes()
+            want_gain = reference_nlos_gain(cell, ext, params, want_steering)
+            assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("workload,calls", [("det_map", 7), ("prob_bg_sweep", 6)])
+    def test_benchmark_cells_query_rounds(self, monkeypatch, workload, calls):
+        # the coarse probes, then the golden section's rounds, its first
+        # inner points folded into the first: 7 numpy query rounds on
+        # det_map's cells (8 before the folding) and 6 on the x = 750 m line
+        rounds = []
+        table = channel._steering_free_gain
+
+        def counted(*args):
+            gain = table(*args)
+            return lambda k, steering: rounds.append(k.size) or gain(k, steering)
+
+        monkeypatch.setattr(channel, "_steering_free_gain", counted)
+        cfg = parse_config(None)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        nlos_gain_field(*self.BENCH_CELLS[workload], sc, ext, params)
+        assert len(rounds) == calls
+
     def test_panel_budget_raises(self, monkeypatch):
         sc = field_scenario(60.0)  # wide segments need several panels
         nlos_gain_field([750.0], [30.0], sc, EXT, FORWARD)

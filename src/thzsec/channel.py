@@ -564,7 +564,7 @@ def _optimised_steering(gain, x, y, d):
     # the candidates in ascending order: the probes ascend, and the foot
     # probe goes after those at or below it; a position without a foot probe
     # gets a dummy last entry that is never the best and never a bracket end
-    below = np.count_nonzero(probes <= math.pi / 2.0, axis=1)
+    below = (probes <= math.pi / 2.0).sum(axis=1)
     slot = np.where(foot, below, _COARSE_STEERING_POINTS)
     extra = np.arange(_COARSE_STEERING_POINTS + 1) == slot[:, None]
     angles = np.empty(extra.shape)

@@ -322,7 +322,7 @@ def _golden_round(f, live, bracket, levels, xtol):
     a, b, c, d, fc, fd = bracket
     m = live.size
     if fc is None:
-        points, width = [c, d], np.inf  # the first bracket is no level
+        points, width = [c, d], np.full(m, np.inf)  # the first bracket is no level
     else:
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
@@ -331,7 +331,7 @@ def _golden_round(f, live, bracket, levels, xtol):
         c, d = np.where(left, x, d), np.where(left, c, x)
         points = [x]
     node, steps, own, right = _golden_tree(levels + len(points) - 2)
-    repeat = len(points) + node.shape[0] - 1  # points per problem
+    head = len(points) * m  # the values of c and d, or of the level's point
     if steps:
         table = np.empty((node.shape[0] + 3, m))
         table[:4] = a, b, c, d
@@ -345,7 +345,8 @@ def _golden_round(f, live, bracket, levels, xtol):
             table[start + 3:stop + 3] = base + sign * widths[start:stop]
             start = stop
         points.append(table[4:].ravel())
-    got = f(np.tile(live, repeat), np.concatenate(points))
+    points = np.concatenate(points)
+    got = f(np.tile(live, points.size // m), points)
     if fc is None:
         fc, fd = got[:m], got[m:2 * m]
     else:
@@ -354,7 +355,7 @@ def _golden_round(f, live, bracket, levels, xtol):
         return (a, b, c, d, fc, fd), np.abs(width) < xtol
     fx = np.empty(table.shape)  # rows 0 and 1, the root's a and b, stay unread
     fx[2], fx[3] = fc, fd
-    fx[4:] = got[got.size - table[4:].size:].reshape(-1, m)
+    fx[4:] = got[head:].reshape(-1, m)
     # each node's next, itself where its bracket is narrower than xtol
     narrow = np.abs(widths) < xtol
     step = np.where(narrow, own, right - (fx[node[:, 2]] > fx[node[:, 3]]))

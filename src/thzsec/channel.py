@@ -350,7 +350,13 @@ def nlos_gain_field(
 
     Runs ``optimize_steering``'s search for all positions at once: the same
     24 probes plus the foot point, the same bracket and a lockstep golden
-    section to ``STEERING_XTOL_RAD``.  Each gain it compares comes from one
+    section to ``STEERING_XTOL_RAD`` (``batched_golden_section_max``).  It
+    queries the gains in one numpy round for the probes and one per
+    golden-section round, whose first also takes the first inner points:
+    7 rounds in all for 22 positions whose searches take 15-17 levels
+    (perfbench's det_map cells), 6 for 8 positions of 15 levels (its
+    x = 750 m line), and 133 for the standard 25,050-cell map.  Each gain
+    it compares comes from one
     steering-free table per distinct |y| (``_steering_free_gain``) instead
     of an adaptive quadrature per steering, so the field picks the steering
     ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
@@ -437,9 +443,10 @@ def _steering_free_gain(x, y, scenario, ext, params):
     difference of two near-total sums) and integrates the one or two
     partial panels by a G7 rule each.  Its error estimate is the full
     panels' |K15 - G7| plus each partial panel's, prorated by the share of
-    the panel the rule covers.  A query over its QUAD_REL_TOL budget is
-    integrated adaptively instead.  Every sum runs over one row's panels
-    only.
+    the panel the rule covers, summed over C and S: that bounds the estimate
+    for the gain, as |cos(beta_s)| and |sin(beta_s)| are at most 1.  A
+    query over its QUAD_REL_TOL budget is integrated adaptively instead.
+    Every sum runs over one row's panels only.
     """
     alpha_am, area = ext.alpha_att, scenario.eve.area
     if alpha_am == 0.0:
@@ -501,7 +508,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
         # the records of both ends' panels; a bearing lies in panel j of its
         # row, j = the number of the row's inner ends at or below it
         r = row[k]
-        at = ends.searchsorted(r + 1j * lim, side="right") + r
+        key = np.empty(lim.shape, dtype=complex)
+        key.real, key.imag = r, lim
+        at = ends.searchsorted(key, side="right") + r
         panel = records[at]
         # the full panels lie between the ends' panels, none where those are
         # one; suffix sums where more of C lies before them than after

@@ -346,7 +346,7 @@ def _golden_round(f, live, bracket, levels, xtol):
             start = stop
         points.append(table[4:].ravel())
     points = np.concatenate(points)
-    got = f(np.tile(live, points.size // m), points)
+    got = f(np.repeat(live[None], points.size // m, axis=0).ravel(), points)
     if fc is None:
         fc, fd = got[:m], got[m:2 * m]
     else:

@@ -456,7 +456,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     cone = np.array([[-math.pi / 2.0 - half_fov], [-math.pi / 2.0 + half_fov]])
     quarters = np.array([[math.pi / 2.0], [math.pi]])
     decay = np.exp(-alpha_am * x)
-    per_cell = np.array([np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y])
+    per_cell = (np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y)
     y_row, row = np.unique(y, return_inverse=True)
     n = y_row.size
 
@@ -483,8 +483,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
     sums = np.zeros((n, filled.shape[1] + 1, 5))
     sums[:, 1:, [0, 1, 4]] = np.cumsum(panels[:, :, :3], axis=1)
     sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, :2], axis=1)[:, ::-1]
-    # the record of panel (r, j), at r * width + j: the sums at its start
-    # and at its end, its |K15 - G7| per radian, its lo and its hi
+    # the record of panel (r, j), at r * w + j for rows padded to w panels:
+    # the sums at its start and at its end, its |K15 - G7| per radian, its
+    # lo and its hi
     records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 3:]], axis=2)
     records = records.reshape(-1, 13)
     # each row's inner panel ends as row + 1j * end, padded with +inf: numpy
@@ -494,7 +495,6 @@ def _steering_free_gain(x, y, scenario, ext, params):
     ends.real = np.arange(n)[:, None]
     ends.imag = np.where(filled[:, 1:], panels[:, :-1, 5], np.inf)
     ends = ends.ravel()
-    per_cell = tuple(per_cell)
 
     def gain(k, steering):
         parts = [slice(i, i + _QUERY_CHUNK) for i in range(0, k.size, _QUERY_CHUNK)]

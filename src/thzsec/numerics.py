@@ -286,9 +286,9 @@ def _golden_tree(levels: int):
     A round keeps its points in one table, a row per point: the root's a,
     b, c and d in rows 0-3 and node j's new point in row 3 + j.  Returns
     the rows of each node's (a, b, c, d), shape (nodes, 4); one (rows,
-    sign) per level, rows of shape (3, 2^t) holding the level's a, b and
-    the point its new point steps from by sign * phi * (b - a); and each
-    node's number and its second child's, shape (nodes, 1)."""
+    sign) per level, rows of shape (3, the level's nodes) holding their a,
+    b and the point their new point steps from by sign * phi * (b - a);
+    and each node's number and its second child's, shape (nodes, 1)."""
     node, steps = [(0, 1, 2, 3)], []
     for t in range(levels):
         level = []

@@ -141,25 +141,17 @@ class _CapacityCurve:
         return [v - self.i_eve for v in bob]
 
 
-def _link_counts(scenario: LinkScenario) -> Tuple[float, float]:
-    """The photon energy and Bob's count per unit gain (the factor 1.0 is
-    exact), which every position's capacity curve on the link reads."""
-    e_p = photon_energy_j(scenario.freq_hz)
-    return e_p, _signal_count(scenario, scenario.bob, 1.0, e_p)
-
-
 def _capacity_vs_gain(
     scenario: LinkScenario,
     g_nlos_fixed: float,
     rates_template: DetectionRates,
     paper_exact: bool = False,
-    link: Optional[Tuple[float, float]] = None,
 ) -> _CapacityCurve:
-    """The capacity curve I_bob(G) - I_eve of one eavesdropper position;
-    ``link`` is ``_link_counts(scenario)``, computed here when not given."""
-    e_p, k_bob = link or _link_counts(scenario)
-    # Eve's count as detection_rates forms lambda_n, so that I_eve is the
-    # one it reports
+    """The capacity curve I_bob(G) - I_eve of one eavesdropper position."""
+    e_p = photon_energy_j(scenario.freq_hz)
+    # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
+    # detection_rates forms lambda_n, so that I_eve is the one it reports
+    k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
     i_eve = ook_mutual_information(
         _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
         rates_template.lambda_e, rates_template.q, paper_exact,
@@ -294,24 +286,8 @@ def threshold_gain(
     the lower bracket 1e-30 when the target is already met there (outage
     negligible).
     """
-    return _threshold_gain(
-        scenario, g_nlos_fixed, rates_template, target_rate_bps, paper_exact,
-        _link_counts(scenario),
-    )
-
-
-def _threshold_gain(
-    scenario: LinkScenario,
-    g_nlos_fixed: float,
-    rates_template: DetectionRates,
-    target_rate_bps: float,
-    paper_exact: bool,
-    link: Tuple[float, float],
-) -> Optional[float]:
-    """``threshold_gain`` with the link's ``_link_counts``, for a caller that
-    solves many positions of one link."""
     target_bits = target_rate_bps * rates_template.integration_time_s
-    capacity = _capacity_vs_gain(scenario, g_nlos_fixed, rates_template, paper_exact, link)
+    capacity = _capacity_vs_gain(scenario, g_nlos_fixed, rates_template, paper_exact)
     return _solve_tabulated(capacity, capacity.slope, target_bits, capacity.table())
 
 

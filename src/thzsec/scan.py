@@ -29,7 +29,7 @@ import numpy as np
 from .atmosphere import ExtinctionBreakdown, RegimeError, extinction
 from .channel import ChannelGains, LinkScenario, ScatteringParams, los_gain, nlos_gain_field
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ConfigError, ResolvedConfig
-from .outage import FadingModel, _link_counts, _threshold_gain, outage_probability
+from .outage import FadingModel, outage_probability, threshold_gain
 from .secrecy import DetectionRates, _signal_count, detection_rates, ook_mutual_information
 
 __all__ = [
@@ -192,7 +192,6 @@ class _Metric:
     fading: Optional[FadingModel]  # prob mode only
     target_rate_bps: float
     paper_exact: bool
-    link: Tuple[float, float]  # photon energy, Bob's count per unit gain
 
     def __call__(self, g_nlos: float) -> float:
         sc, rates = self.scenario, self.rates
@@ -200,9 +199,7 @@ class _Metric:
             lam_n = _signal_count(sc, sc.eve, g_nlos, rates.e_photon)
             i_eve = ook_mutual_information(lam_n, rates.lambda_e, rates.q, self.paper_exact)
             return max(0.0, self.i_bob - i_eve) / rates.integration_time_s
-        g_star = _threshold_gain(
-            sc, g_nlos, rates, self.target_rate_bps, self.paper_exact, self.link
-        )
+        g_star = threshold_gain(sc, g_nlos, rates, self.target_rate_bps, self.paper_exact)
         return 1.0 if g_star is None else outage_probability(self.fading, g_star)
 
 
@@ -212,9 +209,7 @@ def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown) -> _Metric:
     rates = detection_rates(scenario, ChannelGains(g_los, 0.0, math.nan, None), cfg.duty_cycle())
     i_bob = ook_mutual_information(rates.lambda_l, rates.lambda_b, rates.q, exact)
     fading = FadingModel(g_los, ext.beta_r2_sph) if spec.mode == MODE_PROBABILISTIC else None
-    return _Metric(
-        scenario, rates, i_bob, fading, spec.target_rate_bps, exact, _link_counts(scenario)
-    )
+    return _Metric(scenario, rates, i_bob, fading, spec.target_rate_bps, exact)
 
 
 def _metric_cells(payload) -> List[float]:

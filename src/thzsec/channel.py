@@ -202,8 +202,14 @@ def _phase_values(mu, g: float, f: float):
 @functools.lru_cache(maxsize=64)
 def _phase_goes_negative(g: float, f: float) -> bool:
     """Whether p(mu) falls below 0 anywhere on a 2001-point grid over
-    [-1, 1]; every ScatteringParams of one (g, f) shares the check."""
+    [-1, 1]; every ScatteringParams of one (g, f) shares the check.
+
+    Only the grid points with 3 mu^2 - 1 < 0 are evaluated: elsewhere both
+    terms of p are >= 0 for f >= 0.  There |3 mu^2 - 1| <= 1 and 1 + g^2 -
+    2 g mu >= 2/3, so no finite (g, f) overflows, and the outcome is the
+    whole grid's."""
     mu = np.linspace(-1.0, 1.0, 2001)
+    mu = mu[3.0 * np.square(mu) - 1.0 < 0.0]
     return bool(np.min(_phase_values(mu, g, f)) < 0)
 
 
@@ -356,17 +362,23 @@ def nlos_gain_field(
     7 rounds in all for 22 positions whose searches take 15-17 levels
     (perfbench's det_map cells), 6 for 8 positions of 15 levels (its
     x = 750 m line), and 133 for the standard 25,050-cell map.  Each gain
-    it compares comes from one
-    steering-free table per distinct |y| (``_steering_free_gain``) instead
-    of an adaptive quadrature per steering, so the field picks the steering
-    ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
-    (8.4e-13 on the standard map), not bit for bit.  Eve's position in
-    ``scenario`` is ignored.  A position's result does not depend on the
-    other positions passed with it.  Returns (steering, g_nlos) arrays of
-    the positions' shape; ``QuadratureError`` when a table needs more than
-    ``QUAD_MAX_PANELS`` panels.
+    it compares comes from one steering-free table per distinct |y|
+    (``_steering_free_gain``) instead of an adaptive quadrature per
+    steering, so the field picks the steering ``optimize_steering`` picks
+    and agrees with its G_NLOS to 1e-9 relative (8.4e-13 on the standard
+    map), not bit for bit.  On det_map's 22 positions (2-core x86-64 VM)
+    the two row tables take about 0.1 ms and each query round about
+    30 us plus 0.35 us per steering, most of it the G7 rule on the
+    partial panels.  Eve's position in ``scenario`` is ignored.  A
+    position's result does not depend on the other positions passed with
+    it.  Returns (steering, g_nlos) arrays of the positions' shape;
+    ``QuadratureError`` when a table needs more than ``QUAD_MAX_PANELS``
+    panels.
     """
-    x, y = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     shape = x.shape
     x, y = x.ravel(), np.abs(y.ravel())
     if (y == 0).any():
@@ -376,19 +388,31 @@ def nlos_gain_field(
     gain = _steering_free_gain(x, y, scenario, ext, params)
     steering, g_nlos = np.empty(x.size), np.empty(x.size)
     for lo in range(0, x.size, _FIELD_CHUNK):
-        cells = np.arange(lo, min(lo + _FIELD_CHUNK, x.size))
-        steering[cells], g_nlos[cells] = _optimised_steering(
-            lambda i, s: gain(cells[i], s), x[cells], y[cells], scenario.d
+        part = slice(lo, lo + _FIELD_CHUNK)
+        # the search numbers a chunk's positions from 0
+        chunk_gain = gain if lo == 0 else (lambda i, s, lo=lo: gain(i + lo, s))
+        steering[part], g_nlos[part] = _optimised_steering(
+            chunk_gain, x[part], y[part], scenario.d
         )
     return steering.reshape(shape), g_nlos.reshape(shape)
 
 
-def _bearing_weight(beta, y, area, alpha_am, params):
+def _row_factors(y, area, alpha_am, params):
+    """``_bearing_weight``'s factors -alpha_am y and A alpha_am (1 - g^2) /
+    (4 pi y) for Eve at height y > 0."""
+    g = params.g
+    c = area * alpha_am * (1.0 - g * g) / (4.0 * math.pi)
+    return -alpha_am * y, c / y
+
+
+def _bearing_weight(beta, ay, cy, params):
     """(cos(beta), sin(beta)) * W_y(beta), stacked along a new first axis,
-    for Eve at height y > 0.  W_y(beta) = (A alpha_am / y) p(-sin beta)
-    exp(-alpha_am y (1 + sin beta) / cos beta) is the single-scatter
-    integrand in Eve's bearing beta without the boresight factor
-    cos(beta - beta_s) and without exp(-alpha_am x).
+    for Eve at height y > 0, from ``_row_factors``' (ay, cy) of that y,
+    shaped to broadcast against beta.  W_y(beta) = (A alpha_am / y)
+    p(-sin beta) exp(-alpha_am y (1 + sin beta) / cos beta) is the
+    single-scatter integrand in Eve's bearing beta without the boresight
+    factor cos(beta - beta_s) and without exp(-alpha_am x).  beta is
+    overwritten: every temporary of the same shape reuses a buffer.
 
     All of it comes from t = tan(beta/2 + pi/4) = (1 + sin beta) / cos beta,
     with cos beta = 2t / (1 + t^2) and sin beta = (t^2 - 1) / (1 + t^2):
@@ -399,21 +423,29 @@ def _bearing_weight(beta, y, area, alpha_am, params):
     2 g sin beta = ((1 + g)^2 t^2 + (1 - g)^2) / (1 + t^2) has no
     cancellation."""
     g, f = params.g, params.f
-    c = area * alpha_am * (1.0 - g * g) / (4.0 * math.pi)
     b = f / (2.0 * (1.0 + g * g) ** 1.5)
-    t = np.tan(0.5 * beta + math.pi / 4.0)
+    np.multiply(beta, 0.5, out=beta)
+    np.add(beta, math.pi / 4.0, out=beta)
+    t = np.tan(beta, out=beta)
     t2 = t * t
     den = t2 + 1.0
     out = np.empty((2,) + t.shape)
-    np.divide(t + t, den, out=out[0])
-    np.divide(t2 - 1.0, den, out=out[1])
+    np.add(t, t, out=out[0])
+    np.divide(out[0], den, out=out[0])
+    np.subtract(t2, 1.0, out=out[1])
+    np.divide(out[1], den, out=out[1])
     # (1 + g^2 + 2 g sin beta)^(-3/2) = q^(3/2), q = (1 + t^2) / ((1 + g)^2 t^2 + (1 - g)^2)
-    p = den / ((1.0 + g) ** 2 * t2 + (1.0 - g) ** 2)
-    p *= np.sqrt(p)
-    p += (3.0 * b) * out[1] * out[1]
+    t2 *= (1.0 + g) ** 2
+    t2 += (1.0 - g) ** 2
+    p = np.divide(den, t2, out=den)
+    p *= np.sqrt(p, out=t2)
+    np.multiply(out[1], 3.0 * b, out=t2)
+    t2 *= out[1]
+    p += t2
     p -= b
-    p *= np.exp((-alpha_am * y) * t)
-    p *= c / y
+    t *= ay
+    p *= np.exp(t, out=t)
+    p *= cy
     out *= p
     return out
 
@@ -437,32 +469,33 @@ def _steering_free_gain(x, y, scenario, ext, params):
     _BEARING_RUNGS, where the forward-scatter peak (beta -> -pi/2) and the
     exponential edge (beta -> pi/2) lie.  It keeps their K15 integrals,
     |K15 - G7| on each panel, and each row's prefix and suffix sums of
-    them; one complex searchsorted finds the panels of a query's limits.
-    A query reads the full panels from the sums (suffix sums where the
-    segment lies past most of C, so that a small tail integral is not the
-    difference of two near-total sums) and integrates the one or two
-    partial panels by a G7 rule each.  Its error estimate is the full
-    panels' |K15 - G7| plus each partial panel's, prorated by the share of
-    the panel the rule covers, summed over C and S: that bounds the estimate
-    for the gain, as |cos(beta_s)| and |sin(beta_s)| are at most 1.  A
-    query over its QUAD_REL_TOL budget is integrated adaptively instead.
-    Every sum runs over one row's panels only.
+    them, one column each in a record per panel, and beside it a column
+    per position: beta0, beta1, exp(-alpha_am x), its row and its row's
+    factors of W_y.  A query gathers its positions' columns in one take,
+    finds the panels of both of its limits in one complex searchsorted
+    and gathers their records in another take.  It reads the full panels
+    from the sums (suffix sums where the segment lies past most of C, so
+    that a small tail integral is not the difference of two near-total
+    sums) and integrates the one or two partial panels by a G7 rule each.
+    Its error estimate is the full panels' |K15 - G7| plus each partial
+    panel's, prorated by the share of the panel the rule covers, summed
+    over C and S: that bounds the estimate for the gain, as |cos(beta_s)|
+    and |sin(beta_s)| are at most 1.  A query over its QUAD_REL_TOL budget
+    is integrated adaptively instead.  Every sum runs over one row's
+    panels only.
     """
     alpha_am, area = ext.alpha_att, scenario.eve.area
     if alpha_am == 0.0:
         return lambda k, steering: np.zeros(steering.shape)
     half_fov = scenario.eve.fov_full_rad / 2.0
-    # the cone's bearings and (cos(beta_s), sin(beta_s)) = cos(s - (pi/2, pi))
-    cone = np.array([[-math.pi / 2.0 - half_fov], [-math.pi / 2.0 + half_fov]])
-    quarters = np.array([[math.pi / 2.0], [math.pi]])
-    decay = np.exp(-alpha_am * x)
-    per_cell = (np.arctan2(-x, y), np.arctan2(scenario.d - x, y), decay, y)
-    y_row, row = np.unique(y, return_inverse=True)
+    y_row = np.unique(y)
+    row = y_row.searchsorted(y)
     n = y_row.size
+    ay_row, cy_row = _row_factors(y_row, area, alpha_am, params)
 
     def integrands(i, beta):
         """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
-        return _bearing_weight(beta, y_row[i, None], area, alpha_am, params).swapaxes(0, 1)
+        return _bearing_weight(beta, ay_row[i, None], cy_row[i, None], params).swapaxes(0, 1)
 
     rung = (math.pi / 2.0) * (1.0 - 2.0 ** (-0.5 * np.arange(_BEARING_RUNGS + 1)))
     edges = np.concatenate([[-math.pi / 2.0], -rung[:0:-1], rung, [math.pi / 2.0]])
@@ -470,79 +503,105 @@ def _steering_free_gain(x, y, scenario, ext, params):
         integrands, np.repeat(np.arange(n), edges.size - 1), np.tile(edges[:-1], n),
         np.tile(edges[1:], n), _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
     )
-    # one row per table, padded after its last panel
+    # row r's panel j in slot r * w + j, the rows padded after their last
+    # panel; per panel: K15 of (C, S), the sum of their |K15 - G7|, that sum
+    # per radian of the panel, lo and hi
     count = np.bincount(item, minlength=n)
-    filled = np.arange(count.max()) < count[:, None]
-    # per panel: K15 of (C, S), the sum of their |K15 - G7|, that sum per
-    # radian of the panel, lo and hi
+    w = int(count.max())
     error = err.sum(axis=1)
-    panels = np.zeros(filled.shape + (6,))
-    panels[filled] = np.column_stack([ik, error, error / (hi - lo), lo, hi])
-    # at boundary j: the sums over panels < j of (C, S), minus the sums over
-    # panels >= j of them, and the sum over panels < j of their |K15 - G7|
-    sums = np.zeros((n, filled.shape[1] + 1, 5))
-    sums[:, 1:, [0, 1, 4]] = np.cumsum(panels[:, :, :3], axis=1)
-    sums[:, :-1, 2:4] = -np.cumsum(panels[:, ::-1, :2], axis=1)[:, ::-1]
-    # the record of panel (r, j), at r * w + j for rows padded to w panels:
-    # the sums at its start and at its end, its |K15 - G7| per radian, its
-    # lo and its hi
-    records = np.concatenate([sums[:, :-1], sums[:, 1:], panels[:, :, 3:]], axis=2)
-    records = records.reshape(-1, 13)
-    # each row's inner panel ends as row + 1j * end, padded with +inf: numpy
-    # orders complex numbers by real, then imaginary part, so one exact
-    # searchsorted finds a bearing's panel within its own row
-    ends = np.empty((n, filled.shape[1] - 1), dtype=complex)
+    panels = np.zeros((6, n, w))
+    panels[:, np.arange(w) < count[:, None]] = np.concatenate(
+        [ik.T, [error, error / (hi - lo), lo, hi]]
+    )
+    # at boundary j: the sums over panels < j of C, S and their |K15 - G7|,
+    # and minus the sums over panels >= j of C and S
+    sums = np.zeros((5, n, w + 1))
+    sums[:3, :, 1:] = np.cumsum(panels[:3], axis=2)
+    sums[3:, :, :-1] = -np.cumsum(panels[:2, :, ::-1], axis=2)[:, :, ::-1]
+    # the record of each slot, a row: the sums at its start and at its end,
+    # its |K15 - G7| per radian, its lo and its hi
+    records = np.concatenate([sums[:, :, :-1], sums[:, :, 1:], panels[3:]]).reshape(13, -1).T.copy()
+    # each row's inner panel ends as row + 1j * end, padded with +inf to w
+    # entries: numpy orders complex numbers by real, then imaginary part, so
+    # one exact searchsorted finds a bearing's slot, r * w + the number of
+    # its row's inner ends at or below it
+    ends = np.empty((n, w), dtype=complex)
     ends.real = np.arange(n)[:, None]
-    ends.imag = np.where(filled[:, 1:], panels[:, :-1, 5], np.inf)
+    ends.imag = np.where(np.arange(w) < count[:, None] - 1, panels[5], np.inf)
     ends = ends.ravel()
+    # per position, a row: beta0, beta1, exp(-alpha_am x), its row, ay and cy
+    cells = np.empty((x.size, 6))
+    np.arctan2(-x, y, out=cells[:, 0])
+    np.arctan2(scenario.d - x, y, out=cells[:, 1])
+    np.exp(-alpha_am * x, out=cells[:, 2])
+    cells[:, 3] = row
+    cells[:, 4] = ay_row[row]
+    cells[:, 5] = cy_row[row]
+    # steering + shift: the cone's lower and upper bearing, then s - pi/2
+    # and s - pi, whose cosines are (cos(beta_s), sin(beta_s))
+    shift = np.array([[-math.pi / 2.0 - half_fov], [-math.pi / 2.0 + half_fov],
+                      [-math.pi / 2.0], [-math.pi]])
+    nodes, weights = GAUSS_NODES[:, None, None], GAUSS_WEIGHTS[:, None, None]
 
     def gain(k, steering):
+        if k.size <= _QUERY_CHUNK:
+            return query(k, steering)
         parts = [slice(i, i + _QUERY_CHUNK) for i in range(0, k.size, _QUERY_CHUNK)]
         return np.concatenate([query(k[part], steering[part]) for part in parts])
 
     def query(k, steering):
-        beta0_k, beta1_k, decay_k, y_k = (v[k] for v in per_cell)
+        beta0, beta1, decay, r, ay, cy = cells.take(k, axis=0).T
+        angle = steering + shift
         # the cone's bearings clipped to [beta0, beta1]; a >= b where it
         # misses the segment
-        lim = np.minimum(np.maximum(steering + cone, beta0_k), beta1_k)
-        # the records of both ends' panels; a bearing lies in panel j of its
-        # row, j = the number of the row's inner ends at or below it
-        r = row[k]
+        lim = angle[:2]
+        np.maximum(lim, beta0, out=lim)
+        np.minimum(lim, beta1, out=lim)
+        boresight = np.cos(angle[2:])
+        # the slots of both ends' panels and their records
         key = np.empty(lim.shape, dtype=complex)
-        key.real, key.imag = r, lim
-        at = ends.searchsorted(key, side="right") + r
-        panel = records[at]
+        key.real = r
+        key.imag = lim
+        at = ends.searchsorted(key, side="right")
+        rec = records.take(at, axis=0)
         # the full panels lie between the ends' panels, none where those are
         # one; suffix sums where more of C lies before them than after
-        last = panel[1, :, :5]
-        first = np.where((at[0] == at[1])[:, None], last, panel[0, :, 5:10])
+        last = rec[1, :, :5]
+        first = np.where((at[0] == at[1])[:, None], last, rec[0, :, 5:10])
         full = (last - first).T
-        integral = np.where(last[:, 0] > -first[:, 2], full[2:4], full[:2])
+        integral = np.where(last[:, 0] > -first[:, 3], full[3:], full[:2])
         # the partial pieces [a, min(b, a's panel end)] and [max(that, b's
-        # panel start), b], empty where the panels are one; G7 on each, its
-        # nodes along the second axis, and its prorated |K15 - G7|
-        hi = np.minimum(lim[1], panel[:, :, 12])
-        lo = np.maximum(panel[:, :, 11], (lim[0], hi[0]))
+        # panel start), b], empty where the panels are one (hi goes where
+        # the boresight angles were, so that (a, hi[0]) is a view); G7 on
+        # each, its nodes along the second axis, and its prorated |K15 - G7|
+        hi = np.minimum(lim[1], rec[:, :, 12], out=angle[2:])
+        lo = np.maximum(rec[:, :, 11], angle[::2])
         span = hi - lo
         half = 0.5 * span
-        beta = 0.5 * (hi + lo) + half * GAUSS_NODES[:, None, None]
-        weighted = _bearing_weight(beta, y_k, area, alpha_am, params)
-        weighted *= GAUSS_WEIGHTS[:, None, None]
-        integral += (half * weighted.sum(axis=1)).sum(axis=1)
-        boresight = np.cos(steering - quarters)
+        beta = half * nodes
+        beta += 0.5 * (hi + lo)
+        weighted = _bearing_weight(beta, ay, cy, params)
+        weighted *= weights
+        # sums of two rows as one add, which a reduction over them equals
+        pieces = half * weighted.sum(axis=1)
+        integral += pieces[:, 0] + pieces[:, 1]
         live = lim[0] < lim[1]
-        value = np.where(live, decay_k * (boresight * integral).sum(axis=0), 0.0)
+        terms = boresight * integral
+        value = np.where(live, decay * (terms[0] + terms[1]), 0.0)
         # the error of C plus that of S bounds that of the gain, as
         # |cos(beta_s)|, |sin(beta_s)| <= 1
-        bound = decay_k * (full[4] + (span * panel[:, :, 10]).sum(axis=0))
+        prorated = span * rec[:, :, 10]
+        bound = decay * (full[2] + (prorated[0] + prorated[1]))
         budget = np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)
-        over = np.flatnonzero(live & (bound > budget))
-        if over.size:
-            ko, co, so = k[over], boresight[0, over, None], boresight[1, over, None]
+        over = live & (bound > budget)
+        if over.any():
+            over = over.nonzero()[0]
+            co, so = boresight[0, over, None], boresight[1, over, None]
+            decay_o, ay_o, cy_o = decay[over, None], ay[over, None], cy[over, None]
 
             def integrand(i, beta):
-                cs = _bearing_weight(beta, y[ko[i], None], area, alpha_am, params)
-                return decay[ko[i], None] * (co[i] * cs[0] + so[i] * cs[1])
+                cs = _bearing_weight(beta, ay_o[i], cy_o[i], params)
+                return decay_o[i] * (co[i] * cs[0] + so[i] * cs[1])
 
             value[over] = batched_gauss_kronrod(
                 integrand, lim[0, over], lim[1, over], rel_tol=QUAD_REL_TOL,
@@ -564,41 +623,30 @@ def _optimised_steering(gain, x, y, d):
     probes = np.arange(_COARSE_STEERING_POINTS, dtype=float) * step[:, None] + lo[:, None]
     probes[:, -1] = hi
     foot = (lo < math.pi / 2.0) & (math.pi / 2.0 < hi)
-    cells = np.repeat(np.arange(n), _COARSE_STEERING_POINTS)
-    foot_cells = np.flatnonzero(foot)
-    values = gain(
-        np.concatenate([cells, foot_cells]),
-        np.concatenate([probes.ravel(), np.full(foot_cells.size, math.pi / 2.0)]),
-    )
     # the candidates in ascending order: the probes ascend, and the foot
     # probe goes after those at or below it; a position without a foot probe
-    # gets a dummy last entry that is never the best and never a bracket end
-    below = (probes <= math.pi / 2.0).sum(axis=1)
-    slot = np.where(foot, below, _COARSE_STEERING_POINTS)
+    # gets a dummy last entry, never queried, never the best and never a
+    # bracket end
+    slot = np.where(foot, (probes <= math.pi / 2.0).sum(axis=1), _COARSE_STEERING_POINTS)
     extra = np.arange(_COARSE_STEERING_POINTS + 1) == slot[:, None]
     angles = np.empty(extra.shape)
-    gains = np.empty(extra.shape)
     angles[~extra] = probes.ravel()
-    gains[~extra] = values[: cells.size]
     angles[extra] = np.where(foot, math.pi / 2.0, np.inf)
-    extra_gains = np.full(n, -np.inf)
-    extra_gains[foot_cells] = values[cells.size:]
-    gains[extra] = extra_gains
-    rows = np.arange(n)
+    queried = angles < np.inf
+    gains = np.full(extra.shape, -np.inf)
+    gains[queried] = gain(
+        np.repeat(np.arange(n), _COARSE_STEERING_POINTS + foot), angles[queried]
+    )
+    # the bracket's ends and the best candidate, as one gather each
     i_best = np.argmax(gains, axis=1)
     i_lo = np.maximum(i_best - 1, 0)
     i_hi = np.minimum(i_best + 1, _COARSE_STEERING_POINTS - 1 + foot)
-    steering, g_nlos = batched_golden_section_max(
-        gain,
-        angles[rows, i_lo],
-        angles[rows, i_hi],
-        gains[rows, i_lo],
-        gains[rows, i_hi],
-        xtol=STEERING_XTOL_RAD,
-    )
-    coarse_wins = gains[rows, i_best] > g_nlos
-    steering = np.where(coarse_wins, angles[rows, i_best], steering)
-    g_nlos = np.where(coarse_wins, gains[rows, i_best], g_nlos)
+    at = np.stack([i_lo, i_hi, i_best]) + np.arange(0, angles.size, angles.shape[1])
+    (a, b, best_angle), (fa, fb, best_gain) = angles.ravel()[at], gains.ravel()[at]
+    steering, g_nlos = batched_golden_section_max(gain, a, b, fa, fb, xtol=STEERING_XTOL_RAD)
+    coarse_wins = best_gain > g_nlos
+    steering = np.where(coarse_wins, best_angle, steering)
+    g_nlos = np.where(coarse_wins, best_gain, g_nlos)
     return steering, g_nlos
 
 

@@ -13,8 +13,8 @@ arithmetic never mixes with another's: its panels keep their own order and
 its total is a sequential sum of them, so its result does not depend on
 which other problems share the batch.  ``gauss_kronrod_panels`` runs the
 same refinement loop with a per-panel stopping test and returns the final
-panels themselves, for callers that integrate many sub-intervals of one
-problem from them.
+panels themselves, in the order of the first ones, for callers that
+integrate many sub-intervals of one problem from them.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def batched_gauss_kronrod(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     item = np.flatnonzero(b > a)
-    return _refine(f, item, a[item], b[item], a.size, rel_tol, abs_tol, max_panels, b - a)[0]
+    return _refine(f, item, a[item], b[item], a.size, rel_tol, abs_tol, max_panels, b - a)
 
 
 def gauss_kronrod_panels(
@@ -170,49 +170,55 @@ def gauss_kronrod_panels(
     meets the tolerance on its own: a panel is split while the sum of its c
     values of |K15 - G7| exceeds max(rel_tol * m, abs_tol), m being its
     largest |K15|.  So a problem's final panels depend on its own first
-    panels only.  Returns (item, lo, hi, ik, err): panel i spans
-    [lo[i], hi[i]] of problem item[i], ordered by problem and then by
-    position, with its K15 integrals ik[i] and |K15 - G7| err[i], shape
-    (c,) each.
+    panels only.  A split panel's halves take its place, so the final
+    panels keep the order of the first ones: ordered by problem and then
+    by position when those are, and the first panels themselves when none
+    is split.  Returns (item, lo, hi, ik, err): panel i spans [lo[i],
+    hi[i]] of problem item[i], with its K15 integrals ik[i] and |K15 - G7|
+    err[i], shape (c,) each.  ``QuadratureError`` when a problem would
+    exceed ``max_panels`` panels or 64 rounds.
     """
     item = np.asarray(item)
-    n = int(item.max()) + 1 if item.size else 0
-    _, *panels = _refine(
-        f, item, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), n,
-        rel_tol, abs_tol, max_panels,
-    )
-    order = np.lexsort((panels[1], panels[0]))
-    return tuple(p[order] for p in panels)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    ik, err = _panel_estimates(f, item, lo, hi)
+    for _ in range(64):
+        bad = err.sum(axis=1) > np.maximum(rel_tol * np.abs(ik).max(axis=1), abs_tol)
+        # each problem's panels after this round's splits
+        panels = np.bincount(item, weights=1 + bad, minlength=1)
+        if panels.max() > max_panels:
+            k = int(np.argmax(panels))
+            raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
+        if not bad.any():
+            return item, lo, hi, ik, err
+        # every panel once, a split one twice: its left half, then its right
+        src = np.repeat(np.arange(item.size), 1 + bad)
+        halves = np.flatnonzero(bad[src])
+        left, right = halves[::2], halves[1::2]
+        mid = 0.5 * (lo[bad] + hi[bad])
+        item, lo, hi, ik, err = item[src], lo[src], hi[src], ik[src], err[src]
+        hi[left] = mid
+        lo[right] = mid
+        ik[halves], err[halves] = _panel_estimates(f, item[halves], lo[halves], hi[halves])
+    raise QuadratureError("refinement did not converge in 64 rounds")
 
 
-def _refine(f, item, lo, hi, n, rel_tol, abs_tol, max_panels, width=None):
-    """The refinement loop of n problems from the first panels (item, lo,
-    hi): (totals, item, lo, hi, ik, err), the last five of the final panels.
-    ``width``, each problem's length, selects ``batched_gauss_kronrod``'s
-    prorated budget; without it each panel is tested on its own, as
-    ``gauss_kronrod_panels`` does."""
-    per_panel = width is None
+def _refine(f, item, lo, hi, n, rel_tol, abs_tol, max_panels, width):
+    """The refinement loop of n problems of lengths ``width`` from the first
+    panels (item, lo, hi): each problem's total."""
     out = np.zeros(n)
     ik, err = _panel_estimates(f, item, lo, hi)
-    final = [(item[:0], lo[:0], hi[:0], ik[:0], err[:0])]
     for _ in range(64):
         if not item.size:
             break
-        if per_panel:
-            bad = err.sum(axis=1) > np.maximum(rel_tol * np.abs(ik).max(axis=1), abs_tol)
-        else:
-            # sequential per-problem sums, in each problem's own panel order
-            total = np.bincount(item, weights=ik, minlength=n)
-            budget = np.maximum(rel_tol * np.abs(total), abs_tol)
-            bad = err > budget[item] * (hi - lo) / width[item]
+        # sequential per-problem sums, in each problem's own panel order
+        total = np.bincount(item, weights=ik, minlength=n)
+        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
+        bad = err > budget[item] * (hi - lo) / width[item]
         split = item[bad]
         panels = np.bincount(item, minlength=n)
         n_bad = np.bincount(split, minlength=n)
-        done = n_bad[item] == 0
-        if per_panel:
-            final.append((item[done], lo[done], hi[done], ik[done], err[done]))
-        else:
-            np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
+        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
         if (panels + n_bad > max_panels).any():
             k = int(np.argmax(panels + n_bad))
             raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
@@ -234,7 +240,7 @@ def _refine(f, item, lo, hi, n, rel_tol, abs_tol, max_panels, width=None):
         err = np.concatenate([err[keep], split_err])
     else:
         raise QuadratureError("refinement did not converge in 64 rounds")
-    return (out,) + tuple(np.concatenate(parts) for parts in zip(*final))
+    return out
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -94,17 +94,28 @@ class FieldKey:
     scattering: ScatteringParams
 
 
-def _field_key(cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown]) -> FieldKey:
-    spec, scenario = cfg.scan_spec(), cfg.scenario()
-    return FieldKey(
+def _inputs(
+    cfg: ResolvedConfig,
+) -> Tuple[LinkScenario, Optional[ExtinctionBreakdown], FieldKey]:
+    """The config's scenario, its extinction (None outside the
+    weak-fluctuation regime) and its field's key, built once per scan."""
+    scenario, spec = cfg.scenario(), cfg.scan_spec()
+    try:
+        ext = extinction(
+            scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
+        )
+    except RegimeError:
+        ext = None
+    key = FieldKey(
         tuple(spec.xs), tuple(spec.ys), scenario.d, scenario.eve.aperture_d,
         scenario.eve.fov_full_rad, None if ext is None else ext.alpha_att, cfg.scattering(),
     )
+    return scenario, ext, key
 
 
 def field_key(cfg: ResolvedConfig) -> FieldKey:
     """The key of the config's gain field."""
-    return _field_key(cfg, _extinction(cfg))
+    return _inputs(cfg)[2]
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,12 @@ class _Workers:
         self.threads = threads
         self._pool = None
 
-    def blocks(self, n_rows: int) -> List[np.ndarray]:
-        return [b for b in np.array_split(np.arange(n_rows), self.threads) if b.size]
+    def blocks(self, n_rows: int) -> List[slice]:
+        """``np.array_split``'s blocks of the rows, as slices: the first
+        n_rows % threads blocks one row longer; empty blocks dropped."""
+        size, longer = divmod(n_rows, self.threads)
+        ends = [i * size + min(i, longer) for i in range(self.threads + 1)]
+        return [slice(lo, hi) for lo, hi in zip(ends, ends[1:]) if hi > lo]
 
     def map(self, fn, payloads: list) -> list:
         if len(payloads) == 1:
@@ -150,17 +165,6 @@ class _Workers:
             self._pool.shutdown()
 
 
-def _extinction(cfg: ResolvedConfig) -> Optional[ExtinctionBreakdown]:
-    """The config's extinction; None outside the weak-fluctuation regime."""
-    scenario = cfg.scenario()
-    try:
-        return extinction(
-            scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
-        )
-    except RegimeError:
-        return None
-
-
 def _reads_gain(cfg: ResolvedConfig) -> bool:
     """False where the metric needs no gain: the capacity is never below a
     nonpositive target (outage_scan_point)."""
@@ -171,14 +175,17 @@ def _reads_gain(cfg: ResolvedConfig) -> bool:
 def _field_rows(payload) -> Tuple[np.ndarray, np.ndarray]:
     """Steering and NLOS gain of a block of rows, NaN at y = 0."""
     ys, xs, scenario, ext, scattering = payload
-    y_grid, x_grid = np.meshgrid(ys, xs, indexing="ij")
-    valid = y_grid != 0.0
-    steering = np.full(y_grid.shape, math.nan)
-    g_nlos = np.full(y_grid.shape, math.nan)
-    steering[valid], g_nlos[valid] = nlos_gain_field(
-        x_grid[valid], y_grid[valid], scenario, ext, scattering
-    )
-    return steering, g_nlos
+    ys = np.asarray(ys, dtype=float)
+    valid = ys != 0.0
+    x_grid, y_grid = np.empty((2, int(valid.sum()), len(xs)))
+    x_grid[:] = xs
+    y_grid[:] = ys[valid, None]
+    steering, g_nlos = nlos_gain_field(x_grid, y_grid, scenario, ext, scattering)
+    if valid.all():
+        return steering, g_nlos
+    out = np.full((2, ys.size, len(xs)), math.nan)
+    out[0, valid], out[1, valid] = steering, g_nlos
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -218,31 +225,38 @@ def _metric_cells(payload) -> List[float]:
 
 
 def _gain_field(
-    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], workers: _Workers
+    scenario: LinkScenario, ext: Optional[ExtinctionBreakdown], key: FieldKey, workers: _Workers
 ) -> GainField:
-    key = _field_key(cfg, ext)
     xs, ys = key.xs, key.ys
-    steering = np.full((len(ys), len(xs)), np.nan)
-    g_nlos = np.full((len(ys), len(xs)), np.nan)
-    if ext is not None:
-        scenario = cfg.scenario()
+    if ext is None:
+        steering = np.full((len(ys), len(xs)), np.nan)
+        g_nlos = np.full((len(ys), len(xs)), np.nan)
+    else:
         blocks = workers.blocks(len(ys))
-        payloads = [([ys[i] for i in rows], xs, scenario, ext, key.scattering) for rows in blocks]
-        for rows, (block_steering, block_g) in zip(blocks, workers.map(_field_rows, payloads)):
-            steering[rows], g_nlos[rows] = block_steering, block_g
+        payloads = [(ys[rows], xs, scenario, ext, key.scattering) for rows in blocks]
+        parts = workers.map(_field_rows, payloads)
+        if len(parts) == 1:
+            (steering, g_nlos), = parts
+        else:
+            steering = np.concatenate([part[0] for part in parts])
+            g_nlos = np.concatenate([part[1] for part in parts])
     steering.setflags(write=False)
     g_nlos.setflags(write=False)
     return GainField(steering, g_nlos, key)
 
 
 def _evaluate(
-    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], field: Optional[GainField], workers: _Workers
+    cfg: ResolvedConfig,
+    ext: Optional[ExtinctionBreakdown],
+    key: FieldKey,
+    field: Optional[GainField],
+    workers: _Workers,
 ) -> ScanResult:
-    key = _field_key(cfg, ext)
     if field is not None and field.key != key:
         changed = [f.name for f in fields(key) if getattr(key, f.name) != getattr(field.key, f.name)]
         raise ValueError(f"gain field was computed for other inputs: {', '.join(changed)}")
-    if field is None and _reads_gain(cfg):
+    reads_gain = _reads_gain(cfg)
+    if field is None and reads_gain:
         raise ValueError("this configuration's metric needs a gain field")
     spec = cfg.scan_spec()
     xs, ys = key.xs, key.ys
@@ -255,7 +269,7 @@ def _evaluate(
         regime_cells = values.size
     else:
         invalid_cells = values.size - int(valid.sum())
-        if not _reads_gain(cfg):
+        if not reads_gain:
             values[valid] = 0.0
         else:
             metric = _metric(cfg, ext)
@@ -289,14 +303,18 @@ def _evaluate(
 
 
 def _field_for(
-    cfg: ResolvedConfig, ext: Optional[ExtinctionBreakdown], field: Optional[GainField], workers: _Workers
+    cfg: ResolvedConfig,
+    inputs: Tuple[LinkScenario, Optional[ExtinctionBreakdown], FieldKey],
+    field: Optional[GainField],
+    workers: _Workers,
 ) -> Optional[GainField]:
-    """The gain field ``cfg``'s metric reads: ``field`` while its key is the
-    config's, a new one otherwise; None where the metric reads no gain."""
+    """The gain field ``cfg``'s metric reads, given its ``_inputs``:
+    ``field`` while its key is the config's, a new one otherwise; None where
+    the metric reads no gain."""
     if not _reads_gain(cfg):
         return None
-    reuse = field is not None and field.key == _field_key(cfg, ext)
-    return field if reuse else _gain_field(cfg, ext, workers)
+    reuse = field is not None and field.key == inputs[2]
+    return field if reuse else _gain_field(*inputs, workers)
 
 
 def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
@@ -306,7 +324,7 @@ def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
     its own worker process.
     """
     with _Workers(threads) as workers:
-        return _gain_field(cfg, _extinction(cfg), workers)
+        return _gain_field(*_inputs(cfg), workers)
 
 
 def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) -> ScanResult:
@@ -316,8 +334,9 @@ def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) 
     at a nonpositive target rate).  Raises ValueError for a field computed
     from other inputs.  ``threads`` as for ``gain_field``.
     """
+    _, ext, key = _inputs(cfg)
     with _Workers(threads) as workers:
-        return _evaluate(cfg, _extinction(cfg), field, workers)
+        return _evaluate(cfg, ext, key, field, workers)
 
 
 def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
@@ -326,9 +345,10 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
     ``threads`` > 1 splits the rows into that many blocks, each computed in
     its own worker process.
     """
-    ext = _extinction(cfg)
+    inputs = _inputs(cfg)
+    _, ext, key = inputs
     with _Workers(threads) as workers:
-        return _evaluate(cfg, ext, _field_for(cfg, ext, None, workers), workers)
+        return _evaluate(cfg, ext, key, _field_for(cfg, inputs, None, workers), workers)
 
 
 def run_sweep(
@@ -350,9 +370,10 @@ def run_sweep(
     field = None
     with _Workers(threads) as workers:
         for value, sub_cfg in zip(sweep.values, cfg.sweep_configs()):
-            ext = _extinction(sub_cfg)
-            field = _field_for(sub_cfg, ext, field, workers)
-            result = _evaluate(sub_cfg, ext, field, workers)
+            inputs = _inputs(sub_cfg)
+            _, ext, key = inputs
+            field = _field_for(sub_cfg, inputs, field, workers)
+            result = _evaluate(sub_cfg, ext, key, field, workers)
             path = None
             if out_stem is not None:
                 path = out_stem.with_name(
@@ -366,9 +387,12 @@ def run_sweep(
 def extract_insecure_region(result: ScanResult) -> InsecureRegion:
     """Maximal per-row runs of insecure cells and the aggregate region."""
     mask = result.is_insecure()
-    # +1 where a run starts, -1 one past where it ends; row-major nonzero
-    # order pairs each row's starts with its ends
-    edges = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    # the mask between two secure columns; +1 where a run starts, -1 one past
+    # where it ends; row-major nonzero order pairs each row's starts with
+    # its ends
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = padded[:, 1:] - padded[:, :-1]
     start_rows, starts = np.nonzero(edges == 1)
     _, stops = np.nonzero(edges == -1)
     runs: Dict[int, List[Tuple[int, int]]] = {}

@@ -322,6 +322,11 @@ class TestOneResolutionPath:
     @example(setting=("scan", "mode", "banana"))
     @example(setting=("atmosphere", "absorption_table_path", "bad_header.csv"))
     @example(setting=("link", "freq_hz", 700e9))
+    # the phase-function check must not overflow before the config route
+    # can answer: a huge forward fraction, and |g| an ulp below 1
+    @example(setting=("scattering", "f", 8.98846567431158e+307))
+    @example(setting=("scattering", "g", 0.9999999999999999))
+    @example(setting=("scattering", "g", -0.9999999999999999))
     def test_override_equals_file(self, table_dir, setting):
         section, key, value = setting
         path = write(table_dir, f"[{section}]\n{key} = {_ini(value)}\n")

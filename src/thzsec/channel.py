@@ -488,7 +488,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
     if alpha_am == 0.0:
         return lambda k, steering: np.zeros(steering.shape)
     half_fov = scenario.eve.fov_full_rad / 2.0
-    y_row = np.unique(y)
+    # the distinct y, ascending, and each position's row
+    y_row = np.sort(y)
+    y_row = y_row[np.concatenate([[True], y_row[1:] != y_row[:-1]])]
     row = y_row.searchsorted(y)
     n = y_row.size
     ay_row, cy_row = _row_factors(y_row, area, alpha_am, params)
@@ -508,11 +510,14 @@ def _steering_free_gain(x, y, scenario, ext, params):
     # per radian of the panel, lo and hi
     count = np.bincount(item, minlength=n)
     w = int(count.max())
-    error = err.sum(axis=1)
+    columns = np.empty((6, item.size))
+    columns[:2] = ik.T
+    error = err.sum(axis=1, out=columns[2])
+    np.divide(error, hi - lo, out=columns[3])
+    columns[4] = lo
+    columns[5] = hi
     panels = np.zeros((6, n, w))
-    panels[:, np.arange(w) < count[:, None]] = np.concatenate(
-        [ik.T, [error, error / (hi - lo), lo, hi]]
-    )
+    panels[:, np.arange(w) < count[:, None]] = columns
     # at boundary j: the sums over panels < j of C, S and their |K15 - G7|,
     # and minus the sums over panels >= j of C and S
     sums = np.zeros((5, n, w + 1))

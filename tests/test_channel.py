@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from thzsec import channel
+from thzsec import channel, numerics
 from thzsec.atmosphere import ExtinctionBreakdown, default_absorption_table, extinction
 from thzsec.config import parse_config
-from thzsec.numerics import QuadratureError, batched_gauss_kronrod
+from thzsec.numerics import QuadratureError, batched_gauss_kronrod, gauss_kronrod_panels
 from thzsec.channel import (
     EmptySegment,
     LinkScenario,
@@ -330,6 +330,23 @@ positions = st.tuples(
 )
 
 
+def panel_by_panel(f, item, lo, hi, rel_tol, abs_tol):
+    """``gauss_kronrod_panels``'s final panels from each first panel refined
+    on its own, depth first and left half first, one panel per estimate."""
+    panels = []
+    for i, a, b in zip(item, lo, hi):
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            ik, err = numerics._panel_estimates(f, np.array([i]), np.array([a]), np.array([b]))
+            if err.sum(axis=1) > np.maximum(rel_tol * np.abs(ik).max(axis=1), abs_tol):
+                mid = 0.5 * (a + b)
+                todo += [(mid, b), (a, mid)]
+            else:
+                panels.append((i, a, b, ik[0], err[0]))
+    return tuple(np.array(column) for column in zip(*panels))
+
+
 def field_scenario(fov_deg):
     return LinkScenario(eve=ReceiverParams(fov_full_rad=math.radians(fov_deg)))
 
@@ -581,6 +598,41 @@ class TestNlosGainField:
         ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
         nlos_gain_field(*self.BENCH_CELLS[workload], sc, ext, params)
         assert len(rounds) == calls
+
+    @pytest.mark.parametrize("rungs", [channel._BEARING_RUNGS, 0])
+    def test_row_table_panels_match_a_panel_by_panel_refinement(self, monkeypatch, rungs):
+        # the panels of the row tables, bit for bit and in the same order, as
+        # each first panel refined on its own: the graded first mesh needs no
+        # split, the two panels (-pi/2, 0] and [0, pi/2) alone need several
+        monkeypatch.setattr(channel, "_BEARING_RUNGS", rungs)
+        calls = []
+
+        def recorded(f, *args):
+            calls.append((f, args, gauss_kronrod_panels(f, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(channel, "gauss_kronrod_panels", recorded)
+        sc = field_scenario(60.0)
+        channel._steering_free_gain(np.array([750.0, 40.0]), np.array([30.0, 2.0]), sc, EXT, FORWARD)
+        (f, (item, lo, hi, rel_tol, abs_tol, _), got), = calls
+        assert (got[0].size > item.size) == (rungs == 0)
+        want = panel_by_panel(f, item, lo, hi, rel_tol, abs_tol)
+        for column, reference in zip(got, want):
+            assert column.tobytes() == reference.tobytes()
+
+    def test_unsorted_mirrored_and_repeated_rows(self):
+        # rows met out of order, at -y and +y and more than once: each cell
+        # gets the bits of a call of its own
+        cfg = parse_config(None)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        xs = [750.0, 10.0, 500.0, -50.0, 1200.0, 990.0]
+        ys = [100.0, -2.0, 2.0, 50.0, -100.0, 2.0]
+        steering, g_nlos = nlos_gain_field(xs, ys, sc, ext, params)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            alone = nlos_gain_field([x], [y], sc, ext, params)
+            assert steering[k].tobytes() == alone[0][0].tobytes()
+            assert g_nlos[k].tobytes() == alone[1][0].tobytes()
 
     def test_panel_budget_raises(self, monkeypatch):
         sc = field_scenario(60.0)  # wide segments need several panels

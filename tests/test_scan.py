@@ -786,6 +786,15 @@ def changed(base, tmp_path, setting, value):
 
 
 class TestGainField:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n_rows", [1, 2, 4, 7, 50])
+    def test_worker_blocks_are_array_splits(self, n_rows, threads):
+        # the rows each worker gets, in order: np.array_split's, without
+        # the empty blocks
+        got = [np.arange(n_rows)[b] for b in scan._Workers(threads).blocks(n_rows)]
+        want = [b for b in np.array_split(np.arange(n_rows), threads) if b.size]
+        assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
     @pytest.mark.parametrize("parameter,values,mode", SWEEPS)
     def test_sweep_bytes_equal_fresh_scans(self, tmp_path, parameter, values, mode):
         cfg = sweep_cfg(tmp_path, parameter, values, mode)

@@ -431,9 +431,8 @@ def _bearing_weight(beta, ay, cy, params):
     den = t2 + 1.0
     out = np.empty((2,) + t.shape)
     np.add(t, t, out=out[0])
-    np.divide(out[0], den, out=out[0])
     np.subtract(t2, 1.0, out=out[1])
-    np.divide(out[1], den, out=out[1])
+    out /= den
     # (1 + g^2 + 2 g sin beta)^(-3/2) = q^(3/2), q = (1 + t^2) / ((1 + g)^2 t^2 + (1 - g)^2)
     t2 *= (1.0 + g) ** 2
     t2 += (1.0 - g) ** 2
@@ -643,10 +642,11 @@ def _optimised_steering(gain, x, y, d):
         np.repeat(np.arange(n), _COARSE_STEERING_POINTS + foot), angles[queried]
     )
     # the bracket's ends and the best candidate, as one gather each
-    i_best = np.argmax(gains, axis=1)
-    i_lo = np.maximum(i_best - 1, 0)
-    i_hi = np.minimum(i_best + 1, _COARSE_STEERING_POINTS - 1 + foot)
-    at = np.stack([i_lo, i_hi, i_best]) + np.arange(0, angles.size, angles.shape[1])
+    at = np.empty((3, n), dtype=np.intp)
+    at[2] = np.argmax(gains, axis=1)
+    np.maximum(at[2] - 1, 0, out=at[0])
+    np.minimum(at[2] + 1, _COARSE_STEERING_POINTS - 1 + foot, out=at[1])
+    at += np.arange(0, angles.size, angles.shape[1])
     (a, b, best_angle), (fa, fb, best_gain) = angles.ravel()[at], gains.ravel()[at]
     steering, g_nlos = batched_golden_section_max(gain, a, b, fa, fb, xtol=STEERING_XTOL_RAD)
     coarse_wins = best_gain > g_nlos

@@ -313,73 +313,66 @@ def _golden_tree(levels: int):
     return np.array(node), steps, own, 2 * own + 2
 
 
-def _golden_round(f, live, state, levels, xtol):
+def _golden_round(f, live, bracket, levels, xtol):
     """``levels`` levels of the golden section for the problems live, from
-    their brackets: ``state`` holds rows a, b, c, d, f(c), f(d) of shape
-    (m,), with one call of f.
+    their brackets (a, b, c, d, f(c), f(d)), arrays of shape (m,), with one
+    call of f.
 
-    The first round's state has no f(c) and f(d) rows, and its call
-    evaluates c and d too.  A later round takes its first level's branch,
-    which they give, at once.  The levels after that may go either way: a
-    tree (``_golden_tree``) holds every bracket they can reach, and the
-    same call evaluates their new points, 2^(levels+1) points per problem
-    in the first round and 2^levels - 1 in a later one.  Each problem then
+    f(c) and f(d) are None in the first round, whose call evaluates c and
+    d too.  A later round takes its first level's branch, which they give,
+    at once.  The levels after that may go either way: a tree
+    (``_golden_tree``) holds every bracket they can reach, and the same
+    call evaluates their new points, 2^(levels+1) points per problem in
+    the first round and 2^levels - 1 in a later one.  Each problem then
     walks down the tree, following f(c) > f(d), to the first bracket
     narrower than ``xtol`` or to the round's last level.  Returns the
-    state of the bracket each problem stops at, and whether it is that
-    narrow."""
+    bracket each problem stops at, and whether it is that narrow."""
+    a, b, c, d, fc, fd = bracket
     m = live.size
-    first = state.shape[0] == 4
-    if first:
-        root, width = state, np.full(m, np.inf)  # the first bracket is no level
+    if fc is None:
+        points, width = [c, d], np.full(m, np.inf)  # the first bracket is no level
     else:
-        left = state[4] > state[5]
-        root = np.empty((4, m))
-        # (a, d) where f(c) > f(d), else (c, b)
-        root[:2] = np.where(left, state[::3], state[2:0:-1])
-        width = root[1] - root[0]
-        x = np.where(left, root[1] - _INV_PHI * width, root[0] + _INV_PHI * width)
-        root[2] = np.where(left, x, state[3])
-        root[3] = np.where(left, state[2], x)
-    node, steps, own, right = _golden_tree(levels - 1 + first)
-    # the round's points, a row each (rows 0-3 the root's a, b, c and d),
-    # over their values
-    table = np.empty((2, node.shape[0] + 3, m))
-    points, values = table
-    points[:4] = root
-    widths = np.empty((node.shape[0], m))
-    widths[0] = width
-    start = 1
-    for rows, sign in steps:
-        lo, hi, base = points[rows]
-        stop = start + sign.size
-        widths[start:stop] = hi - lo
-        points[start + 3:stop + 3] = base + sign * widths[start:stop]
-        start = stop
-    # the first round evaluates c and d too, a later one its first level's x
-    new = points[2:] if first else np.concatenate([x, points[4:].ravel()])
-    got = f(np.repeat(live[None], new.size // m, axis=0).ravel(), new.ravel())
-    if first:
-        values[2:] = got.reshape(-1, m)
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        points = [x]
+    node, steps, own, right = _golden_tree(levels + len(points) - 2)
+    head = len(points) * m  # the values of c and d, or of the level's point
+    if steps:
+        table = np.empty((node.shape[0] + 3, m))
+        table[:4] = a, b, c, d
+        widths = np.empty((node.shape[0], m))
+        widths[0] = width
+        start = 1
+        for rows, sign in steps:
+            lo, hi, base = table[rows]
+            stop = start + sign.size
+            widths[start:stop] = hi - lo
+            table[start + 3:stop + 3] = base + sign * widths[start:stop]
+            start = stop
+        points.append(table[4:].ravel())
+    points = np.concatenate(points)
+    got = f(np.repeat(live[None], points.size // m, axis=0).ravel(), points)
+    if fc is None:
+        fc, fd = got[:m], got[m:2 * m]
     else:
-        values[2] = np.where(left, got[:m], state[5])
-        values[3] = np.where(left, state[4], got[:m])
-        values[4:] = got[m:].reshape(-1, m)
+        fc, fd = np.where(left, got[:m], fd), np.where(left, fc, got[:m])
     if not steps:  # the round's one level, or in the first round none
-        return table[:, :4].reshape(8, m)[[0, 1, 2, 3, 6, 7]], np.abs(width) < xtol
+        return (a, b, c, d, fc, fd), np.abs(width) < xtol
+    fx = np.empty(table.shape)  # rows 0 and 1, the root's a and b, stay unread
+    fx[2], fx[3] = fc, fd
+    fx[4:] = got[head:].reshape(-1, m)
     # each node's next, itself where its bracket is narrower than xtol
     narrow = np.abs(widths) < xtol
-    step = np.where(narrow, own, right - (values[node[:, 2]] > values[node[:, 3]]))
+    step = np.where(narrow, own, right - (fx[node[:, 2]] > fx[node[:, 3]]))
     cells = np.arange(m)
     at = step[0]
     for _ in steps[1:]:
         at = step.ravel()[at * m + cells]
-    # the stop's a, b, c and d, then f(c) and f(d)
     rows = np.take(node, at, axis=0).T * m + cells
-    state = np.empty((6, m))
-    points.ravel().take(rows, out=state[:4])
-    values.ravel().take(rows[2:], out=state[4:])
-    return state, narrow.ravel()[at * m + cells]
+    return (*table.ravel()[rows], *fx.ravel()[rows[2:]]), narrow.ravel()[at * m + cells]
 
 
 def _golden_depth(live: int) -> Tuple[int, int]:
@@ -423,21 +416,23 @@ def batched_golden_section_max(
     best_x = np.where(fb > fa, b, a)
     best_f = np.where(fb > fa, fb, fa)
     # (c, d, f(c), f(d)) of each problem's last bracket
-    final = np.empty((4, a.size))
+    final = [np.empty(a.size) for _ in range(4)]
     live = np.arange(a.size)
-    state = np.array([a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)])
+    bracket = (a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), None, None)
     level = 0
     while live.size:
-        levels = _golden_depth(live.size)[state.shape[0] == 6]
+        levels = _golden_depth(live.size)[bracket[4] is not None]
         levels = min(levels, _GOLDEN_MAX_ITER - level)
-        state, stop = _golden_round(f, live, state, levels, xtol)
+        bracket, stop = _golden_round(f, live, bracket, levels, xtol)
         level += levels
         if level == _GOLDEN_MAX_ITER:
-            stop[:] = True
+            stop = np.ones(live.size, dtype=bool)
         if stop.any():
-            final[:, live[stop]] = state[2:, stop]
+            done = live[stop]
+            for out, v in zip(final, bracket[2:]):
+                out[done] = v[stop]
             going = ~stop
-            live, state = live[going], state[:, going]
+            live, bracket = live[going], tuple(v[going] for v in bracket)
     for x, fx in zip(final[:2], final[2:]):
         better = fx > best_f
         best_x = np.where(better, x, best_x)

@@ -522,9 +522,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
     sums = np.zeros((5, n, w + 1))
     sums[:3, :, 1:] = np.cumsum(panels[:3], axis=2)
     sums[3:, :, :-1] = -np.cumsum(panels[:2, :, ::-1], axis=2)[:, :, ::-1]
-    # the record of each slot, a row: the sums at its start and at its end,
-    # its |K15 - G7| per radian, its lo and its hi
-    records = np.concatenate([sums[:, :, :-1], sums[:, :, 1:], panels[3:]]).reshape(13, -1).T.copy()
+    # the record of each slot, a row: the sums at its start, its |K15 - G7|
+    # per radian, its lo and its hi
+    records = np.concatenate([sums[:, :, :-1], panels[3:]]).reshape(8, -1).T.copy()
     # each row's inner panel ends as row + 1j * end, padded with +inf to w
     # entries: numpy orders complex numbers by real, then imaginary part, so
     # one exact searchsorted finds a bearing's slot, r * w + the number of
@@ -568,18 +568,20 @@ def _steering_free_gain(x, y, scenario, ext, params):
         key.imag = lim
         at = ends.searchsorted(key, side="right")
         rec = records.take(at, axis=0)
-        # the full panels lie between the ends' panels, none where those are
-        # one; suffix sums where more of C lies before them than after
+        # the full panels lie between the ends' panels: from the start of
+        # the slot after a's, or of b's where the panels are one, to the
+        # start of b's; suffix sums where more of C lies before them than
+        # after
         last = rec[1, :, :5]
-        first = np.where((at[0] == at[1])[:, None], last, rec[0, :, 5:10])
-        full = (last - first).T
+        first = records.take(np.minimum(at[0] + 1, at[1]), axis=0)[:, :5]
+        full = np.subtract(last.T, first.T, order="C")
         integral = np.where(last[:, 0] > -first[:, 3], full[3:], full[:2])
         # the partial pieces [a, min(b, a's panel end)] and [max(that, b's
         # panel start), b], empty where the panels are one (hi goes where
         # the boresight angles were, so that (a, hi[0]) is a view); G7 on
         # each, its nodes along the second axis, and its prorated |K15 - G7|
-        hi = np.minimum(lim[1], rec[:, :, 12], out=angle[2:])
-        lo = np.maximum(rec[:, :, 11], angle[::2])
+        hi = np.minimum(lim[1], rec[:, :, 7], out=angle[2:])
+        lo = np.maximum(rec[:, :, 6], angle[::2])
         span = hi - lo
         half = 0.5 * span
         beta = half * nodes
@@ -594,7 +596,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
         value = np.where(live, decay * (terms[0] + terms[1]), 0.0)
         # the error of C plus that of S bounds that of the gain, as
         # |cos(beta_s)|, |sin(beta_s)| <= 1
-        prorated = span * rec[:, :, 10]
+        prorated = span * rec[:, :, 5]
         bound = decay * (full[2] + (prorated[0] + prorated[1]))
         budget = np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)
         over = live & (bound > budget)

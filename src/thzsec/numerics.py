@@ -335,19 +335,20 @@ def _golden_round(f, live, bracket, levels, xtol):
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         width = b - a
-        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
+        phi_width = _INV_PHI * width
+        x = np.where(left, b - phi_width, a + phi_width)
         c, d = np.where(left, x, d), np.where(left, c, x)
         points = [x]
     node, steps, own, right = _golden_tree(levels + len(points) - 2)
     head = len(points) * m  # the values of c and d, or of the level's point
     if steps:
         table = np.empty((node.shape[0] + 3, m))
-        table[:4] = a, b, c, d
+        table[0], table[1], table[2], table[3] = a, b, c, d
         widths = np.empty((node.shape[0], m))
         widths[0] = width
         start = 1
         for rows, sign in steps:
-            lo, hi, base = table[rows]
+            lo, hi, base = table.take(rows, axis=0)
             stop = start + sign.size
             widths[start:stop] = hi - lo
             table[start + 3:stop + 3] = base + sign * widths[start:stop]
@@ -366,13 +367,13 @@ def _golden_round(f, live, bracket, levels, xtol):
     fx[4:] = got[head:].reshape(-1, m)
     # each node's next, itself where its bracket is narrower than xtol
     narrow = np.abs(widths) < xtol
-    step = np.where(narrow, own, right - (fx[node[:, 2]] > fx[node[:, 3]]))
+    step = np.where(narrow, own, right - (fx.take(node[:, 2], axis=0) > fx.take(node[:, 3], axis=0)))
     cells = np.arange(m)
     at = step[0]
     for _ in steps[1:]:
-        at = step.ravel()[at * m + cells]
+        at = step.ravel().take(at * m + cells)
     rows = np.take(node, at, axis=0).T * m + cells
-    return (*table.ravel()[rows], *fx.ravel()[rows[2:]]), narrow.ravel()[at * m + cells]
+    return (*table.ravel().take(rows), *fx.ravel().take(rows[2:])), narrow.ravel().take(at * m + cells)
 
 
 def _golden_depth(live: int) -> Tuple[int, int]:

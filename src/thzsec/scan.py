@@ -304,7 +304,9 @@ def _evaluate(
 
 def _field_for(
     cfg: ResolvedConfig,
-    inputs: Tuple[LinkScenario, Optional[ExtinctionBreakdown], FieldKey],
+    scenario: LinkScenario,
+    ext: Optional[ExtinctionBreakdown],
+    key: FieldKey,
     field: Optional[GainField],
     workers: _Workers,
 ) -> Optional[GainField]:
@@ -313,8 +315,8 @@ def _field_for(
     the metric reads no gain."""
     if not _reads_gain(cfg):
         return None
-    reuse = field is not None and field.key == inputs[2]
-    return field if reuse else _gain_field(*inputs, workers)
+    reuse = field is not None and field.key == key
+    return field if reuse else _gain_field(scenario, ext, key, workers)
 
 
 def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
@@ -345,10 +347,10 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
     ``threads`` > 1 splits the rows into that many blocks, each computed in
     its own worker process.
     """
-    inputs = _inputs(cfg)
-    _, ext, key = inputs
+    scenario, ext, key = _inputs(cfg)
     with _Workers(threads) as workers:
-        return _evaluate(cfg, ext, key, _field_for(cfg, inputs, None, workers), workers)
+        field = _field_for(cfg, scenario, ext, key, None, workers)
+        return _evaluate(cfg, ext, key, field, workers)
 
 
 def run_sweep(
@@ -370,9 +372,8 @@ def run_sweep(
     field = None
     with _Workers(threads) as workers:
         for value, sub_cfg in zip(sweep.values, cfg.sweep_configs()):
-            inputs = _inputs(sub_cfg)
-            _, ext, key = inputs
-            field = _field_for(sub_cfg, inputs, field, workers)
+            scenario, ext, key = _inputs(sub_cfg)
+            field = _field_for(sub_cfg, scenario, ext, key, field, workers)
             result = _evaluate(sub_cfg, ext, key, field, workers)
             path = None
             if out_stem is not None:

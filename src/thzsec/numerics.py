@@ -350,8 +350,9 @@ def _golden_round(f, live, bracket, levels, xtol):
         for rows, sign in steps:
             lo, hi, base = table.take(rows, axis=0)
             stop = start + sign.size
-            widths[start:stop] = hi - lo
-            table[start + 3:stop + 3] = base + sign * widths[start:stop]
+            width_rows = np.subtract(hi, lo, out=widths[start:stop])
+            np.multiply(sign, width_rows, out=table[start + 3:stop + 3])
+            table[start + 3:stop + 3] += base
             start = stop
         points.append(table[4:].ravel())
     points = np.concatenate(points)
@@ -367,7 +368,8 @@ def _golden_round(f, live, bracket, levels, xtol):
     fx[4:] = got[head:].reshape(-1, m)
     # each node's next, itself where its bracket is narrower than xtol
     narrow = np.abs(widths) < xtol
-    step = np.where(narrow, own, right - (fx.take(node[:, 2], axis=0) > fx.take(node[:, 3], axis=0)))
+    left_child = fx.take(node[:, 2], axis=0) > fx.take(node[:, 3], axis=0)
+    step = np.where(narrow, own, right - left_child)
     cells = np.arange(m)
     at = step[0]
     for _ in steps[1:]:

@@ -11,10 +11,10 @@ The batched forms run the one-problem algorithm of every problem side by
 side, with the same rule, tolerances and stopping tests.  A problem's
 arithmetic never mixes with another's: its panels keep their own order and
 its total is a sequential sum of them, so its result does not depend on
-which other problems share the batch.  ``gauss_kronrod_panels`` runs the
-same refinement loop with a per-panel stopping test and returns the final
-panels themselves, in the order of the first ones, for callers that
-integrate many sub-intervals of one problem from them.
+which other problems share the batch.  ``gauss_kronrod_panels`` refines
+with a per-panel stopping test, each split panel's halves in its place,
+and returns the final panels themselves, in the order of the first ones,
+for callers that integrate many sub-intervals of one problem from them.
 """
 
 from __future__ import annotations
@@ -150,7 +150,43 @@ def batched_gauss_kronrod(
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     item = np.flatnonzero(b > a)
-    return _refine(f, item, a[item], b[item], a.size, rel_tol, abs_tol, max_panels, b - a)
+    width = b - a
+    lo, hi, n = a[item], b[item], a.size
+    out = np.zeros(n)
+    ik, err = _panel_estimates(f, item, lo, hi)
+    for _ in range(64):
+        if not item.size:
+            break
+        # sequential per-problem sums, in each problem's own panel order
+        total = np.bincount(item, weights=ik, minlength=n)
+        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
+        bad = err > budget[item] * (hi - lo) / width[item]
+        split = item[bad]
+        panels = np.bincount(item, minlength=n)
+        n_bad = np.bincount(split, minlength=n)
+        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
+        if (panels + n_bad > max_panels).any():
+            k = int(np.argmax(panels + n_bad))
+            raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
+        if not split.size:
+            break
+        keep = (n_bad[item] > 0) & ~bad
+        split_lo, split_hi = lo[bad], hi[bad]
+        mid = 0.5 * (split_lo + split_hi)
+        split_ik, split_err = _panel_estimates(
+            f,
+            np.concatenate([split, split]),
+            np.concatenate([split_lo, mid]),
+            np.concatenate([mid, split_hi]),
+        )
+        lo = np.concatenate([lo[keep], split_lo, mid])
+        hi = np.concatenate([hi[keep], mid, split_hi])
+        item = np.concatenate([item[keep], split, split])
+        ik = np.concatenate([ik[keep], split_ik])
+        err = np.concatenate([err[keep], split_err])
+    else:
+        raise QuadratureError("refinement did not converge in 64 rounds")
+    return out
 
 
 def gauss_kronrod_panels(
@@ -203,46 +239,6 @@ def gauss_kronrod_panels(
         lo[right] = mid
         ik[halves], err[halves] = _panel_estimates(f, item[halves], lo[halves], hi[halves])
     raise QuadratureError("refinement did not converge in 64 rounds")
-
-
-def _refine(f, item, lo, hi, n, rel_tol, abs_tol, max_panels, width):
-    """The refinement loop of n problems of lengths ``width`` from the first
-    panels (item, lo, hi): each problem's total."""
-    out = np.zeros(n)
-    ik, err = _panel_estimates(f, item, lo, hi)
-    for _ in range(64):
-        if not item.size:
-            break
-        # sequential per-problem sums, in each problem's own panel order
-        total = np.bincount(item, weights=ik, minlength=n)
-        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
-        bad = err > budget[item] * (hi - lo) / width[item]
-        split = item[bad]
-        panels = np.bincount(item, minlength=n)
-        n_bad = np.bincount(split, minlength=n)
-        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
-        if (panels + n_bad > max_panels).any():
-            k = int(np.argmax(panels + n_bad))
-            raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
-        if not split.size:
-            break
-        keep = (n_bad[item] > 0) & ~bad
-        split_lo, split_hi = lo[bad], hi[bad]
-        mid = 0.5 * (split_lo + split_hi)
-        split_ik, split_err = _panel_estimates(
-            f,
-            np.concatenate([split, split]),
-            np.concatenate([split_lo, mid]),
-            np.concatenate([mid, split_hi]),
-        )
-        lo = np.concatenate([lo[keep], split_lo, mid])
-        hi = np.concatenate([hi[keep], mid, split_hi])
-        item = np.concatenate([item[keep], split, split])
-        ik = np.concatenate([ik[keep], split_ik])
-        err = np.concatenate([err[keep], split_err])
-    else:
-        raise QuadratureError("refinement did not converge in 64 rounds")
-    return out
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -375,7 +371,8 @@ def _golden_round(f, live, bracket, levels, xtol):
     for _ in steps[1:]:
         at = step.ravel().take(at * m + cells)
     rows = np.take(node, at, axis=0).T * m + cells
-    return (*table.ravel().take(rows), *fx.ravel().take(rows[2:])), narrow.ravel().take(at * m + cells)
+    stop = narrow.ravel().take(at * m + cells)
+    return (*table.ravel().take(rows), *fx.ravel().take(rows[2:])), stop
 
 
 def _golden_depth(live: int) -> Tuple[int, int]:

@@ -235,11 +235,8 @@ def _gain_field(
         blocks = workers.blocks(len(ys))
         payloads = [(ys[rows], xs, scenario, ext, key.scattering) for rows in blocks]
         parts = workers.map(_field_rows, payloads)
-        if len(parts) == 1:
-            (steering, g_nlos), = parts
-        else:
-            steering = np.concatenate([part[0] for part in parts])
-            g_nlos = np.concatenate([part[1] for part in parts])
+        steering = np.concatenate([part[0] for part in parts])
+        g_nlos = np.concatenate([part[1] for part in parts])
     steering.setflags(write=False)
     g_nlos.setflags(write=False)
     return GainField(steering, g_nlos, key)

@@ -613,7 +613,8 @@ class TestNlosGainField:
 
         monkeypatch.setattr(channel, "gauss_kronrod_panels", recorded)
         sc = field_scenario(60.0)
-        channel._steering_free_gain(np.array([750.0, 40.0]), np.array([30.0, 2.0]), sc, EXT, FORWARD)
+        xs, ys = np.array([750.0, 40.0]), np.array([30.0, 2.0])
+        channel._steering_free_gain(xs, ys, sc, EXT, FORWARD)
         (f, (item, lo, hi, rel_tol, abs_tol, _), got), = calls
         assert (got[0].size > item.size) == (rungs == 0)
         want = panel_by_panel(f, item, lo, hi, rel_tol, abs_tol)

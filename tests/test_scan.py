@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -465,22 +465,6 @@ class TestInsecureRegion:
         for iy in range(mask.shape[0]):
             assert region.runs_by_row[iy] == run_lengths(mask[iy])
 
-    @pytest.mark.parametrize("mask, runs", [
-        # runs that touch the first and the last column of a row
-        ([[True, False, False, True], [True, True, False, True]],
-         {0: [(0, 0), (3, 3)], 1: [(0, 1), (3, 3)]}),
-        # a whole row insecure, beside a secure one
-        ([[False, False, False], [True, True, True]], {1: [(0, 2)]}),
-        # a 1 x 1 grid, insecure and secure
-        ([[True]], {0: [(0, 0)]}),
-        ([[False]], {}),
-    ])
-    def test_runs_at_the_row_ends(self, mask, runs):
-        mask = np.array(mask)
-        region = extract_insecure_region(self._synthetic(mask))
-        assert region.runs_by_row == runs
-        assert region.cell_count == int(mask.sum())
-
     def test_probabilistic_predicate_is_exact_one(self):
         mask = np.zeros((1, 3), dtype=bool)
         mask[0, 1] = True
@@ -498,6 +482,12 @@ class TestInsecureRegion:
         ),
         st.lists(st.sampled_from(["all", "none"]), max_size=6),
     )
+    # runs that touch the first and the last column of a row, a whole row
+    # insecure beside a secure one, and 1 x 1 grids
+    @example(np.array([[True, False, False, True], [True, True, False, True]]), [])
+    @example(np.array([[False, False, False], [True, True, True]]), [])
+    @example(np.array([[True]]), [])
+    @example(np.array([[False]]), [])
     @settings(max_examples=300, deadline=None)
     def test_runs_match_loop_oracle(self, mask, fills):
         # force some whole rows insecure or secure so those cases always occur

@@ -106,6 +106,12 @@ class ReceiverParams:
     def __post_init__(self):
         if self.aperture_d <= 0:
             raise ValueError(f"aperture_d must be > 0, got {self.aperture_d}")
+        try:
+            area = self.area
+        except OverflowError:
+            area = math.inf
+        if not math.isfinite(area):
+            raise ValueError(f"aperture_d = {self.aperture_d} gives an area that overflows")
         if not 0.0 < self.fov_full_rad <= math.pi:
             raise ValueError(
                 f"fov_full_rad must be in (0, pi], got {self.fov_full_rad}"
@@ -194,7 +200,13 @@ def los_gain(scenario: LinkScenario, ext: ExtinctionBreakdown) -> float:
 
 
 def _phase_values(mu, g: float, f: float):
-    hg = (1.0 + g * g - 2.0 * g * np.asarray(mu)) ** -1.5
+    mu = np.asarray(mu)
+    base = 1.0 + g * g - 2.0 * g * mu
+    if not np.all(base > 0.0):
+        # at mu = +-1 with |g| within about 1e-8 of 1 the base rounds to 0;
+        # as a sum of squares it keeps its tiny positive value
+        base = np.where(base > 0.0, base, np.square(1.0 - g * mu) + g * g * (1.0 - mu * mu))
+    hg = base ** -1.5
     corr = f * (3.0 * np.square(mu) - 1.0) / (2.0 * (1.0 + g * g) ** 1.5)
     return (1.0 - g * g) / (4.0 * math.pi) * (hg + corr)
 

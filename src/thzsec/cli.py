@@ -216,7 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (RegimeError, ValueError, RuntimeError) as exc:
+    except (RegimeError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -13,7 +13,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +54,8 @@ _LOG_SPAN = math.log(GAIN_BRACKET_HI / GAIN_BRACKET_LO)
 
 
 class MonotonicityError(RuntimeError):
-    """The capacity values seen while solving for the threshold gain were
-    not monotone."""
+    """The information values seen while solving for the threshold gain
+    were not monotone."""
 
 
 @dataclass(frozen=True)
@@ -109,54 +109,6 @@ def lognormal_cdf(g: float, model: FadingModel) -> float:
         return 0.0
     z = (math.log(g / model.g_los_mean) - model.mu_log) / math.sqrt(model.sigma_r2)
     return _std_normal_cdf(z)
-
-
-class _CapacityCurve:
-    """Unclamped I_bob(G) - I_eve as a function of the LOS gain G.
-
-    Strictly increasing in G, so the clamped capacity crosses any positive
-    target exactly where this does.  ``slope`` is its derivative in ln G and
-    ``table`` its values at ``_TABLE_GAINS``, read from the shared table of
-    Bob's information.
-    """
-
-    __slots__ = ("k_bob", "lambda_b", "q", "paper_exact", "i_eve")
-
-    def __init__(self, k_bob: float, lambda_b: float, q: float, paper_exact: bool, i_eve: float):
-        self.k_bob, self.lambda_b, self.q = k_bob, lambda_b, q
-        self.paper_exact, self.i_eve = paper_exact, i_eve
-
-    # the caller checked q, DetectionRates checked lambda_b, and the solver's
-    # gains are positive: the kernels skip the checks
-    def __call__(self, g: float) -> float:
-        i_bob = _ook_information(self.k_bob * g, self.lambda_b, self.q, self.paper_exact)
-        return i_bob - self.i_eve
-
-    def slope(self, g: float) -> float:
-        lam = self.k_bob * g
-        return lam * _ook_information_slope(lam, self.lambda_b, self.q)
-
-    def table(self) -> List[float]:
-        bob = _bob_information(self.k_bob, self.lambda_b, self.q, self.paper_exact)
-        return [v - self.i_eve for v in bob]
-
-
-def _capacity_vs_gain(
-    scenario: LinkScenario,
-    g_nlos_fixed: float,
-    rates_template: DetectionRates,
-    paper_exact: bool = False,
-) -> _CapacityCurve:
-    """The capacity curve I_bob(G) - I_eve of one eavesdropper position."""
-    e_p = photon_energy_j(scenario.freq_hz)
-    # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
-    # detection_rates forms lambda_n, so that I_eve is the one it reports
-    k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
-    i_eve = ook_mutual_information(
-        _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
-        rates_template.lambda_e, rates_template.q, paper_exact,
-    )
-    return _CapacityCurve(k_bob, rates_template.lambda_b, rates_template.q, paper_exact, i_eve)
 
 
 def _tabulate(func: Callable[[float], float]) -> Tuple[float, ...]:
@@ -278,17 +230,36 @@ def threshold_gain(
 ) -> Optional[float]:
     """LOS gain G* at which the secrecy capacity equals the target rate.
 
-    Safeguarded Newton steps in ln G (``_solve_tabulated``) from the shared
-    table of Bob's information, which brackets the root, down to 1e-10
-    relative bracket width and 1e-9 bits/slot residual; of the final
-    bracket's ends it returns the one with the smaller residual.  Returns
-    None when even G = 1 cannot reach the target (outage certain); returns
-    the lower bracket 1e-30 when the target is already met there (outage
-    negligible).
+    Bob's information I_bob(G) is strictly increasing and does not depend
+    on Eve, so G* inverts it at the level R * tau + I_eve: safeguarded
+    Newton steps in ln G (``_solve_tabulated``) from the shared table of
+    Bob's information, which brackets the root, down to 1e-10 relative
+    bracket width and 1e-9 bits/slot residual; of the final bracket's ends
+    it returns the one with the smaller residual.  Returns None when even
+    G = 1 cannot reach the level (outage certain); returns the lower
+    bracket 1e-30 when the level is already met there (outage negligible).
     """
-    target_bits = target_rate_bps * rates_template.integration_time_s
-    capacity = _capacity_vs_gain(scenario, g_nlos_fixed, rates_template, paper_exact)
-    return _solve_tabulated(capacity, capacity.slope, target_bits, capacity.table())
+    e_p = photon_energy_j(scenario.freq_hz)
+    # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
+    # detection_rates forms lambda_n, so that I_eve is the one it reports
+    k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
+    i_eve = ook_mutual_information(
+        _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
+        rates_template.lambda_e, rates_template.q, paper_exact,
+    )
+    lambda_b, q = rates_template.lambda_b, rates_template.q
+
+    # the caller checked q, DetectionRates checked lambda_b, and the solver's
+    # gains are positive: the kernels skip the checks
+    def i_bob(g: float) -> float:
+        return _ook_information(k_bob * g, lambda_b, q, paper_exact)
+
+    def slope(g: float) -> float:
+        lam = k_bob * g
+        return lam * _ook_information_slope(lam, lambda_b, q)
+
+    level = target_rate_bps * rates_template.integration_time_s + i_eve
+    return _solve_tabulated(i_bob, slope, level, _bob_information(k_bob, lambda_b, q, paper_exact))
 
 
 def outage_probability(model: FadingModel, g_threshold: float) -> float:

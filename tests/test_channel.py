@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +119,20 @@ class TestPhaseFunction:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             phase_function(1.5, ISOTROPIC)
+
+    @pytest.mark.parametrize("g", [0.9999999999999999, -0.9999999999999999])
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_finite_at_the_poles_as_g_nears_one(self, g, mu):
+        # at g * mu ~ 1 the base 1 + g^2 - 2 g mu rounds to 0 in floats, but
+        # is (1 - g)^2 ~ 1.2e-32: the formula on the exact base is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = phase_function(mu, ScatteringParams(g=g, f=0.5))
+        base = 1 + Fraction(g) ** 2 - 2 * Fraction(g) * Fraction(mu)
+        corr = 0.5 * (3.0 * mu * mu - 1.0) / (2.0 * (1.0 + g * g) ** 1.5)
+        want = (1.0 - g * g) / (4.0 * math.pi) * (float(base) ** -1.5 + corr)
+        assert math.isfinite(p)
+        assert math.isclose(p, want, rel_tol=1e-15)
 
     def test_negative_phase_params_rejected(self):
         # large f drives p(mu ~ 0) negative

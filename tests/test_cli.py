@@ -82,6 +82,15 @@ class TestScan:
         out = tmp_path / "missing-dir" / "map.csv"
         assert main(["scan", "--config", str(cfg), "--out", str(out)]) == EXIT_IO
 
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, FloatingPointError])
+    def test_arithmetic_error_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, error):
+        def failing(cfg, threads):
+            raise error("numbers out of range")
+
+        monkeypatch.setattr(cli, "run_scan", failing)
+        assert main(["scan", "--config", str(write(tmp_path, POINT_CFG))]) == EXIT_RUNTIME
+        assert "runtime error: numbers out of range" in capsys.readouterr().err
+
     def test_summary_only_without_out(self, tmp_path, capsys):
         cfg = write(tmp_path, POINT_CFG)
         assert main(["scan", "--config", str(cfg)]) == EXIT_OK
@@ -245,8 +254,11 @@ class TestUsage:
     ("[atmosphere]\nabsorption_table_path = {bad_header}\n", [], "scan"),
     ("[atmosphere]\nabsorption_table_path = {missing}\n", [], "point"),
     ("[link]\nfreq_hz = 700e9\n", [], "point"),
+    ("[bob]\naperture_m = 1e200\n", [], "scan"),
+    ("[eve]\naperture_m = 1e200\n", [], "scan"),
 ], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
-        "table-bad-header", "table-missing", "freq-past-table"])
+        "table-bad-header", "table-missing", "freq-past-table", "bob-area-overflows",
+        "eve-area-overflows"])
 @pytest.mark.parametrize("run", ["validate", "command"])
 def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
     """Configs that only fail once the physics or a file read would reach the

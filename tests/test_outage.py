@@ -173,21 +173,43 @@ class TestThresholdGain:
         with pytest.raises(MonotonicityError):
             _bisect_monotone(wavy, target=1.0)
 
-    def test_eve_information_is_the_reported_one(self):
-        # the capacity curve's I_eve comes from Eve's count as
-        # detection_rates forms lambda_n, bit for bit: at G = 0 Bob has no
-        # information and the curve is -I_eve.  Forming the count as
-        # (count per unit gain) * G differs in the last bit on thousands of
-        # these gains.
-        from thzsec.outage import _capacity_vs_gain
+    @staticmethod
+    def solves(monkeypatch):
+        """Record each ``_solve_tabulated`` call that threshold_gain makes as
+        (level, number of evaluations of Bob's information)."""
+        from thzsec import outage
 
+        solve, seen = outage._solve_tabulated, []
+
+        def recorded(func, slope, level, values):
+            calls = []
+
+            def counted(g):
+                calls.append(g)
+                return func(g)
+
+            try:
+                return solve(counted, slope, level, values)
+            finally:
+                seen.append((level, len(calls)))
+
+        monkeypatch.setattr(outage, "_solve_tabulated", recorded)
+        return seen
+
+    def test_eve_information_is_the_reported_one(self, monkeypatch):
+        # the level R * tau + I_eve takes I_eve from Eve's count as
+        # detection_rates forms lambda_n, bit for bit: with a zero target
+        # the level is I_eve itself.  Forming the count as (count per unit
+        # gain) * G differs in the last bit on thousands of these gains.
         cfg = parse_config(None)
         sc, q = cfg.scenario(), cfg.duty_cycle()
+        seen = self.solves(monkeypatch)
         for g_nlos in np.logspace(-16.0, -6.0, 20001):
             gains = ChannelGains(g_los=1e-8, g_nlos=float(g_nlos), steering_rad=1.0, seg=None)
             rates = detection_rates(sc, gains, q)
-            capacity = _capacity_vs_gain(sc, float(g_nlos), rates)
-            assert capacity(0.0) == -ook_mutual_information(rates.lambda_n, rates.lambda_e, q)
+            threshold_gain(sc, float(g_nlos), rates, 0.0)
+            level, _ = seen.pop()
+            assert level == ook_mutual_information(rates.lambda_n, rates.lambda_e, q)
 
     def test_wavy_capacity_fails_in_the_solver(self):
         from thzsec.outage import _solve_tabulated, _tabulate
@@ -230,49 +252,57 @@ class TestThresholdGain:
     def test_solver_matches_bisection_oracle(
         self, log_k_bob, lambda_b, q, paper_exact, i_eve, kind, log_lam
     ):
-        from thzsec.outage import _CapacityCurve, _bisect_monotone, _solve_tabulated
+        # the solve inverts Bob's information I_bob, the oracle bisects the
+        # unshifted capacity I_bob - I_eve.  Each gets its own curve's value
+        # at the same gain g, or one ulp past it at an end of the bracket:
+        # a target shifted by I_eve can round past an end, which moves
+        # threshold_gain's G* by round-off but is not the solve's doing
+        from thzsec.outage import _bisect_monotone, _bob_information, _solve_tabulated
+        from thzsec.secrecy import _ook_information, _ook_information_slope
 
-        curve = _CapacityCurve(10.0 ** log_k_bob, lambda_b, q, paper_exact, i_eve)
-        if kind == "unreachable":
-            target = math.nextafter(curve(1.0), math.inf)
-        elif kind == "met":
-            target = math.nextafter(curve(1e-30), -math.inf)
+        k_bob = 10.0 ** log_k_bob
+
+        def i_bob(g):
+            return _ook_information(k_bob * g, lambda_b, q, paper_exact)
+
+        def slope(g):
+            return k_bob * g * _ook_information_slope(k_bob * g, lambda_b, q)
+
+        def capacity(g):
+            return i_bob(g) - i_eve
+
+        ends = {"unreachable": 1.0, "at_top": 1.0, "met": 1e-30, "at_bottom": 1e-30}
+        g = ends.get(kind, 10.0 ** log_lam / k_bob)
+        assume(1e-30 <= g <= 1.0)
+        level, target = i_bob(g), capacity(g)
+        if kind in ("unreachable", "met"):
+            past = math.inf if kind == "unreachable" else -math.inf
+            level, target = math.nextafter(level, past), math.nextafter(target, past)
         else:
-            g = {"root": 10.0 ** log_lam / curve.k_bob, "at_top": 1.0, "at_bottom": 1e-30}[kind]
-            assume(1e-30 <= g <= 1.0)
-            target = curve(g)
             # a root that the capacity's round-off fixes to about 1e-12
             scale = max(1.0, i_eve, abs(target + i_eve))
-            assume(curve.slope(g) >= 1e-3 * scale)
-        oracle = _bisect_monotone(curve, target)
-        got = _solve_tabulated(curve, curve.slope, target, curve.table())
+            assume(slope(g) >= 1e-3 * scale)
+        oracle = _bisect_monotone(capacity, target)
+        got = _solve_tabulated(i_bob, slope, level, _bob_information(k_bob, lambda_b, q, paper_exact))
         if oracle is None or oracle == 1e-30:
             assert got == oracle
         else:
             assert got is not None
             assert math.isclose(got, oracle, rel_tol=1e-10)
-            assert abs(curve(got) - target) <= 1e-9
+            assert abs(capacity(got) - target) <= 1e-9
 
-    def test_evaluations_per_solve(self):
+    def test_evaluations_per_solve(self, monkeypatch):
         # beyond the shared table: 6.3 per cell on the standard outage map,
         # against 42 for the bisection
-        from thzsec.outage import _capacity_vs_gain, _solve_tabulated
-
         cfg = parse_config(None)
         sc, q = cfg.scenario(), cfg.duty_cycle()
         rates = detection_rates(sc, ChannelGains(1e-8, 0.0, 1.0, None), q)
-        target = cfg.scan_spec().target_rate_bps * rates.integration_time_s
-        counts = []
+        target_bps = cfg.scan_spec().target_rate_bps
+        seen = self.solves(monkeypatch)
         for g_nlos in np.logspace(-16.0, -4.0, 121):
-            curve = _capacity_vs_gain(sc, float(g_nlos), rates)
-            calls = []
-
-            def counted(g):
-                calls.append(g)
-                return curve(g)
-
-            assert _solve_tabulated(counted, curve.slope, target, curve.table()) is not None
-            counts.append(len(calls))
+            assert threshold_gain(sc, float(g_nlos), rates, target_bps) is not None
+        counts = [n for _, n in seen]
+        assert len(counts) == 121
         assert np.mean(counts) <= 7.0
         assert max(counts) <= 8
 

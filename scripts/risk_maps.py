@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from thzsec.cli import _threads
 from thzsec.config import parse_config
-from thzsec.scan import emit, evaluate, extract_insecure_region, field_key, gain_field, run_scan
+from thzsec.scan import emit, extract_insecure_region, run_scan
 
 
 def with_all(cfg, settings):
@@ -81,26 +81,18 @@ def main():
     print(f"capacity_map: MSC {result.msc_bps / 1e9:.2f} Gbps "
           f"({time.perf_counter() - t0:.1f} s)")
 
-    # the capacity line, the outage line and the 340 GHz line share one gain
-    # field: neither the mode nor the default carrier changes its key
     line_cfg = with_all(base, LINE)
-    line_field = gain_field(line_cfg, threads=args.threads)
-    result = evaluate(line_cfg, line_field, threads=args.threads)
+    result = run_scan(line_cfg, threads=args.threads)
     emit(result, "csv", args.out / "capacity_y_line.csv")
     summary["capacity_y_line"] = summarise(result)
 
-    result = evaluate(
-        with_all(base, {**LINE, ("scan", "mode"): "prob"}), line_field, threads=args.threads
-    )
+    result = run_scan(with_all(line_cfg, {("scan", "mode"): "prob"}), threads=args.threads)
     emit(result, "csv", args.out / "outage_y_line.csv")
     summary["outage_y_line"] = summarise(result)
     print(f"outage_y_line: MOP {result.mop * 100:.4f}%")
 
     for freq in (140e9, 220e9, 340e9, 675e9):
-        cfg = with_all(base, {**LINE, ("link", "freq_hz"): freq})
-        same = field_key(cfg) == line_field.key
-        field = line_field if same else gain_field(cfg, threads=args.threads)
-        result = evaluate(cfg, field, threads=args.threads)
+        result = run_scan(with_all(line_cfg, {("link", "freq_hz"): freq}), threads=args.threads)
         name = f"capacity_{freq / 1e9:.0f}ghz.csv"
         emit(result, "csv", args.out / "frequency_sweep" / name)
         summary[f"capacity_{freq / 1e9:.0f}ghz"] = summarise(result)

@@ -45,14 +45,10 @@ from .outage import (
     threshold_gain,
 )
 from .scan import (
-    GainField,
     InsecureRegion,
     ScanResult,
     emit,
-    evaluate,
     extract_insecure_region,
-    field_key,
-    gain_field,
     load_csv,
     load_json,
     run_scan,

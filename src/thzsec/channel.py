@@ -313,7 +313,8 @@ def _nlos_integrand(l, x, y, cos_a, y_sin_a, area, alpha_am, params):
     r = np.hypot(dx, y)
     mu = dx / r
     proj = np.maximum(dx * cos_a + y_sin_a, 0.0)
-    omega = area * proj / r**3
+    with np.errstate(over="ignore"):  # an inf r**3 gives omega 0, its limit
+        omega = area * proj / r**3
     return omega * _phase_values(mu, params.g, params.f) * alpha_am * np.exp(-alpha_am * (l + r))
 
 

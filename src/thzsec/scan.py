@@ -4,25 +4,26 @@ extraction and CSV/JSON emission.
 A scan is constants + field + metric, row-major (y outer, x inner).  The
 constants do not depend on Eve's position: the extinction, the LOS gain,
 the scenario.  The field is the steering-optimised NLOS gain of every cell,
-a ``GainField`` value that ``gain_field`` computes with ``nlos_gain_field``.
-The metric (secrecy capacity or outage probability) is a function of a
-cell's NLOS gain alone, built once per ``evaluate`` from the constants.  A
-field carries the key of the inputs it is computed from (``field_key``);
-``evaluate`` refuses a field with another key, and ``run_sweep`` computes a
-new field only when the key changes.  A cell's gain and metric do not
-depend on the other cells, so splitting the rows into blocks for worker
-processes cannot change the output.  A scan outside the weak-fluctuation
-regime is NaN and counted as such in every cell; cells at y = 0 (no
-defined eavesdropper geometry) are NaN and counted too.
+which ``_gain_field`` computes with ``nlos_gain_field``.  The metric
+(secrecy capacity or outage probability) is a function of a cell's NLOS
+gain alone, built once per scan from the constants (``_evaluate``).
+``run_scan`` and ``run_sweep`` run one loop over their configs
+(``_scans``), which keeps the last field with the key of the inputs it is
+computed from (``FieldKey``) and computes a new one only for a metric that
+reads the gain under another key.  A cell's gain and metric do not depend
+on the other cells, so splitting the rows into blocks for worker processes
+cannot change the output.  A scan outside the weak-fluctuation regime is
+NaN and counted as such in every cell; cells at y = 0 (no defined
+eavesdropper geometry) are NaN and counted too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,10 +36,6 @@ from .secrecy import DetectionRates, _signal_count, detection_rates, ook_mutual_
 __all__ = [
     "ScanResult",
     "InsecureRegion",
-    "GainField",
-    "field_key",
-    "gain_field",
-    "evaluate",
     "run_scan",
     "run_sweep",
     "extract_insecure_region",
@@ -113,23 +110,6 @@ def _inputs(
     return scenario, ext, key
 
 
-def field_key(cfg: ResolvedConfig) -> FieldKey:
-    """The key of the config's gain field."""
-    return _inputs(cfg)[2]
-
-
-@dataclass(frozen=True)
-class GainField:
-    """Steering-optimised NLOS gain and its steering angle (rad) at every cell
-    of the key's grid, both read-only of shape (len(ys), len(xs)).  NaN at
-    y = 0, and everywhere when the extinction is outside the
-    weak-fluctuation regime."""
-
-    steering: np.ndarray
-    g_nlos: np.ndarray
-    key: FieldKey
-
-
 class _Workers:
     """Row blocks of a grid and a map over them: in this process for a single
     block, else in one process pool, started on first use and shared by
@@ -172,20 +152,20 @@ def _reads_gain(cfg: ResolvedConfig) -> bool:
     return not (spec.mode == MODE_PROBABILISTIC and spec.target_rate_bps <= 0.0)
 
 
-def _field_rows(payload) -> Tuple[np.ndarray, np.ndarray]:
-    """Steering and NLOS gain of a block of rows, NaN at y = 0."""
+def _field_rows(payload) -> np.ndarray:
+    """NLOS gain of a block of rows, NaN at y = 0."""
     ys, xs, scenario, ext, scattering = payload
     ys = np.asarray(ys, dtype=float)
     valid = ys != 0.0
     x_grid, y_grid = np.empty((2, int(valid.sum()), len(xs)))
     x_grid[:] = xs
     y_grid[:] = ys[valid, None]
-    steering, g_nlos = nlos_gain_field(x_grid, y_grid, scenario, ext, scattering)
+    g_nlos = nlos_gain_field(x_grid, y_grid, scenario, ext, scattering)[1]
     if valid.all():
-        return steering, g_nlos
-    out = np.full((2, ys.size, len(xs)), math.nan)
-    out[0, valid], out[1, valid] = steering, g_nlos
-    return out[0], out[1]
+        return g_nlos
+    out = np.full((ys.size, len(xs)), math.nan)
+    out[valid] = g_nlos
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,35 +206,26 @@ def _metric_cells(payload) -> List[float]:
 
 def _gain_field(
     scenario: LinkScenario, ext: Optional[ExtinctionBreakdown], key: FieldKey, workers: _Workers
-) -> GainField:
+) -> np.ndarray:
+    """Steering-optimised NLOS gain at every cell of the key's grid, of shape
+    (len(ys), len(xs)).  NaN at y = 0, and everywhere when the extinction
+    is outside the weak-fluctuation regime."""
     xs, ys = key.xs, key.ys
     if ext is None:
-        steering = np.full((len(ys), len(xs)), np.nan)
-        g_nlos = np.full((len(ys), len(xs)), np.nan)
-    else:
-        blocks = workers.blocks(len(ys))
-        payloads = [(ys[rows], xs, scenario, ext, key.scattering) for rows in blocks]
-        parts = workers.map(_field_rows, payloads)
-        steering = np.concatenate([part[0] for part in parts])
-        g_nlos = np.concatenate([part[1] for part in parts])
-    steering.setflags(write=False)
-    g_nlos.setflags(write=False)
-    return GainField(steering, g_nlos, key)
+        return np.full((len(ys), len(xs)), np.nan)
+    payloads = [(ys[rows], xs, scenario, ext, key.scattering) for rows in workers.blocks(len(ys))]
+    return np.concatenate(workers.map(_field_rows, payloads))
 
 
 def _evaluate(
     cfg: ResolvedConfig,
     ext: Optional[ExtinctionBreakdown],
     key: FieldKey,
-    field: Optional[GainField],
+    g_nlos: Optional[np.ndarray],
     workers: _Workers,
 ) -> ScanResult:
-    if field is not None and field.key != key:
-        changed = [f.name for f in fields(key) if getattr(key, f.name) != getattr(field.key, f.name)]
-        raise ValueError(f"gain field was computed for other inputs: {', '.join(changed)}")
-    reads_gain = _reads_gain(cfg)
-    if field is None and reads_gain:
-        raise ValueError("this configuration's metric needs a gain field")
+    """The config's metric over ``g_nlos``, the gain field of its key; that
+    field is not read (and may be None) where ``_reads_gain`` is false."""
     spec = cfg.scan_spec()
     xs, ys = key.xs, key.ys
     values = np.full((len(ys), len(xs)), np.nan)
@@ -266,11 +237,11 @@ def _evaluate(
         regime_cells = values.size
     else:
         invalid_cells = values.size - int(valid.sum())
-        if not reads_gain:
+        if not _reads_gain(cfg):
             values[valid] = 0.0
         else:
             metric = _metric(cfg, ext)
-            payloads = [(metric, field.g_nlos[r][valid[r]]) for r in workers.blocks(len(ys))]
+            payloads = [(metric, g_nlos[r][valid[r]]) for r in workers.blocks(len(ys))]
             values[valid] = [v for cells in workers.map(_metric_cells, payloads) for v in cells]
 
     finite = values[~np.isnan(values)]
@@ -299,43 +270,17 @@ def _evaluate(
     )
 
 
-def _field_for(
-    cfg: ResolvedConfig,
-    scenario: LinkScenario,
-    ext: Optional[ExtinctionBreakdown],
-    key: FieldKey,
-    field: Optional[GainField],
-    workers: _Workers,
-) -> Optional[GainField]:
-    """The gain field ``cfg``'s metric reads, given its ``_inputs``:
-    ``field`` while its key is the config's, a new one otherwise; None where
-    the metric reads no gain."""
-    if not _reads_gain(cfg):
-        return None
-    reuse = field is not None and field.key == key
-    return field if reuse else _gain_field(scenario, ext, key, workers)
-
-
-def gain_field(cfg: ResolvedConfig, threads: int = 1) -> GainField:
-    """The configured grid's steering-optimised NLOS gain field.
-
-    ``threads`` > 1 splits the rows into that many blocks, each computed in
-    its own worker process.
-    """
+def _scans(cfgs: Iterable[ResolvedConfig], threads: int) -> Iterator[ScanResult]:
+    """Each config's scan, in order, in one worker pool.  Only the last gain
+    field is kept, with its key: a config whose metric reads the gain
+    reuses it while its key is that one, and computes a new one otherwise."""
+    key = g_nlos = None
     with _Workers(threads) as workers:
-        return _gain_field(*_inputs(cfg), workers)
-
-
-def evaluate(cfg: ResolvedConfig, field: Optional[GainField], threads: int = 1) -> ScanResult:
-    """The configured grid's metric over a gain field of the same key.
-
-    ``field`` may be None only where the metric reads no gain (``prob`` mode
-    at a nonpositive target rate).  Raises ValueError for a field computed
-    from other inputs.  ``threads`` as for ``gain_field``.
-    """
-    _, ext, key = _inputs(cfg)
-    with _Workers(threads) as workers:
-        return _evaluate(cfg, ext, key, field, workers)
+        for cfg in cfgs:
+            scenario, ext, cfg_key = _inputs(cfg)
+            if _reads_gain(cfg) and cfg_key != key:
+                key, g_nlos = cfg_key, _gain_field(scenario, ext, cfg_key, workers)
+            yield _evaluate(cfg, ext, cfg_key, g_nlos, workers)
 
 
 def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
@@ -344,10 +289,8 @@ def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
     ``threads`` > 1 splits the rows into that many blocks, each computed in
     its own worker process.
     """
-    scenario, ext, key = _inputs(cfg)
-    with _Workers(threads) as workers:
-        field = _field_for(cfg, scenario, ext, key, None, workers)
-        return _evaluate(cfg, ext, key, field, workers)
+    [result] = _scans([cfg], threads)
+    return result
 
 
 def run_sweep(
@@ -366,19 +309,13 @@ def run_sweep(
     if sweep is None:
         raise ConfigError("configuration has no [sweep] section")
     outputs = []
-    field = None
-    with _Workers(threads) as workers:
-        for value, sub_cfg in zip(sweep.values, cfg.sweep_configs()):
-            scenario, ext, key = _inputs(sub_cfg)
-            field = _field_for(sub_cfg, scenario, ext, key, field, workers)
-            result = _evaluate(sub_cfg, ext, key, field, workers)
-            path = None
-            if out_stem is not None:
-                path = out_stem.with_name(
-                    f"{out_stem.stem}_{sweep.parameter}={value!r}.{fmt}"
-                )
-                emit(result, fmt, path)
-            outputs.append((value, result, path))
+    # the scans first: zip stops on their end, after the pool has shut down
+    for result, value in zip(_scans(cfg.sweep_configs(), threads), sweep.values):
+        path = None
+        if out_stem is not None:
+            path = out_stem.with_name(f"{out_stem.stem}_{sweep.parameter}={value!r}.{fmt}")
+            emit(result, fmt, path)
+        outputs.append((value, result, path))
     return outputs
 
 

@@ -337,6 +337,14 @@ class TestComputeChannelGains:
         assert up.g_los == down.g_los
         assert up.g_nlos == pytest.approx(down.g_nlos, rel=1e-12)
 
+    @pytest.mark.parametrize("x,y", [(1e300, 30.0), (750.0, 1e200)])
+    def test_far_eavesdropper_gets_no_nlos_gain(self, x, y):
+        # r**3 overflows in the integrand, whose limit there is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gains = compute_channel_gains(SCENARIO.with_eve_at(x, y), EXT, FORWARD)
+        assert gains.g_nlos == 0.0
+
 
 # Eve positions for the gain field: y of either sign, x on both sides of
 # [0, d] (no foot probe) and inside it (foot probe among the candidates).

@@ -19,10 +19,7 @@ from thzsec.scan import (
     JSON_SCHEMA,
     ScanResult,
     emit,
-    evaluate,
     extract_insecure_region,
-    field_key,
-    gain_field,
     load_csv,
     load_json,
     run_scan,
@@ -73,6 +70,11 @@ def same_bits(a, b):
         and np.array_equal(nan, np.isnan(b))
         and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
     )
+
+
+def field_of(cfg):
+    """The config's gain field, computed as a scan computes it."""
+    return scan._gain_field(*scan._inputs(cfg), scan._Workers(1))
 
 
 @st.composite
@@ -197,10 +199,9 @@ step_m = 1
         ext = extinction(
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
-        field = gain_field(cfg)
         gains = ChannelGains(
-            g_los=los_gain(scenario, ext), g_nlos=float(field.g_nlos[0, 0]),
-            steering_rad=float(field.steering[0, 0]), seg=None,
+            g_los=los_gain(scenario, ext), g_nlos=float(field_of(cfg)[0, 0]),
+            steering_rad=math.nan, seg=None,
         )
         rates = detection_rates(scenario, gains, cfg.duty_cycle())
         direct = secrecy_capacity(rates).c_s_bps
@@ -226,10 +227,9 @@ mode = prob
         ext = extinction(
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
-        field = gain_field(cfg)
         gains = ChannelGains(
-            g_los=los_gain(scenario, ext), g_nlos=float(field.g_nlos[0, 0]),
-            steering_rad=float(field.steering[0, 0]), seg=None,
+            g_los=los_gain(scenario, ext), g_nlos=float(field_of(cfg)[0, 0]),
+            steering_rad=math.nan, seg=None,
         )
         target = cfg.scan_spec().target_rate_bps
         direct = outage_from_gains(scenario, gains, ext.beta_r2_sph, target, cfg.duty_cycle()).p_o
@@ -765,6 +765,16 @@ TOGETHER = {
 }
 
 
+def key_of(cfg):
+    return scan._inputs(cfg)[2]
+
+
+def changed_inputs(a, b):
+    """The names of the key fields in which configs a and b differ."""
+    ka, kb = key_of(a), key_of(b)
+    return ", ".join(f.name for f in dataclasses.fields(ka) if getattr(ka, f.name) != getattr(kb, f.name))
+
+
 def changed(base, tmp_path, setting, value):
     """``base`` with ``setting`` set to ``value`` (or to ``value(tmp_path)``
     where it is a function) and with its TOGETHER settings, resolved at once."""
@@ -806,6 +816,9 @@ class TestGainField:
         ("eve_background", "0.001, 0.01, 0.1", 1),
         ("divergence_rad", "0.01, 0.02, 0.04", 1),
         ("cn2", "1e-12, 5.8e-11", 2),
+        ("cn2", "1e-12, 1e-12, 5.8e-11", 2),
+        # only the last field is kept
+        ("cn2", "1e-12, 5.8e-11, 1e-12", 3),
     ])
     def test_sweep_computes_one_field_per_key(
         self, tmp_path, field_calls, parameter, values, expected
@@ -844,9 +857,9 @@ class TestGainField:
         assert result.invalid_position_cells == 3
 
     def test_out_of_regime_field_is_all_nan(self, tmp_path, field_calls):
-        field = gain_field(cfg_from(tmp_path, TINY_GRID + "[atmosphere]\ncn2 = 1e-9\n"))
+        field = field_of(cfg_from(tmp_path, TINY_GRID + "[atmosphere]\ncn2 = 1e-9\n"))
         assert field_calls == []
-        assert np.isnan(field.g_nlos).all() and np.isnan(field.steering).all()
+        assert np.isnan(field).all()
 
     # another valid value for every setting that leaves the field key equal
     FIELD_FREE_CHANGES = {
@@ -899,49 +912,50 @@ class TestGainField:
         assert free | refused == settings
 
     @pytest.mark.parametrize("setting", sorted(FIELD_FREE_CHANGES))
-    def test_field_free_setting_leaves_field_bit_identical(self, tmp_path, setting):
+    def test_field_free_setting_leaves_field_bit_identical(self, tmp_path, field_calls, setting):
         base = cfg_from(tmp_path, TINY_GRID)
         other = changed(base, tmp_path, setting, self.FIELD_FREE_CHANGES[setting])
         assert other.to_dict() != base.to_dict()
-        assert field_key(other) == field_key(base)
-        a, b = gain_field(base), gain_field(other)
-        assert same_bits(a.g_nlos, b.g_nlos)
-        assert same_bits(a.steering, b.steering)
-        assert same_bits(evaluate(other, a).values, run_scan(other).values)
+        assert key_of(other) == key_of(base)
+        assert same_bits(field_of(base), field_of(other))
+        # the scan loop evaluates other on base's field
+        calls = len(field_calls)
+        _, result = scan._scans([base, other], 1)
+        assert len(field_calls) == calls + 1
+        assert same_bits(result.values, run_scan(other).values)
 
     @pytest.mark.parametrize("setting,value", [(s, v) for s, (v, _) in REFUSED_CHANGES.items()])
-    def test_evaluate_refuses_field_of_other_settings(self, tmp_path, setting, value):
+    def test_evaluate_refuses_field_of_other_settings(self, tmp_path, field_calls, setting, value):
         base = cfg_from(tmp_path, TINY_GRID)
         other = changed(base, tmp_path, setting, value)
-        field = gain_field(other)
-        assert field.key != field_key(base)
-        assert not same_bits(field.g_nlos, gain_field(base).g_nlos)
-        inputs = self.REFUSED_CHANGES[setting][1]
-        with pytest.raises(ValueError, match=f"gain field was computed for other inputs: {inputs}$"):
-            evaluate(base, field)
+        assert changed_inputs(base, other) == self.REFUSED_CHANGES[setting][1]
+        assert not same_bits(field_of(other), field_of(base))
+        # the scan loop evaluates base on its own field, not on other's
+        calls = len(field_calls)
+        _, result = scan._scans([other, base], 1)
+        assert len(field_calls) == calls + 2
+        assert same_bits(result.values, run_scan(base).values)
 
-    def test_rewritten_absorption_table_refuses_old_field(self, tmp_path):
+    def test_rewritten_absorption_table_refuses_old_field(self, tmp_path, field_calls):
         # the key holds the extinction, not the table's path
         table = tmp_path / "table.csv"
         text = TINY_GRID + f"[atmosphere]\nabsorption_table_path = {table}\n"
         shutil.copyfile(BUNDLED_TABLE, table)
-        field = gain_field(cfg_from(tmp_path, text))
+        old = cfg_from(tmp_path, text)
         table.write_text(BUNDLED_TABLE.read_text().replace(",20.95", ",30.0"))
         cfg = cfg_from(tmp_path, text)
-        with pytest.raises(ValueError, match="other inputs: alpha_att$"):
-            evaluate(cfg, field)
-        assert same_bits(evaluate(cfg, gain_field(cfg)).values, run_scan(cfg).values)
+        assert changed_inputs(old, cfg) == "alpha_att"
+        _, result = scan._scans([old, cfg], 1)
+        assert len(field_calls) == 2
+        assert same_bits(result.values, run_scan(cfg).values)
 
-    def test_evaluate_reuses_field_across_metrics(self, tmp_path):
+    def test_evaluate_reuses_field_across_metrics(self, tmp_path, field_calls):
         det = cfg_from(tmp_path, TINY_GRID)
-        field = gain_field(det)
-        assert not field.g_nlos.flags.writeable
-        for cfg in (det, det.with_value("scan", "mode", "prob")):
-            assert same_bits(evaluate(cfg, field).values, run_scan(cfg).values)
-
-    def test_evaluate_needs_a_field_where_the_metric_reads_gain(self, tmp_path):
-        with pytest.raises(ValueError, match="needs a gain field"):
-            evaluate(cfg_from(tmp_path, TINY_GRID), None)
+        cfgs = (det, det.with_value("scan", "mode", "prob"))
+        results = list(scan._scans(cfgs, 1))
+        assert len(field_calls) == 1
+        for cfg, result in zip(cfgs, results):
+            assert same_bits(result.values, run_scan(cfg).values)
 
     @pytest.mark.parametrize("parameter,values,mode", SWEEPS)
     def test_sweep_bytes_independent_of_threads(self, tmp_path, parameter, values, mode):

@@ -55,6 +55,7 @@ from .numerics import (
     batched_golden_section_max,
     gauss_kronrod_panels,
     golden_section_max,
+    _vertex,
 )
 
 __all__ = [
@@ -87,6 +88,11 @@ _FIELD_CHUNK = 4096
 # more than the extra rounds
 _QUERY_CHUNK = 1024
 _BEARING_RUNGS = 24  # first-mesh boundaries per half of nlos_gain_field's tables
+# positions per steering search up to which its golden section follows
+# predicted paths (_optimised_steering); timings in CHANGES.md
+_GUIDED_BATCH = 64
+# a kink, and the points either side of it that give its slopes
+_KINK_STEPS = np.array([-1e-7, 0.0, 1e-7])
 
 
 class EmptySegment(ValueError):
@@ -368,25 +374,27 @@ def nlos_gain_field(
     """Steering-optimised NLOS gain for Eve at every position (xs[k], ys[k]).
 
     Runs ``optimize_steering``'s search for all positions at once: the same
-    24 probes plus the foot point, the same bracket and a lockstep golden
-    section to ``STEERING_XTOL_RAD`` (``batched_golden_section_max``).  It
-    queries the gains in one numpy round for the probes and one per
-    golden-section round, whose first also takes the first inner points:
-    7 rounds in all for 22 positions whose searches take 15-17 levels
-    (perfbench's det_map cells), 6 for 8 positions of 15 levels (its
-    x = 750 m line), and 133 for the standard 25,050-cell map.  Each gain
-    it compares comes from one steering-free table per distinct |y|
-    (``_steering_free_gain``) instead of an adaptive quadrature per
-    steering, so the field picks the steering ``optimize_steering`` picks
-    and agrees with its G_NLOS to 1e-9 relative (8.4e-13 on the standard
-    map), not bit for bit.  On det_map's 22 positions (2-core x86-64 VM,
-    numpy 2.4) the two row tables take about 0.19 ms and a query round
-    about 60 us plus 0.27 us per steering, 40 % of it the G7 rule on the
-    partial panels; the golden section's bookkeeping between the rounds
-    takes about 0.25 ms in all.  Eve's position in ``scenario`` is
-    ignored.  A position's result does not depend on the other positions
-    passed with it.  Returns (steering, g_nlos) arrays of the positions'
-    shape; ``QuadratureError`` when a table needs more than
+    24 probes plus the foot point, the same bracket and the same golden
+    section points to ``STEERING_XTOL_RAD`` (``batched_golden_section_max``,
+    along predicted paths for up to _GUIDED_BATCH positions).  It queries
+    the gains in one numpy round for the probes, with 6 points about the
+    kinks per position where the paths are predicted, and one per
+    golden-section round: 4 rounds in all for 22 positions whose searches
+    take 15-17 levels (perfbench's det_map cells), 3 for 8 positions of 15
+    levels (its x = 750 m line), and 133 for the standard 25,050-cell map,
+    whose chunks step one level per round.  Each gain it compares comes
+    from one steering-free table per distinct |y| (``_steering_free_gain``)
+    instead of an adaptive quadrature per steering, so the field picks the
+    steering ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9
+    relative (8.4e-13 on the standard map), not bit for bit.  On det_map's
+    22 positions (2-core x86-64 VM, numpy 2.4) the two row tables take
+    about 0.19 ms and a query round about 60 us plus 0.27 us per steering,
+    40 % of it the G7 rule on the partial panels; the search's bookkeeping
+    between the rounds, its paths included, takes about as long as the
+    7-round search's did.  Eve's position in ``scenario`` is ignored.  A
+    position's result does not depend on the other positions passed with
+    it.  Returns (steering, g_nlos) arrays of the positions' shape;
+    ``QuadratureError`` when a table needs more than
     ``QUAD_MAX_PANELS`` panels.
     """
     x = np.asarray(xs, dtype=float)
@@ -406,7 +414,7 @@ def nlos_gain_field(
         # the search numbers a chunk's positions from 0
         chunk_gain = gain if lo == 0 else (lambda i, s, lo=lo: gain(i + lo, s))
         steering[part], g_nlos[part] = _optimised_steering(
-            chunk_gain, x[part], y[part], scenario.d
+            chunk_gain, x[part], y[part], scenario.d, scenario.eve.fov_full_rad / 2.0
         )
     return steering.reshape(shape), g_nlos.reshape(shape)
 
@@ -632,9 +640,32 @@ def _steering_free_gain(x, y, scenario, ext, params):
     return gain
 
 
-def _optimised_steering(gain, x, y, d):
+def _kinks(x, y, d, half_fov):
+    """The steerings s_a = pi/2 + FOV/2 - atan2(x, y), at which the cone's
+    lower edge meets Alice, and s_b = pi/2 - FOV/2 + atan2(d - x, y), at
+    which its upper edge meets Bob, for Eve at every (x[k], y[k]), y > 0:
+    shape (len(x), 2).  At each an end of the cone's segment meets an end
+    of [0, d], and G has a kink there if it lies in the steering range."""
+    kinks = np.empty((x.size, 2))
+    np.subtract(half_fov, np.arctan2(x, y), out=kinks[:, 0])
+    np.subtract(np.arctan2(d - x, y), half_fov, out=kinks[:, 1])
+    kinks += math.pi / 2.0
+    return kinks
+
+
+def _optimised_steering(gain, x, y, d, half_fov):
     """``optimize_steering`` for Eve at every (x[k], y[k]), y > 0, with the
-    gains ``gain(k, steering)``."""
+    gains ``gain(k, steering)``.
+
+    Up to _GUIDED_BATCH positions, the golden section follows predicted
+    paths (``batched_golden_section_max`` with a guide).  Its model is the
+    better of the kinks s_a, where the cone's lower edge meets Alice, and
+    s_b, where its upper edge meets Bob, that lies inside the bracket, with
+    the slopes either side of it from the probe round's gains at s and
+    1e-7 rad either side (_KINK_STEPS); without one, the parabola through
+    the bracket's ends and the best probe.  More positions step one level per query
+    round: their rounds are large enough that the paths' extra points
+    cost more than the rounds they save."""
     # optimize_steering's coarse probes: np.linspace(lo, hi, 24) per position,
     # plus the foot point pi/2 where it lies strictly inside (lo, hi)
     n = x.size
@@ -649,22 +680,47 @@ def _optimised_steering(gain, x, y, d):
     # bracket end
     slot = np.where(foot, (probes <= math.pi / 2.0).sum(axis=1), _COARSE_STEERING_POINTS)
     extra = np.arange(_COARSE_STEERING_POINTS + 1) == slot[:, None]
-    angles = np.empty(extra.shape)
-    angles[~extra] = probes.ravel()
-    angles[extra] = np.where(foot, math.pi / 2.0, np.inf)
+    # a row per position: the candidates, then where guided s_a and s_b,
+    # each between the points _KINK_STEPS away, all in the steering range
+    guided = n <= _GUIDED_BATCH
+    angles = np.empty((n, _COARSE_STEERING_POINTS + 1 + 6 * guided))
+    candidates = angles[:, :_COARSE_STEERING_POINTS + 1]
+    candidates[~extra] = probes.ravel()
+    candidates[extra] = np.where(foot, math.pi / 2.0, np.inf)
+    if guided:
+        around = (_kinks(x, y, d, half_fov)[:, :, None] + _KINK_STEPS).reshape(n, 6)
+        np.maximum(around, lo[:, None], out=around)
+        np.minimum(around, hi[:, None], out=angles[:, -6:])
     queried = angles < np.inf
-    gains = np.full(extra.shape, -np.inf)
+    gains = np.full(angles.shape, -np.inf)
     gains[queried] = gain(
-        np.repeat(np.arange(n), _COARSE_STEERING_POINTS + foot), angles[queried]
+        np.repeat(np.arange(n), _COARSE_STEERING_POINTS + 6 * guided + foot), angles[queried]
     )
     # the bracket's ends and the best candidate, as one gather each
     at = np.empty((3, n), dtype=np.intp)
-    at[2] = np.argmax(gains, axis=1)
+    at[2] = np.argmax(gains[:, :_COARSE_STEERING_POINTS + 1], axis=1)
     np.maximum(at[2] - 1, 0, out=at[0])
     np.minimum(at[2] + 1, _COARSE_STEERING_POINTS - 1 + foot, out=at[1])
     at += np.arange(0, angles.size, angles.shape[1])
     (a, b, best_angle), (fa, fb, best_gain) = angles.ravel()[at], gains.ravel()[at]
-    steering, g_nlos = batched_golden_section_max(gain, a, b, fa, fb, xtol=STEERING_XTOL_RAD)
+    guide = None
+    if guided:
+        # the better kink inside the bracket, and its gains either side
+        kinks = angles[:, -5::3]
+        inside = (a[:, None] < kinks) & (kinks < b[:, None])
+        kink = inside.any(axis=1)
+        better = (np.arange(n), np.argmax(np.where(inside, gains[:, -5::3], -np.inf), axis=1))
+        left, mid, right = gains[:, -6:].reshape(n, 2, 3)[better].T
+        t, sl, sr = kinks[better], mid - left, mid - right
+        # elsewhere the vertex of the parabola through (a, fa), the best
+        # probe and (b, fb)
+        for k in np.flatnonzero(~kink).tolist():
+            t[k] = _vertex(a[k], fa[k], best_angle[k], best_gain[k], b[k], fb[k])
+            sl[k] = sr[k] = 1.0
+        guide = t, sl, sr, kink
+    steering, g_nlos = batched_golden_section_max(
+        gain, a, b, fa, fb, xtol=STEERING_XTOL_RAD, guide=guide
+    )
     coarse_wins = best_gain > g_nlos
     steering = np.where(coarse_wins, best_angle, steering)
     g_nlos = np.where(coarse_wins, best_gain, g_nlos)

@@ -139,6 +139,18 @@ def _parse_float_list(raw):
     return tuple(_parse_float(p) for p in parts)
 
 
+def _distinct_values(values):
+    """Non-empty and no value twice: equal values would write one file."""
+    if not values:
+        return "values must be non-empty"
+    seen = set()
+    for v in values:
+        if v in seen:
+            return f"{v!r} appears more than once"
+        seen.add(v)
+    return None
+
+
 # Bob's field of view enters no output, so only [eve] sets one
 _RECEIVER_KEYS = {
     "aperture_m": (0.05, _parse_float, _positive("aperture_m")),
@@ -188,7 +200,7 @@ _SCHEMA = {
     },
     "sweep": {
         "parameter": (None, _parse_str, _choice("parameter", _SWEEP_KEYS)),
-        "values": (None, _parse_float_list, lambda v: None if len(v) > 0 else "values must be non-empty"),
+        "values": (None, _parse_float_list, _distinct_values),
     },
 }
 

@@ -1,6 +1,6 @@
 """Self-contained 1-D numerics: adaptive Gauss-Kronrod quadrature and
 golden-section maximisation, each for one problem and for a batch of
-independent problems solved in lockstep.
+independent problems solved together.
 
 The quadrature drives the single-scatter gain integral; the golden-section
 search drives the steering optimisation.  Both work on plain callables; the
@@ -19,7 +19,6 @@ for callers that integrate many sub-intervals of one problem from them.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable, Tuple
 
@@ -281,114 +280,6 @@ def golden_section_max(
     return best_x, best_f
 
 
-@functools.lru_cache(maxsize=None)
-def _golden_tree(levels: int):
-    """Index tables of every bracket that ``levels`` levels of the golden
-    section can reach from a root bracket (a, b, c, d), in heap order: node
-    j's children are 2j + 1, taken where f(c) > f(d), and 2j + 2.
-
-    A round keeps its points in one table, a row per point: the root's a,
-    b, c and d in rows 0-3 and node j's new point in row 3 + j.  Returns
-    the rows of each node's (a, b, c, d), shape (nodes, 4); one (rows,
-    sign) per level, rows of shape (3, the level's nodes) holding their a,
-    b and the point their new point steps from by sign * phi * (b - a);
-    and each node's number and its second child's, shape (nodes, 1)."""
-    node, steps = [(0, 1, 2, 3)], []
-    for t in range(levels):
-        level = []
-        for j in range(2**t - 1, 2 ** (t + 1) - 1):
-            a, b, c, d = node[j]
-            # x = d - phi (d - a) on the left, c + phi (b - c) on the right
-            level += [(a, d, 2 * j + 4, c), (c, b, d, 2 * j + 5)]
-        node += level
-        a, b = np.array(level)[:, :2].T
-        left = np.arange(a.size) % 2 == 0
-        sign = np.where(left, -_INV_PHI, _INV_PHI)[:, None]
-        steps.append((np.array([a, b, np.where(left, b, a)]), sign))
-    own = np.arange(len(node))[:, None]
-    return np.array(node), steps, own, 2 * own + 2
-
-
-def _golden_round(f, live, bracket, levels, xtol):
-    """``levels`` levels of the golden section for the problems live, from
-    their brackets (a, b, c, d, f(c), f(d)), arrays of shape (m,), with one
-    call of f.
-
-    f(c) and f(d) are None in the first round, whose call evaluates c and
-    d too.  A later round takes its first level's branch, which they give,
-    at once.  The levels after that may go either way: a tree
-    (``_golden_tree``) holds every bracket they can reach, and the same
-    call evaluates their new points, 2^(levels+1) points per problem in
-    the first round and 2^levels - 1 in a later one.  Each problem then
-    walks down the tree, following f(c) > f(d), to the first bracket
-    narrower than ``xtol`` or to the round's last level.  Returns the
-    bracket each problem stops at, and whether it is that narrow."""
-    a, b, c, d, fc, fd = bracket
-    m = live.size
-    if fc is None:
-        points, width = [c, d], np.full(m, np.inf)  # the first bracket is no level
-    else:
-        left = fc > fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        width = b - a
-        phi_width = _INV_PHI * width
-        x = np.where(left, b - phi_width, a + phi_width)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        points = [x]
-    node, steps, own, right = _golden_tree(levels + len(points) - 2)
-    head = len(points) * m  # the values of c and d, or of the level's point
-    if steps:
-        table = np.empty((node.shape[0] + 3, m))
-        table[0], table[1], table[2], table[3] = a, b, c, d
-        widths = np.empty((node.shape[0], m))
-        widths[0] = width
-        start = 1
-        for rows, sign in steps:
-            lo, hi, base = table.take(rows, axis=0)
-            stop = start + sign.size
-            width_rows = np.subtract(hi, lo, out=widths[start:stop])
-            np.multiply(sign, width_rows, out=table[start + 3:stop + 3])
-            table[start + 3:stop + 3] += base
-            start = stop
-        points.append(table[4:].ravel())
-    points = np.concatenate(points)
-    got = f(np.repeat(live[None], points.size // m, axis=0).ravel(), points)
-    if fc is None:
-        fc, fd = got[:m], got[m:2 * m]
-    else:
-        fc, fd = np.where(left, got[:m], fd), np.where(left, fc, got[:m])
-    if not steps:  # the round's one level, or in the first round none
-        return (a, b, c, d, fc, fd), np.abs(width) < xtol
-    fx = np.empty(table.shape)  # rows 0 and 1, the root's a and b, stay unread
-    fx[2], fx[3] = fc, fd
-    fx[4:] = got[head:].reshape(-1, m)
-    # each node's next, itself where its bracket is narrower than xtol
-    narrow = np.abs(widths) < xtol
-    left_child = fx.take(node[:, 2], axis=0) > fx.take(node[:, 3], axis=0)
-    step = np.where(narrow, own, right - left_child)
-    cells = np.arange(m)
-    at = step[0]
-    for _ in steps[1:]:
-        at = step.ravel().take(at * m + cells)
-    rows = np.take(node, at, axis=0).T * m + cells
-    stop = narrow.ravel().take(at * m + cells)
-    return (*table.ravel().take(rows), *fx.ravel().take(rows[2:])), stop
-
-
-def _golden_depth(live: int) -> Tuple[int, int]:
-    """Levels of the first round and of each later round of
-    ``batched_golden_section_max`` for ``live`` problems.  A later round of
-    D levels evaluates 2^D - 1 points per problem in one call to save
-    D - 1 calls; a first round of D levels, c and d and 2^(D+1) - 2 more
-    points to save D.  That pays while a call's fixed cost outweighs the
-    extra points, so only for few problems.  Timed on the gain field's row
-    tables (standard-map cells, 2-core x86-64 host): (3, 3) is fastest at
-    8 cells; (2, 3) at 22 to 64, with (3, 3) 4-9 % slower and (0, 1) 3-19 %
-    slower; (0, 1), c and d alone and then one level per call, ties with
-    (1, 1) at 128 cells, where (2, 3) is 11 % slower."""
-    return (3, 3) if live <= 16 else (2, 3) if live <= 64 else (0, 1)
-
-
 def batched_golden_section_max(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: np.ndarray,
@@ -396,45 +287,151 @@ def batched_golden_section_max(
     fa: np.ndarray,
     fb: np.ndarray,
     xtol: float = 1e-6,
+    guide=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``golden_section_max`` on [a[k], b[k]], a[k] <= b[k], for every k, in
-    lockstep; fa and fb are the values at a and b.
+    """``golden_section_max`` on [a[k], b[k]], a[k] <= b[k], for every k;
+    fa and fb are the values at a and b.
 
     ``f(k, x)`` evaluates problems ``k`` at points ``x``, and a problem's
-    value must not depend on the others evaluated with it.  The problems
-    step in rounds of D levels, one call of f each (``_golden_round``): a
-    round evaluates every point that its levels' comparisons may lead to,
-    and its levels then read their values.  The first round evaluates the
-    first inner points c and d as well, and may have its own D, 0 for c
-    and d alone (``_golden_depth``).  A problem leaves the batch at the
-    level that narrows its bracket below ``xtol``.  So each problem
-    visits exactly the points, and gets exactly the values, of
-    ``golden_section_max``.  Returns (x, f(x)) arrays.
+    value must not depend on the others evaluated with it.  Without a
+    ``guide`` the problems step in lockstep, one level per call of f after
+    a first call for c and d.  With one, arrays (t, sl, sr, kept) of a
+    model per problem, a call evaluates each problem's whole predicted
+    path (``_guided``).  Either way each problem visits exactly the
+    points, and gets exactly the values, of ``golden_section_max``.
+    Returns (x, f(x)) arrays.
     """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
     best_x = np.where(fb > fa, b, a)
     best_f = np.where(fb > fa, fb, fa)
-    # (c, d, f(c), f(d)) of each problem's last bracket
-    final = [np.empty(a.size) for _ in range(4)]
-    live = np.arange(a.size)
-    bracket = (a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), None, None)
-    level = 0
-    while live.size:
-        levels = _golden_depth(live.size)[bracket[4] is not None]
-        levels = min(levels, _GOLDEN_MAX_ITER - level)
-        bracket, stop = _golden_round(f, live, bracket, levels, xtol)
-        level += levels
-        if level == _GOLDEN_MAX_ITER:
-            stop = np.ones(live.size, dtype=bool)
-        if stop.any():
-            done = live[stop]
-            for out, v in zip(final, bracket[2:]):
-                out[done] = v[stop]
-            going = ~stop
-            live, bracket = live[going], tuple(v[going] for v in bracket)
-    for x, fx in zip(final[:2], final[2:]):
-        better = fx > best_f
-        best_x = np.where(better, x, best_x)
-        best_f = np.where(better, fx, best_f)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    if a.size:
+        last = _lockstep(f, a, b, c, d, xtol) if guide is None else _guided(
+            f, a, b, c, d, fa, fb, xtol, guide
+        )
+        for x, fx in zip(last[:2], last[2:]):
+            better = fx > best_f
+            best_x = np.where(better, x, best_x)
+            best_f = np.where(better, fx, best_f)
     return best_x, best_f
+
+
+def _lockstep(f, a, b, c, d, xtol):
+    """(c, d, f(c), f(d)) of every problem's last bracket, shape (4, n),
+    one level of every live problem per call of f."""
+    last = np.empty((4, a.size))
+    live = np.arange(a.size)
+    fc, fd = np.split(np.asarray(f(np.tile(live, 2), np.concatenate([c, d])), dtype=float), 2)
+    for level in range(1, _GOLDEN_MAX_ITER + 1):
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        x = np.where(left, b - _INV_PHI * width, a + _INV_PHI * width)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fx = np.asarray(f(live, x), dtype=float)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        stop = (np.abs(width) < xtol) | (level == _GOLDEN_MAX_ITER)
+        if stop.any():
+            last[:, live[stop]] = c[stop], d[stop], fc[stop], fd[stop]
+            live, a, b, c, d, fc, fd = (v[~stop] for v in (live, a, b, c, d, fc, fd))
+            if not live.size:
+                return last
+
+
+def _guided(f, a, b, c, d, fa, fb, xtol, guide):
+    """(c, d, f(c), f(d)) of every problem's last bracket, shape (4, n),
+    each problem along the path its model predicts.
+
+    Model k predicts f(c) > f(d), the left branch, where sl[k] c + sr[k] d
+    > (sl[k] + sr[k]) t[k]: a kink at t[k] that rises with slope sl[k] and
+    falls with slope sr[k], or with sl = sr a parabola's vertex.  A round
+    evaluates the rest of each live problem's predicted path (``_path``),
+    c and d too in the first, in one call of f and walks its true
+    comparisons; a problem goes on from the first that disagrees in the
+    next round.  After one such round where kept[k], or at once, its model
+    becomes the parabola through its next bracket's ends and known inner
+    point (``_vertex``).  A Python loop per problem makes and walks the
+    paths: numpy arrays of a few dozen problems cost more per level."""
+    n = a.size
+    # per problem: a, b, c, d, f(a), f(b), f(c), f(d) (None until
+    # evaluated), level, the model and the misses it survives
+    state = [list(v) for v in zip(
+        a.tolist(), b.tolist(), c.tolist(), d.tolist(), fa.tolist(), fb.tolist(), [None] * n,
+        [None] * n, [0] * n, *(np.broadcast_to(v, n).tolist() for v in guide),
+    )]
+    last = [None] * n
+    live = range(n)
+    while live:
+        items, points, paths = [], [], []
+        for k in live:
+            s = state[k]
+            if s[6] is None:
+                points += s[2:4]
+            path = _path(*s[:4], *s[6:12], xtol)
+            points += path[0]
+            paths.append(path)
+            items += [k] * (len(points) - len(items))
+        values = np.asarray(f(np.array(items), np.array(points)), dtype=float).tolist()
+        going, j = [], 0
+        for k, (xs, lefts) in zip(live, paths):
+            s = state[k]
+            if s[6] is None:
+                s[6:8] = values[j:j + 2]
+                j += 2
+            got = values[j:j + len(xs)]
+            j += len(xs)
+            a, b, c, d, fa, fb, fc, fd = s[:8]
+            for i, (x, left, fx) in enumerate(zip(xs, lefts, got)):
+                if (fc > fd) != left:
+                    break
+                if left:
+                    b, fb, d, fd, c, fc = d, fd, c, fc, x, fx
+                else:
+                    a, fa, c, fc, d, fd = c, fc, d, fd, x, fx
+            else:
+                last[k] = c, d, fc, fd
+                continue
+            s[:9] = a, b, c, d, fa, fb, fc, fd, s[8] + i
+            s[12] -= 1
+            if s[12] < 0:
+                top = _vertex(a, fa, c, fc, d, fd) if fc > fd else _vertex(c, fc, d, fd, b, fb)
+                s[9:12] = top, 1.0, 1.0
+            going.append(k)
+        live = going
+    return np.array(last).T
+
+
+def _path(a, b, c, d, fc, fd, level, t, sl, sr, xtol):
+    """The new points and the branches (True to the left) of a search's
+    levels from its bracket (a, b, c, d) at ``level`` to its end: the
+    first by f(c) > f(d) where those are known (not None), the others as
+    its model (t, sl, sr) predicts."""
+    w = (sl + sr) * t
+    xs, lefts = [], []
+    left = fc > fd if fc is not None else sl * c + sr * d > w
+    for _ in range(_GOLDEN_MAX_ITER - level):
+        lefts.append(left)
+        if left:
+            b, d = d, c
+            c = b - _INV_PHI * (b - a)
+            xs.append(c)
+        else:
+            a, c = c, d
+            d = a + _INV_PHI * (b - a)
+            xs.append(d)
+        if abs(b - a) < xtol:
+            break
+        left = sl * c + sr * d > w
+    return xs, lefts
+
+
+def _vertex(x1, y1, x2, y2, x3, y3):
+    """The abscissa of the maximum of the parabola through three points,
+    x1 < x2 < x3, where it opens downward; otherwise that of the higher
+    end."""
+    p = (x2 - x1) * (y2 - y3)
+    q = (x2 - x3) * (y2 - y1)
+    if p > q:
+        return x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q)
+    return x3 if y3 > y1 else x1

@@ -198,6 +198,28 @@ class TestScatteringSegment:
 
     @given(
         x=st.floats(min_value=-200.0, max_value=1200.0),
+        y=st.floats(min_value=0.5, max_value=300.0).flatmap(lambda y: st.sampled_from([y, -y])),
+        fov_deg=st.floats(min_value=1.0, max_value=179.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kinks_meet_the_link_ends(self, x, y, fov_deg):
+        # at s_a the cone's lower edge meets Alice, l_a = 0, and at s_b its
+        # upper edge meets Bob, l_b = d, wherever they lie in the steering
+        # range; 1e-6 rad further in, that end has left the link's end
+        sc = LinkScenario(eve_xy=(x, y), eve=ReceiverParams(fov_full_rad=math.radians(fov_deg)))
+        lo, hi = channel._steering_bounds(sc)
+        (s_a, s_b), = channel._kinks(
+            np.array([x]), np.array([abs(y)]), sc.d, sc.eve.fov_full_rad / 2.0
+        )
+        if lo <= s_a <= hi:
+            assert scattering_segment(sc, s_a)[0] == pytest.approx(0.0, abs=1e-9)
+            assert scattering_segment(sc, s_a + 1e-6)[0] > 1e-9
+        if lo <= s_b <= hi:
+            assert scattering_segment(sc, s_b)[1] == pytest.approx(sc.d, abs=1e-9)
+            assert scattering_segment(sc, s_b - 1e-6)[1] < sc.d - 1e-9
+
+    @given(
+        x=st.floats(min_value=-200.0, max_value=1200.0),
         y=st.floats(min_value=0.5, max_value=300.0),
         steering=st.floats(min_value=0.0, max_value=math.pi),
         fov_deg=st.floats(min_value=1.0, max_value=180.0),
@@ -604,11 +626,13 @@ class TestNlosGainField:
             want_gain = reference_nlos_gain(cell, ext, params, want_steering)
             assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("workload,calls", [("det_map", 7), ("prob_bg_sweep", 6)])
+    @pytest.mark.parametrize("workload,calls", [("det_map", 4), ("prob_bg_sweep", 3)])
     def test_benchmark_cells_query_rounds(self, monkeypatch, workload, calls):
-        # the coarse probes, then the golden section's rounds, its first
-        # inner points folded into the first: 7 numpy query rounds on
-        # det_map's cells (8 before the folding) and 6 on the x = 750 m line
+        # the coarse probes and kinks, then the golden section's rounds along
+        # predicted paths: 4 numpy query rounds on det_map's cells, where
+        # x = 0, y = 2 m takes two more rounds than the kink paths of the
+        # other 21, and 3 on the x = 750 m line (7 and 6 in rounds of a
+        # bracket tree, 8 and 7 one level per round)
         rounds = []
         table = channel._steering_free_gain
 
@@ -622,6 +646,37 @@ class TestNlosGainField:
         ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
         nlos_gain_field(*self.BENCH_CELLS[workload], sc, ext, params)
         assert len(rounds) == calls
+
+    def test_large_batches_step_one_level_per_round(self, monkeypatch):
+        # up to _GUIDED_BATCH positions the probe round takes each kink and
+        # the points either side of it too, 6 points per position, and the
+        # golden section follows predicted paths; above it, the probe round
+        # takes the probes alone, the next c and d, and each later one a
+        # level, one point per live position
+        rounds = []
+        table = channel._steering_free_gain
+
+        def counted(*args):
+            gain = table(*args)
+            return lambda k, steering: rounds.append(np.bincount(k)) or gain(k, steering)
+
+        monkeypatch.setattr(channel, "_steering_free_gain", counted)
+        cfg = parse_config(None)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        n = channel._GUIDED_BATCH
+        xs, ys = np.linspace(0.0, sc.d, n + 1), np.full(n + 1, 30.0)
+        probes = 24 + ((0.0 < xs) & (xs < sc.d))  # the foot point strictly inside
+        for count, kinks in ((n, 6), (n + 1, 0)):
+            rounds.clear()
+            nlos_gain_field(xs[:count], ys[:count], sc, ext, params)
+            assert rounds[0].tolist() == (probes[:count] + kinks).tolist()
+            if kinks:
+                assert len(rounds) <= 4
+            else:
+                assert rounds[1].tolist() == [2] * count
+                assert all(r.max() == 1 for r in rounds[2:])
+                assert len(rounds) >= 2 + 15
 
     @pytest.mark.parametrize("rungs", [channel._BEARING_RUNGS, 0])
     def test_row_table_panels_match_a_panel_by_panel_refinement(self, monkeypatch, rungs):

@@ -327,6 +327,7 @@ class TestOneResolutionPath:
     @example(setting=("scattering", "f", 8.98846567431158e+307))
     @example(setting=("scattering", "g", 0.9999999999999999))
     @example(setting=("scattering", "g", -0.9999999999999999))
+    @example(setting=("sweep", "values", (0.01, 0.01)))
     def test_override_equals_file(self, table_dir, setting):
         section, key, value = setting
         path = write(table_dir, f"[{section}]\n{key} = {_ini(value)}\n")
@@ -385,6 +386,19 @@ class TestOneResolutionPath:
         pattern = rf"with sweep {parameter} = {bad}: {section}\.{key}"
         with pytest.raises(ConfigError, match=pattern):
             parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("values, repeated", [
+        ("0.01, 0.01, 1e-2", "0.01"),
+        ("0.001, 0.1, 1e-1", "0.1"),
+        ("0, -0", "-0.0"),
+    ])
+    def test_repeated_sweep_value_rejected(self, tmp_path, values, repeated):
+        # equal values would write one file and report several
+        text = f"[sweep]\nparameter = eve_background\nvalues = {values}\n"
+        with pytest.raises(ConfigError, match=rf"case\.cfg:3: sweep\.values: {repeated} appears more than once"):
+            parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match=rf"sweep\.values: {repeated} appears more than once"):
+            parse_config(None).with_value("sweep", "values", _parse_float_list(values))
 
     def test_prob_mode_checks_each_cn2_sweep_value(self, tmp_path):
         text = "[scan]\nmode = prob\n[sweep]\nparameter = cn2\nvalues = 1e-12, 0\n"

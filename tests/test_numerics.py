@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,10 +69,10 @@ def test_golden_section_returns_best_endpoint():
 
 def test_batched_golden_section_equals_scalar_per_problem():
     # maxima inside, at either end and outside the brackets, which differ in
-    # width so that the problems converge in different rounds: a zero-width
+    # width so that the problems converge at different levels: a zero-width
     # bracket, and brackets that the first, second and third level narrow
-    # below xtol, so within a folded first round; at every depth of the
-    # first and of the later rounds, so rounds of several levels are replayed
+    # below xtol; in lockstep and along paths that a model at the maxima,
+    # one far away and one with flat sides predict
     centres = np.array([2.0, 0.1, 4.9, -1.0, 7.0, 0.3, 1.0, 1.0, 1.0])
     a = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.3, 1.0, 1.0, 0.99999999])
     b = np.array([5.0, 0.5, 5.0, 3.0, 2.1, 0.3, 1.000000001, 1.00000002, 1.00000002])
@@ -82,22 +81,22 @@ def test_batched_golden_section_equals_scalar_per_problem():
         return -((x - centres[k]) ** 2)
 
     every = np.arange(centres.size)
-    for first in (0, 1, 2, 3, 4):
-        for later in (1, 2, 3, 4):
-            with mock.patch.object(numerics, "_golden_depth", lambda live: (first, later)):
-                xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=1e-8)
-            for k, c in enumerate(centres):
-                assert (xs[k], fs[k]) == golden_section_max(
-                    lambda t: -((t - c) ** 2), a[k], b[k], xtol=1e-8
-                )
+    for guide in (None, (centres, 1.0, 1.0, True), (centres + 50.0, 1.0, 1.0, False),
+                  (a, 0.0, 0.0, True)):
+        xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), 1e-8, guide)
+        for k, c in enumerate(centres):
+            assert (xs[k], fs[k]) == golden_section_max(
+                lambda t: -((t - c) ** 2), a[k], b[k], xtol=1e-8
+            )
 
 
 def test_batched_golden_section_levels_per_call():
-    # each call of f is one round: the first evaluates c, d and both
-    # branches of its levels, 2^(D+1) points per problem, a later one the
-    # 2^D - 1 points of the branch taken; a problem of 17 levels (a bracket
-    # of 0.27 to 1e-4) then takes 1 + ceil(14 / 3) = 6 calls at (3, 3),
-    # against 1 + 17 at (0, 1)
+    # in lockstep each call of f evaluates one level of every problem, after
+    # a first call for c and d; a problem of 17 levels (a bracket of 0.27
+    # to 1e-4) takes 1 + 17 calls.  Along a path that the parabola's vertex
+    # predicts, one call evaluates c, d and all 17 levels' points.  A model
+    # that mispredicts every level still gains one level per call: the one
+    # whose comparison the last call settled
     calls = []
 
     def f(k, x):
@@ -105,11 +104,43 @@ def test_batched_golden_section_levels_per_call():
         return -((x - 0.1) ** 2)
 
     a, b = np.array([0.0, 0.0]), np.array([0.27, 0.27])
-    for depth, want in (((3, 3), [16] + [7] * 5), ((0, 1), [2] + [1] * 17)):
+    fa, fb = f(np.arange(2), a), f(np.arange(2), b)
+    for guide, want in ((None, [2] + [1] * 17), ((0.1, 1.0, 1.0, False), [19])):
         calls.clear()
-        with mock.patch.object(numerics, "_golden_depth", lambda live: depth):
-            batched_golden_section_max(f, a, b, f(np.arange(2), a), f(np.arange(2), b), 1e-4)
-        assert calls[2:] == [[n, n] for n in want]
+        batched_golden_section_max(f, a, b, fa, fb, 1e-4, guide)
+        assert calls == [[n, n] for n in want]
+    calls.clear()
+    batched_golden_section_max(f, a, b, fa, fb, 1e-4, (0.1, -1.0, -1.0, True))
+    assert len(calls) <= 1 + 17
+
+
+def test_golden_section_stops_at_the_level_cap():
+    # xtol = 0 is never met: the search stops after _GOLDEN_MAX_ITER levels,
+    # in lockstep and along predicted paths
+    def f(k, x):
+        return -np.abs(x - 0.3)
+
+    a, b = np.zeros(2), np.ones(2)
+    fa, fb = f(None, a), f(None, b)
+    want = golden_section_max(lambda t: -abs(t - 0.3), 0.0, 1.0, xtol=0.0)
+    for guide in (None, (0.3, 1.0, 1.0, True), (0.9, 1.0, 1.0, False)):
+        xs, fs = batched_golden_section_max(f, a, b, fa, fb, 0.0, guide)
+        assert list(zip(xs, fs)) == [want, want]
+
+
+def test_golden_section_goes_on_at_a_width_of_xtol():
+    # the search stops once its bracket is narrower than xtol: its second
+    # level here leaves a width of exactly xtol, c - a, and more follow
+    def f(k, x):
+        return -np.abs(x - 0.7)
+
+    a, b = np.zeros(3), np.ones(3)
+    xtol = float((b - numerics._INV_PHI * (b - a))[0])
+    want = golden_section_max(lambda t: -abs(t - 0.7), 0.0, 1.0, xtol=xtol)
+    assert want != golden_section_max(lambda t: -abs(t - 0.7), 0.0, 1.0, xtol=xtol * (1 + 1e-15))
+    for guide in (None, (0.7, 1.0, 1.0, True)):
+        xs, fs = batched_golden_section_max(f, a, b, f(None, a), f(None, b), xtol, guide)
+        assert list(zip(xs, fs)) == [want] * 3
 
 
 # a smooth peak, a kink, a plateau (ties f(c) == f(d) on it) and a staircase
@@ -117,8 +148,7 @@ def test_batched_golden_section_levels_per_call():
 SHAPES = ("smooth", "kink", "plateau", "steps")
 
 
-def shaped(shape, x, c, scale):
-    u = (x - c) / scale
+def shaped(shape, u):
     return {
         "smooth": -(u**2),
         "kink": np.where(u < 0.0, 3.0 * u, -0.5 * u),
@@ -133,49 +163,49 @@ problems = st.tuples(
     st.floats(min_value=-0.5, max_value=1.5),  # centre, as a share of b - a
     st.sampled_from(SHAPES),
 )
+# a model (t, sl, sr, kept): t as a share of b - a, or the problem's own
+# centre with the kink's slopes; kinks inside, at the ends, outside and far
+# away, and zero, negative, huge and undefined slopes
+slopes = st.sampled_from([0.0, 1.0, 0.5, 3.0, -1.0, 1e-300, 1e300, math.inf, math.nan])
+models = st.one_of(
+    st.just(None),
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0, -1e6, 1e6]), st.floats(min_value=-0.5, max_value=1.5)),
+        slopes, slopes, st.booleans(),
+    ),
+)
 
 
 @given(
-    batch=st.lists(problems, min_size=1, max_size=30),
-    first=st.integers(min_value=0, max_value=5),
-    later=st.integers(min_value=1, max_value=5),
+    batch=st.lists(st.tuples(problems, models), min_size=1, max_size=30),
     xtol=st.sampled_from([1e-8, 1e-4, 1e-2]),
 )
 @settings(max_examples=150, deadline=None)
-def test_speculative_golden_section_equals_lockstep(batch, first, later, xtol):
-    # rounds of D levels, and a first round of its own depth that folds in
-    # c and d, visit the points, and get the values, of one level per call
-    # and of the one-problem search, bit for bit per problem: over ragged
-    # brackets that converge at different levels (zero-width ones and ones
-    # narrower than xtol within the first round), kinks, ties and maxima
-    # at (or beyond) the bracket ends
-    a = np.array([p[0] for p in batch])
-    b = a + np.array([p[1] for p in batch])
-    centre = a + np.array([p[2] for p in batch]) * np.maximum(b - a, 1e-12)
+def test_speculative_golden_section_equals_lockstep(batch, xtol):
+    # the points evaluated along predicted paths, whatever the model, give
+    # each problem the points and values of the lockstep search and of the
+    # one-problem search, bit for bit: over ragged brackets that converge at
+    # different levels (zero-width ones and ones narrower than xtol at the
+    # first level), kinks, ties and maxima at (or beyond) the bracket ends
+    a = np.array([p[0] for p, _ in batch])
+    b = a + np.array([p[1] for p, _ in batch])
     scale = np.maximum(b - a, 1e-12)
-    shape = [p[3] for p in batch]
+    centre = a + np.array([p[2] for p, _ in batch]) * scale
+    shape = np.array([SHAPES.index(p[3]) for p, _ in batch])
+    share, sl, sr, kept = zip(*(m or (None, 3.0, 0.5, True) for _, m in batch))
+    t = np.where([v is None for v in share], centre, a + np.array(share, dtype=float) * scale)
+    guide = (t, np.array(sl), np.array(sr), np.array(kept))
 
     def f(k, x):
-        out = np.empty(np.shape(x))
-        for i, (kk, xx) in enumerate(zip(np.atleast_1d(k), np.atleast_1d(x))):
-            out[i] = shaped(shape[kk], xx, centre[kk], scale[kk])
-        return out
+        k = np.asarray(k)
+        u = (np.asarray(x) - centre[k]) / scale[k]
+        return np.choose(shape[k], [shaped(name, u) for name in SHAPES])
 
     every = np.arange(len(batch))
-    results = []
-    for d in ((0, 1), (first, later)):
-        with mock.patch.object(numerics, "_golden_depth", lambda live: d):
-            xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), xtol=xtol)
-        results.append((xs.tobytes(), fs.tobytes()))
-        for k in every:
-            want = golden_section_max(lambda t: float(f([k], [t])[0]), a[k], b[k], xtol=xtol)
-            assert (xs[k], fs[k]) == want
-    assert results[0] == results[1]
-
-
-def test_golden_depth_falls_with_the_batch():
-    depths = [numerics._golden_depth(n) for n in (1, 8, 22, 48, 64, 128, 512)]
-    for round_depths in zip(*depths):  # the first round's, the later rounds'
-        assert list(round_depths) == sorted(round_depths, reverse=True)
-    assert depths[0][0] > 1 and depths[0][1] > 1
-    assert depths[-1] == (0, 1)
+    fa, fb = f(every, a), f(every, b)
+    lockstep = batched_golden_section_max(f, a, b, fa, fb, xtol)
+    guided = batched_golden_section_max(f, a, b, fa, fb, xtol, guide)
+    assert [v.tobytes() for v in guided] == [v.tobytes() for v in lockstep]
+    for k in every:
+        want = golden_section_max(lambda x: float(f([k], [x])[0]), a[k], b[k], xtol=xtol)
+        assert (guided[0][k], guided[1][k]) == want

@@ -351,37 +351,39 @@ def _guided(f, a, b, c, d, fa, fb, xtol, guide):
     comparisons; a problem goes on from the first that disagrees in the
     next round.  After one such round where kept[k], or at once, its model
     becomes the parabola through its next bracket's ends and known inner
-    point (``_vertex``).  A Python loop per problem makes and walks the
-    paths: numpy arrays of a few dozen problems cost more per level."""
+    point (``_vertex``): keeping a kink model for one miss takes perfbench's
+    x = 750 m line in 3 rounds instead of 9 (CHANGES.md).  A Python loop
+    per problem makes and walks the paths: numpy arrays of a few dozen
+    problems cost more per level."""
     n = a.size
-    # per problem: a, b, c, d, f(a), f(b), f(c), f(d) (None until
-    # evaluated), level, the model and the misses it survives
-    state = [list(v) for v in zip(
+    # per problem: its bracket (a, b, c, d) and the values there, f(c) and
+    # f(d) None until evaluated; its level; its model (t, sl, sr) and the
+    # missed predictions that model survives
+    state = list(zip(
         a.tolist(), b.tolist(), c.tolist(), d.tolist(), fa.tolist(), fb.tolist(), [None] * n,
         [None] * n, [0] * n, *(np.broadcast_to(v, n).tolist() for v in guide),
-    )]
+    ))
     last = [None] * n
     live = range(n)
     while live:
         items, points, paths = [], [], []
         for k in live:
-            s = state[k]
-            if s[6] is None:
-                points += s[2:4]
-            path = _path(*s[:4], *s[6:12], xtol)
+            a, b, c, d, fa, fb, fc, fd, level, t, sl, sr, spare = state[k]
+            if fc is None:
+                points += c, d
+            path = _path(a, b, c, d, fc, fd, level, t, sl, sr, xtol)
             points += path[0]
             paths.append(path)
             items += [k] * (len(points) - len(items))
         values = np.asarray(f(np.array(items), np.array(points)), dtype=float).tolist()
         going, j = [], 0
         for k, (xs, lefts) in zip(live, paths):
-            s = state[k]
-            if s[6] is None:
-                s[6:8] = values[j:j + 2]
+            a, b, c, d, fa, fb, fc, fd, level, t, sl, sr, spare = state[k]
+            if fc is None:
+                fc, fd = values[j:j + 2]
                 j += 2
             got = values[j:j + len(xs)]
             j += len(xs)
-            a, b, c, d, fa, fb, fc, fd = s[:8]
             for i, (x, left, fx) in enumerate(zip(xs, lefts, got)):
                 if (fc > fd) != left:
                     break
@@ -392,11 +394,10 @@ def _guided(f, a, b, c, d, fa, fb, xtol, guide):
             else:
                 last[k] = c, d, fc, fd
                 continue
-            s[:9] = a, b, c, d, fa, fb, fc, fd, s[8] + i
-            s[12] -= 1
-            if s[12] < 0:
-                top = _vertex(a, fa, c, fc, d, fd) if fc > fd else _vertex(c, fc, d, fd, b, fb)
-                s[9:12] = top, 1.0, 1.0
+            if spare < 1:
+                t = _vertex(a, fa, c, fc, d, fd) if fc > fd else _vertex(c, fc, d, fd, b, fb)
+                sl = sr = 1.0
+            state[k] = a, b, c, d, fa, fb, fc, fd, level + i, t, sl, sr, spare - 1
             going.append(k)
         live = going
     return np.array(last).T

@@ -823,11 +823,14 @@ class TestGainField:
     def test_sweep_computes_one_field_per_key(
         self, tmp_path, field_calls, parameter, values, expected
     ):
-        # run_sweep's scan loop over the configs of the values in turn; a
-        # sweep may not repeat a value, but a run of configs may repeat one
-        base = cfg_from(tmp_path, TINY_GRID + "mode = prob\n")
-        cfgs = [base.with_sweep_value(parameter, float(v)) for v in values.split(",")]
-        list(scan._scans(cfgs, 1))
+        floats = [float(v) for v in values.split(",")]
+        if len(set(floats)) == len(floats):
+            run_sweep(sweep_cfg(tmp_path, parameter, values, "prob"))
+        else:
+            # a sweep may not repeat a value, but run_sweep's scan loop may
+            # be given a run of configs that does
+            base = cfg_from(tmp_path, TINY_GRID + "mode = prob\n")
+            list(scan._scans([base.with_sweep_value(parameter, v) for v in floats], 1))
         assert len(field_calls) == expected
 
     def test_one_extinction_per_config(self, tmp_path, monkeypatch):

@@ -51,7 +51,6 @@ from .numerics import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
     adaptive_gauss_kronrod,
-    batched_gauss_kronrod,
     batched_golden_section_max,
     gauss_kronrod_panels,
     golden_section_max,
@@ -286,9 +285,8 @@ def nlos_gain(
     """Single-scatter gain of the NLOS path for a given steering angle.
 
     Adaptive quadrature at 1e-8 relative tolerance over the FOV-visible
-    segment (its error test is an estimate, not a bound: 2.4e-8 off at one
-    cell); zero when the medium does not scatter (alpha_att = 0) or the
-    segment is empty.
+    segment (its error test is an estimate, not a bound); zero when the
+    medium does not scatter (alpha_att = 0) or the segment is empty.
     """
     alpha_am = ext.alpha_att
     if alpha_am == 0.0:
@@ -503,7 +501,8 @@ def _steering_free_gain(x, y, scenario, ext, params):
     share of the panel the rule covers, summed over C and S: that bounds
     the estimate for the gain, as |cos(beta_s)| and |sin(beta_s)| are at
     most 1.  A query over its QUAD_REL_TOL budget is integrated adaptively
-    instead.  Every sum runs over one row's panels only.
+    instead, by ``gauss_kronrod_panels`` from the one panel between its
+    limits.  Every sum runs over one row's panels only.
     """
     alpha_am, area = ext.alpha_att, scenario.eve.area
     if alpha_am == 0.0:
@@ -629,12 +628,13 @@ def _steering_free_gain(x, y, scenario, ext, params):
 
             def integrand(i, beta):
                 cs = _bearing_weight(beta, ay_o[i], cy_o[i], params)
-                return decay_o[i] * (co[i] * cs[0] + so[i] * cs[1])
+                return (decay_o[i] * (co[i] * cs[0] + so[i] * cs[1]))[:, None]
 
-            value[over] = batched_gauss_kronrod(
-                integrand, lim[0, over], lim[1, over], rel_tol=QUAD_REL_TOL,
-                abs_tol=QUAD_ABS_TOL, max_panels=QUAD_MAX_PANELS,
+            item, _, _, ik, _ = gauss_kronrod_panels(
+                integrand, np.arange(over.size), lim[0, over], lim[1, over],
+                QUAD_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
             )
+            value[over] = np.bincount(item, weights=ik[:, 0], minlength=over.size)
         return value
 
     return gain

@@ -7,14 +7,16 @@ search drives the steering optimisation.  Both work on plain callables; the
 quadrature expects a vectorised integrand (ndarray in, ndarray out) so that
 whole refinement rounds cost a single numpy call.
 
-The batched forms run the one-problem algorithm of every problem side by
-side, with the same rule, tolerances and stopping tests.  A problem's
-arithmetic never mixes with another's: its panels keep their own order and
-its total is a sequential sum of them, so its result does not depend on
-which other problems share the batch.  ``gauss_kronrod_panels`` refines
-with a per-panel stopping test, each split panel's halves in its place,
-and returns the final panels themselves, in the order of the first ones,
-for callers that integrate many sub-intervals of one problem from them.
+The quadrature has one refinement, ``gauss_kronrod_panels``: every problem
+of a batch refines side by side, each panel is tested against its own
+value, each split panel's halves take its place, and the final panels
+themselves are returned, in the order of the first ones, for callers that
+integrate many sub-intervals of one problem from them or sum them per
+problem.  ``adaptive_gauss_kronrod`` is its one-problem call from the one
+panel [a, b].  ``batched_golden_section_max`` runs ``golden_section_max``
+for every problem of a batch side by side, with the same points and
+values.  A problem's arithmetic never mixes with another's, so its result
+does not depend on which other problems share the batch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 __all__ = [
     "QuadratureError",
     "adaptive_gauss_kronrod",
-    "batched_gauss_kronrod",
     "gauss_kronrod_panels",
     "GAUSS_NODES",
     "GAUSS_WEIGHTS",
@@ -95,97 +96,38 @@ def adaptive_gauss_kronrod(
     abs_tol: float = 1e-30,
     max_panels: int = 2048,
 ) -> float:
-    """Integrate a vectorised integrand over [a, b] by adaptive bisection.
+    """Integrate a vectorised integrand over [a, b] by adaptive bisection;
+    0 where b <= a.
 
-    ``f`` maps a 1-D array of points to their values.  Each refinement
-    round re-evaluates every out-of-budget panel with the (G7, K15) pair; a
-    panel's error estimate is |K15 - G7|, an estimate and not a bound, so the
-    result can miss ``rel_tol``.  The local error budget is the global budget
-    prorated by panel width.  This is the one-problem call of
-    ``batched_gauss_kronrod``.
+    ``f`` maps a 1-D array of points to their values.  The refinement is
+    ``gauss_kronrod_panels``'s from the one panel [a, b], and the result
+    the sum of its final panels' K15 values.  A panel's error estimate is
+    |K15 - G7|, an estimate and not a bound, so the result can miss
+    ``rel_tol``.
     """
-    total = batched_gauss_kronrod(
-        lambda item, x: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape),
-        [a], [b], rel_tol, abs_tol, max_panels,
+    if not b > a:
+        return 0.0
+    _, _, _, ik, _ = gauss_kronrod_panels(
+        lambda item, x: np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)[:, None],
+        [0], [a], [b], rel_tol, abs_tol, max_panels,
     )
-    return float(total[0])
+    return float(ik.sum())
 
 
 def _panel_estimates(f, item: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Kronrod/Gauss estimates for a batch of panels in one integrand call.
 
-    ``f`` returns shape (n_panels, 15), or (n_panels, c, 15) for c
-    integrands at once; so are the estimates shaped (n_panels[, c]).  Row
-    sums, not a matrix product, whose rows may round differently with the
-    number of panels."""
+    ``f`` returns c integrands at once, shape (n_panels, c, 15); so are the
+    estimates shaped (n_panels, c).  Row sums, not a matrix product, whose
+    rows may round differently with the number of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     # shape (n_panels, 15)
     pts = mid[:, None] + half[:, None] * _NODES[None, :]
     vals = np.asarray(f(item, pts), dtype=float)
-    half = half.reshape(half.shape + (1,) * (vals.ndim - 2))
-    ik = half * (vals * _WEIGHTS_K).sum(axis=-1)
-    ig = half * (vals * _WEIGHTS_G).sum(axis=-1)
+    ik = half[:, None] * (vals * _WEIGHTS_K).sum(axis=-1)
+    ig = half[:, None] * (vals * _WEIGHTS_G).sum(axis=-1)
     return ik, np.abs(ik - ig)
-
-
-def batched_gauss_kronrod(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-30,
-    max_panels: int = 2048,
-) -> np.ndarray:
-    """Integrate problem k over [a[k], b[k]] for every k at once.
-
-    ``f(item, x)`` evaluates problem ``item[i]`` at the points ``x[i, :]``.
-    Each problem refines on its own: every round splits each of its panels
-    whose |K15 - G7| exceeds the problem's budget, max(rel_tol * |total|,
-    abs_tol), prorated by panel width, and the problem leaves the batch once
-    no panel does.  ``QuadratureError`` when a problem would exceed
-    ``max_panels`` panels or 64 rounds.  Problems with b <= a integrate to 0.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    item = np.flatnonzero(b > a)
-    width = b - a
-    lo, hi, n = a[item], b[item], a.size
-    out = np.zeros(n)
-    ik, err = _panel_estimates(f, item, lo, hi)
-    for _ in range(64):
-        if not item.size:
-            break
-        # sequential per-problem sums, in each problem's own panel order
-        total = np.bincount(item, weights=ik, minlength=n)
-        budget = np.maximum(rel_tol * np.abs(total), abs_tol)
-        bad = err > budget[item] * (hi - lo) / width[item]
-        split = item[bad]
-        panels = np.bincount(item, minlength=n)
-        n_bad = np.bincount(split, minlength=n)
-        np.copyto(out, total, where=(panels > 0) & (n_bad == 0))
-        if (panels + n_bad > max_panels).any():
-            k = int(np.argmax(panels + n_bad))
-            raise QuadratureError(f"exceeded {max_panels} panels (problem {k})")
-        if not split.size:
-            break
-        keep = (n_bad[item] > 0) & ~bad
-        split_lo, split_hi = lo[bad], hi[bad]
-        mid = 0.5 * (split_lo + split_hi)
-        split_ik, split_err = _panel_estimates(
-            f,
-            np.concatenate([split, split]),
-            np.concatenate([split_lo, mid]),
-            np.concatenate([mid, split_hi]),
-        )
-        lo = np.concatenate([lo[keep], split_lo, mid])
-        hi = np.concatenate([hi[keep], mid, split_hi])
-        item = np.concatenate([item[keep], split, split])
-        ik = np.concatenate([ik[keep], split_ik])
-        err = np.concatenate([err[keep], split_err])
-    else:
-        raise QuadratureError("refinement did not converge in 64 rounds")
-    return out
 
 
 def gauss_kronrod_panels(
@@ -200,18 +142,20 @@ def gauss_kronrod_panels(
     """Final panels of an adaptive refinement that starts from the panels
     [lo[i], hi[i]] of problem item[i], lo[i] < hi[i].
 
-    ``f(item, x)`` returns c integrands at once, shape (len(item), c, 15).
-    The refinement is ``batched_gauss_kronrod``'s, except that each panel
-    meets the tolerance on its own: a panel is split while the sum of its c
-    values of |K15 - G7| exceeds max(rel_tol * m, abs_tol), m being its
-    largest |K15|.  So a problem's final panels depend on its own first
-    panels only.  A split panel's halves take its place, so the final
-    panels keep the order of the first ones: ordered by problem and then
-    by position when those are, and the first panels themselves when none
-    is split.  Returns (item, lo, hi, ik, err): panel i spans [lo[i],
-    hi[i]] of problem item[i], with its K15 integrals ik[i] and |K15 - G7|
-    err[i], shape (c,) each.  ``QuadratureError`` when a problem would
-    exceed ``max_panels`` panels or 64 rounds.
+    ``f(item, x)`` evaluates problem ``item[i]`` at the points ``x[i, :]``
+    for c integrands at once, shape (len(item), c, 15).  Each round
+    re-evaluates every split panel's halves with the (G7, K15) pair, and
+    each panel meets the tolerance on its own: a panel is split while the
+    sum of its c values of |K15 - G7| exceeds max(rel_tol * m, abs_tol), m
+    being its largest |K15|.  So a problem's final panels depend on its own
+    first panels only, and a total near 0 needs no finer panels than its
+    parts do.  A split panel's halves take its place, so the final panels
+    keep the order of the first ones: ordered by problem and then by
+    position when those are, and the first panels themselves when none is
+    split.  Returns (item, lo, hi, ik, err): panel i spans [lo[i], hi[i]]
+    of problem item[i], with its K15 integrals ik[i] and |K15 - G7| err[i],
+    shape (c,) each.  ``QuadratureError`` when a problem would exceed
+    ``max_panels`` panels or 64 rounds.
     """
     item = np.asarray(item)
     lo = np.asarray(lo, dtype=float)

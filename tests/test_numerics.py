@@ -43,6 +43,21 @@ def test_quadrature_integrand_gets_1d_points():
     assert math.isclose(v, math.e - 1.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        (np.sin, 0.0, 2.0 * math.pi),
+        (lambda x: x, -1.0, 1.0),
+        (lambda x: x**3 - x, -2.0, 2.0),
+        (lambda x: np.exp(-x * x) * np.sin(5.0 * x), -3.0, 3.0),
+    ],
+)
+def test_quadrature_of_a_zero_total(f, a, b):
+    # a budget relative to the total, near 0, would split panels without
+    # end; each panel is tested against its own value instead
+    assert abs(adaptive_gauss_kronrod(f, a, b)) < 1e-12
+
+
 def test_quadrature_panel_budget_raises():
     # integrable singularity needs unbounded refinement at this tolerance
     with pytest.raises(QuadratureError):
@@ -126,6 +141,35 @@ def test_golden_section_stops_at_the_level_cap():
     for guide in (None, (0.3, 1.0, 1.0, True), (0.9, 1.0, 1.0, False)):
         xs, fs = batched_golden_section_max(f, a, b, fa, fb, 0.0, guide)
         assert list(zip(xs, fs)) == [want, want]
+
+
+def test_guided_search_counts_levels_after_a_miss(monkeypatch):
+    # with a cap of 6 levels and xtol = 0 every search stops at the cap with
+    # its bracket still wide, so a search that counts its levels wrongly
+    # after a missed prediction ends at other points.  The models' kinks lie
+    # away from the true ones, with other slopes, so their paths miss
+    monkeypatch.setattr(numerics, "_GOLDEN_MAX_ITER", 6)
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        a = rng.uniform(-2.0, 2.0, n)
+        b = a + rng.uniform(0.5, 3.0, n)
+        centre = a + rng.uniform(0.0, 1.0, n) * (b - a)
+        t = centre + rng.choice([-0.4, 0.4], n) * (b - a)
+        guide = (t, rng.uniform(0.1, 5.0, n), rng.uniform(0.1, 5.0, n), rng.random(n) < 0.5)
+
+        def f(k, x):
+            u = np.asarray(x) - centre[np.asarray(k, dtype=np.intp)]
+            return np.where(u < 0.0, 3.0 * u, -0.5 * u)
+
+        every = np.arange(n)
+        fa, fb = f(every, a), f(every, b)
+        lockstep = batched_golden_section_max(f, a, b, fa, fb, 0.0)
+        guided = batched_golden_section_max(f, a, b, fa, fb, 0.0, guide)
+        assert [v.tobytes() for v in guided] == [v.tobytes() for v in lockstep]
+        for k in every:
+            want = golden_section_max(lambda x: float(f([k], [x])[0]), a[k], b[k], xtol=0.0)
+            assert (guided[0][k], guided[1][k]) == want
 
 
 def test_golden_section_goes_on_at_a_width_of_xtol():

@@ -54,7 +54,7 @@ from .numerics import (
     batched_golden_section_max,
     gauss_kronrod_panels,
     golden_section_max,
-    _vertex,
+    _cubic,
 )
 
 __all__ = [
@@ -92,6 +92,7 @@ _BEARING_RUNGS = 24  # first-mesh boundaries per half of nlos_gain_field's table
 _GUIDED_BATCH = 64
 # a kink, and the points either side of it that give its slopes
 _KINK_STEPS = np.array([-1e-7, 0.0, 1e-7])
+_PROBE_STEPS = np.arange(_COARSE_STEERING_POINTS, dtype=float)
 
 
 class EmptySegment(ValueError):
@@ -406,14 +407,12 @@ def nlos_gain_field(
     if not x.size:  # no row to tabulate
         return np.empty(shape), np.empty(shape)
     gain = _steering_free_gain(x, y, scenario, ext, params)
-    steering, g_nlos = np.empty(x.size), np.empty(x.size)
-    for lo in range(0, x.size, _FIELD_CHUNK):
-        part = slice(lo, lo + _FIELD_CHUNK)
-        # the search numbers a chunk's positions from 0
-        chunk_gain = gain if lo == 0 else (lambda i, s, lo=lo: gain(i + lo, s))
-        steering[part], g_nlos[part] = _optimised_steering(
-            chunk_gain, x[part], y[part], scenario.d, scenario.eve.fov_full_rad / 2.0
-        )
+    # the search numbers a chunk's positions from 0
+    chunks = [_optimised_steering(
+        gain if lo == 0 else (lambda i, s, lo=lo: gain(i + lo, s)), x[lo:lo + _FIELD_CHUNK],
+        y[lo:lo + _FIELD_CHUNK], scenario.d, scenario.eve.fov_full_rad / 2.0,
+    ) for lo in range(0, x.size, _FIELD_CHUNK)]
+    steering, g_nlos = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
     return steering.reshape(shape), g_nlos.reshape(shape)
 
 
@@ -469,6 +468,18 @@ def _bearing_weight(beta, ay, cy, params):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _first_mesh(rungs):
+    """The first panels of every row table, their lower ends over their
+    upper ends, shape (2, 1, panels): boundaries at +-(pi/2)(1 -
+    2^(-j/2)), j = 0, 1, ..., rungs, between -pi/2 and pi/2.  Read only."""
+    rung = (math.pi / 2.0) * (1.0 - 2.0 ** (-0.5 * np.arange(rungs + 1)))
+    edges = np.concatenate([[-math.pi / 2.0], -rung[:0:-1], rung, [math.pi / 2.0]])
+    first = np.array([edges[:-1], edges[1:]])[:, None, :]
+    first.flags.writeable = False
+    return first
+
+
 def _steering_free_gain(x, y, scenario, ext, params):
     """``gain(k, steering)``: nlos_gain of Eve at (x[k], y[k]), y > 0, at
     steering[i] for every i, from one steering-free table per distinct y.
@@ -519,11 +530,10 @@ def _steering_free_gain(x, y, scenario, ext, params):
         """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
         return _bearing_weight(beta, ay_row[i, None], cy_row[i, None], params).swapaxes(0, 1)
 
-    rung = (math.pi / 2.0) * (1.0 - 2.0 ** (-0.5 * np.arange(_BEARING_RUNGS + 1)))
-    edges = np.concatenate([[-math.pi / 2.0], -rung[:0:-1], rung, [math.pi / 2.0]])
+    first = _first_mesh(_BEARING_RUNGS)
     item, lo, hi, ik, err = gauss_kronrod_panels(
-        integrands, np.repeat(np.arange(n), edges.size - 1), np.tile(edges[:-1], n),
-        np.tile(edges[1:], n), _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
+        integrands, np.arange(n).repeat(first.shape[2]), *first.repeat(n, axis=1).reshape(2, -1),
+        _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
     )
     # row r's panel j in slot r * w + j, the rows padded after their last
     # panel; per panel: K15 of (C, S), the sum of their |K15 - G7|, that sum
@@ -536,8 +546,11 @@ def _steering_free_gain(x, y, scenario, ext, params):
     np.divide(error, hi - lo, out=columns[3])
     columns[4] = lo
     columns[5] = hi
-    panels = np.zeros((6, n, w))
-    panels[:, np.arange(w) < count[:, None]] = columns
+    if item.size == n * w:  # no row padded
+        panels = columns.reshape(6, n, w)
+    else:
+        panels = np.zeros((6, n, w))
+        panels[:, np.arange(w) < count[:, None]] = columns
     # at boundary j: the sums over panels < j of C, S and their |K15 - G7|,
     # and minus the sums over panels >= j of C and S
     sums = np.zeros((5, n, w + 1))
@@ -552,7 +565,8 @@ def _steering_free_gain(x, y, scenario, ext, params):
     # its row's inner ends at or below it
     ends = np.empty((n, w), dtype=complex)
     ends.real = np.arange(n)[:, None]
-    ends.imag = np.where(np.arange(w) < count[:, None] - 1, panels[5], np.inf)
+    ends.imag = panels[5]
+    ends.imag[np.arange(w) >= count[:, None] - 1] = np.inf
     ends = ends.ravel()
     # per position, a row: beta0, beta1, exp(-alpha_am x), its row, ay and cy
     cells = np.empty((x.size, 6))
@@ -666,58 +680,67 @@ def _optimised_steering(gain, x, y, d, half_fov):
     the bracket's ends and the best probe.  More positions step one level per query
     round: their rounds are large enough that the paths' extra points
     cost more than the rounds they save."""
-    # optimize_steering's coarse probes: np.linspace(lo, hi, 24) per position,
-    # plus the foot point pi/2 where it lies strictly inside (lo, hi)
+    # a row per position: optimize_steering's candidates in ascending order,
+    # then where guided s_a and s_b, each between the points _KINK_STEPS
+    # away, all in the steering range.  The candidates are its coarse
+    # probes, np.linspace(lo, hi, 24), and the foot point pi/2 where it lies
+    # strictly inside (lo, hi); elsewhere hi again, whose gain is the last
+    # probe's, so that it is never the best (argmax takes the first) and
+    # never a bracket end (the bracket stops at the last probe there)
     n = x.size
     lo, hi = np.arctan2(y, x), np.arctan2(y, x - d)
     step = (hi - lo) / (_COARSE_STEERING_POINTS - 1)
-    probes = np.arange(_COARSE_STEERING_POINTS, dtype=float) * step[:, None] + lo[:, None]
-    probes[:, -1] = hi
-    foot = (lo < math.pi / 2.0) & (math.pi / 2.0 < hi)
-    # the candidates in ascending order: the probes ascend, and the foot
-    # probe goes after those at or below it; a position without a foot probe
-    # gets a dummy last entry, never queried, never the best and never a
-    # bracket end
-    slot = np.where(foot, (probes <= math.pi / 2.0).sum(axis=1), _COARSE_STEERING_POINTS)
-    extra = np.arange(_COARSE_STEERING_POINTS + 1) == slot[:, None]
-    # a row per position: the candidates, then where guided s_a and s_b,
-    # each between the points _KINK_STEPS away, all in the steering range
     guided = n <= _GUIDED_BATCH
     angles = np.empty((n, _COARSE_STEERING_POINTS + 1 + 6 * guided))
+    probes = np.multiply(_PROBE_STEPS, step[:, None], out=angles[:, :_COARSE_STEERING_POINTS])
+    probes += lo[:, None]
+    probes[:, -1] = hi
+    foot = (lo < math.pi / 2.0) & (math.pi / 2.0 < hi)
+    angles[:, _COARSE_STEERING_POINTS] = np.where(foot, math.pi / 2.0, hi)
     candidates = angles[:, :_COARSE_STEERING_POINTS + 1]
-    candidates[~extra] = probes.ravel()
-    candidates[extra] = np.where(foot, math.pi / 2.0, np.inf)
+    candidates.sort(axis=1)
     if guided:
-        around = (_kinks(x, y, d, half_fov)[:, :, None] + _KINK_STEPS).reshape(n, 6)
-        np.maximum(around, lo[:, None], out=around)
-        np.minimum(around, hi[:, None], out=angles[:, -6:])
-    queried = angles < np.inf
-    gains = np.full(angles.shape, -np.inf)
-    gains[queried] = gain(
-        np.repeat(np.arange(n), _COARSE_STEERING_POINTS + 6 * guided + foot), angles[queried]
-    )
+        around = angles[:, -6:].reshape(n, 2, 3)
+        np.add(_kinks(x, y, d, half_fov)[:, :, None], _KINK_STEPS, out=around)
+        np.maximum(around, lo[:, None, None], out=around)
+        np.minimum(around, hi[:, None, None], out=around)
+    gains = gain(np.arange(n).repeat(angles.shape[1]), angles.ravel()).reshape(angles.shape)
     # the bracket's ends and the best candidate, as one gather each
     at = np.empty((3, n), dtype=np.intp)
     at[2] = np.argmax(gains[:, :_COARSE_STEERING_POINTS + 1], axis=1)
     np.maximum(at[2] - 1, 0, out=at[0])
     np.minimum(at[2] + 1, _COARSE_STEERING_POINTS - 1 + foot, out=at[1])
     at += np.arange(0, angles.size, angles.shape[1])
-    (a, b, best_angle), (fa, fb, best_gain) = angles.ravel()[at], gains.ravel()[at]
+    ends, values = angles.ravel()[at], gains.ravel()[at]
+    (a, b, best_angle), (fa, fb, best_gain) = ends, values
     guide = None
     if guided:
-        # the better kink inside the bracket, and its gains either side
+        # the better kink inside the bracket, t, and the gains _KINK_STEPS
+        # from it
         kinks = angles[:, -5::3]
         inside = (a[:, None] < kinks) & (kinks < b[:, None])
-        kink = inside.any(axis=1)
         better = (np.arange(n), np.argmax(np.where(inside, gains[:, -5::3], -np.inf), axis=1))
-        left, mid, right = gains[:, -6:].reshape(n, 2, 3)[better].T
-        t, sl, sr = kinks[better], mid - left, mid - right
-        # elsewhere the vertex of the parabola through (a, fa), the best
-        # probe and (b, fb)
-        for k in np.flatnonzero(~kink).tolist():
-            t[k] = _vertex(a[k], fa[k], best_angle[k], best_gain[k], b[k], fb[k])
-            sl[k] = sr[k] = 1.0
-        guide = t, sl, sr, kink
+        near = gains[:, -6:].reshape(n, 2, 3)[better]
+        t = kinks[better]
+        # either side of t, left then right, the quadratic through the
+        # kink's gain, with its one-sided slope there, and through the
+        # bracket's end on that side: coefficients (p1, p2, p3) of each; a
+        # prediction only, so a coefficient that overflows just mispredicts
+        pieces = np.zeros((3, 2, n))
+        slope = np.subtract(near[:, 1:].T, near[:, :2].T, out=pieces[0])
+        slope /= _KINK_STEPS[2]
+        u = ends[:2] - t
+        with np.errstate(all="ignore"):
+            np.divide(values[:2] - near[:, 1] - slope * u, u * u, out=pieces[1])
+        # elsewhere the cubic through the four best candidates, or where
+        # fewer are distinct a flat model, which predicts the right branch
+        for k in np.flatnonzero(~inside.any(axis=1)).tolist():
+            model = _cubic([(gains[k].tolist(), candidates[k].tolist(), 0, _COARSE_STEERING_POINTS + 1)])
+            if model:
+                t[k], pieces[:, 0, k], pieces[:, 1, k] = model[0], model[1:4], model[4:]
+            else:
+                t[k], pieces[:, :, k] = 0.0, 0.0
+        guide = t, pieces[:, 0], pieces[:, 1]
     steering, g_nlos = batched_golden_section_max(
         gain, a, b, fa, fb, xtol=STEERING_XTOL_RAD, guide=guide
     )

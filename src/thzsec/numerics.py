@@ -239,21 +239,20 @@ def batched_golden_section_max(
     ``f(k, x)`` evaluates problems ``k`` at points ``x``, and a problem's
     value must not depend on the others evaluated with it.  Without a
     ``guide`` the problems step in lockstep, one level per call of f after
-    a first call for c and d.  With one, arrays (t, sl, sr, kept) of a
-    model per problem, a call evaluates each problem's whole predicted
-    path (``_guided``).  Either way each problem visits exactly the
-    points, and gets exactly the values, of ``golden_section_max``.
-    Returns (x, f(x)) arrays.
+    a first call for c and d.  With one, (t, left, right) of a model per
+    problem, a call evaluates each problem's whole predicted path
+    (``_guided``).  Either way each problem visits exactly the points, and
+    gets exactly the values, of ``golden_section_max``.  Returns (x, f(x))
+    arrays.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
+    if guide is not None:
+        return _guided(f, a, b, fa, fb, xtol, guide)
     best_x = np.where(fb > fa, b, a)
     best_f = np.where(fb > fa, fb, fa)
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     if a.size:
-        last = _lockstep(f, a, b, c, d, xtol) if guide is None else _guided(
-            f, a, b, c, d, fa, fb, xtol, guide
-        )
+        last = _lockstep(f, a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), xtol)
         for x, fx in zip(last[:2], last[2:]):
             better = fx > best_f
             best_x = np.where(better, x, best_x)
@@ -283,100 +282,164 @@ def _lockstep(f, a, b, c, d, xtol):
                 return last
 
 
-def _guided(f, a, b, c, d, fa, fb, xtol, guide):
-    """(c, d, f(c), f(d)) of every problem's last bracket, shape (4, n),
-    each problem along the path its model predicts.
+def _guided(f, a, b, fa, fb, xtol, guide):
+    """``batched_golden_section_max`` with each problem along the path its
+    model predicts.
 
-    Model k predicts f(c) > f(d), the left branch, where sl[k] c + sr[k] d
-    > (sl[k] + sr[k]) t[k]: a kink at t[k] that rises with slope sl[k] and
-    falls with slope sr[k], or with sl = sr a parabola's vertex.  A round
-    evaluates the rest of each live problem's predicted path (``_path``),
-    c and d too in the first, in one call of f and walks its true
-    comparisons; a problem goes on from the first that disagrees in the
-    next round.  After one such round where kept[k], or at once, its model
-    becomes the parabola through its next bracket's ends and known inner
-    point (``_vertex``): keeping a kink model for one miss takes perfbench's
-    x = 750 m line in 3 rounds instead of 9 (CHANGES.md).  A Python loop
-    per problem makes and walks the paths: numpy arrays of a few dozen
-    problems cost more per level."""
+    Model k is continuous at t[k]: u (p1 + u (p2 + u p3)), u = x - t[k],
+    with the coefficients (p1, p2, p3) from ``left`` where u <= 0 and
+    from ``right`` past t[k], each an array of the problems' or one for
+    all.  It
+    predicts f(c) > f(d), the left branch, where its value at c exceeds
+    that at d.  A round evaluates the rest of each live problem's predicted
+    path (``_path``), c and d too in the first, in one call of f and walks
+    its true comparisons; a problem goes on from the first that disagrees
+    in the next round, its model then the cubic through the four best
+    points it has evaluated (``_cubic``).  After a second miss, or without
+    four such points, it takes one level per round, as it does once a
+    level leaves its bracket no narrower: a bracket of a few ulps, where
+    the model's comparisons are noise, would otherwise predict and discard
+    a path to the level cap in every round.  A Python loop per problem
+    makes and walks the paths: numpy arrays of a few dozen problems cost
+    more per level."""
     n = a.size
-    # per problem: its bracket (a, b, c, d) and the values there, f(c) and
-    # f(d) None until evaluated; its level; its model (t, sl, sr) and the
-    # missed predictions that model survives
-    state = list(zip(
-        a.tolist(), b.tolist(), c.tolist(), d.tolist(), fa.tolist(), fb.tolist(), [None] * n,
-        [None] * n, [0] * n, *(np.broadcast_to(v, n).tolist() for v in guide),
-    ))
-    last = [None] * n
-    live = range(n)
+    models = np.empty((7, n))
+    t, left, right = guide
+    for row, coefficient in zip(models, (t, *left, *right)):
+        row[...] = coefficient
+    # golden_section_max's best end, then per problem: its bracket (a, b, c,
+    # d), f(c) and f(d) (None until evaluated), its level, its model (None
+    # for one level per round), its misses, and the rounds' values and
+    # points, each as (values, points, start, stop), that it has evaluated
+    best = [(b, fb) if fb > fa else (a, fa) for a, b, fa, fb in zip(
+        a.tolist(), b.tolist(), fa.tolist(), fb.tolist())]
+    live = [
+        [k, a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), None, None, 0, model, 0,
+         [([fa, fb], [a, b], 0, 2)]]
+        for k, ((a, b, fa, fb), model) in enumerate(zip(
+            zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()), models.T.tolist()))
+    ]
     while live:
-        items, points, paths = [], [], []
-        for k in live:
-            a, b, c, d, fa, fb, fc, fd, level, t, sl, sr, spare = state[k]
-            if fc is None:
-                points += c, d
-            path = _path(a, b, c, d, fc, fd, level, t, sl, sr, xtol)
-            points += path[0]
-            paths.append(path)
-            items += [k] * (len(points) - len(items))
-        values = np.asarray(f(np.array(items), np.array(points)), dtype=float).tolist()
+        paths = [_path(*problem[1:9], xtol) for problem in live]
+        points = [x for xs, _, _, _ in paths for x in xs]
+        items = np.array([problem[0] for problem in live]).repeat([len(xs) for xs, _, _, _ in paths])
+        values = np.asarray(f(items, np.array(points)), dtype=float).tolist()
         going, j = [], 0
-        for k, (xs, lefts) in zip(live, paths):
-            a, b, c, d, fa, fb, fc, fd, level, t, sl, sr, spare = state[k]
+        for problem, (xs, lefts, end, done) in zip(live, paths):
+            k, a, b, c, d, fc, fd, level, model, misses, seen = problem
+            seen.append((values, points, j, j + len(xs)))
+            # the values of the path's levels from values[o]
+            o, j = j + len(xs) - len(lefts), j + len(xs)
             if fc is None:
-                fc, fd = values[j:j + 2]
-                j += 2
-            got = values[j:j + len(xs)]
-            j += len(xs)
-            for i, (x, left, fx) in enumerate(zip(xs, lefts, got)):
+                fc, fd = values[o - 2:o]
+            for i, left in enumerate(lefts):
                 if (fc > fd) != left:
+                    # a missed prediction: go on from the level before it
+                    a, b, c, d = _step(a, b, c, d, lefts[:i])
+                    misses += 1
+                    model = _cubic(seen) if misses < 2 else None
                     break
                 if left:
-                    b, fb, d, fd, c, fc = d, fd, c, fc, x, fx
+                    fc, fd = values[o + i], fc
                 else:
-                    a, fa, c, fc, d, fd = c, fc, d, fd, x, fx
+                    fc, fd = fd, values[o + i]
             else:
-                last[k] = c, d, fc, fd
-                continue
-            if spare < 1:
-                t = _vertex(a, fa, c, fc, d, fd) if fc > fd else _vertex(c, fc, d, fd, b, fb)
-                sl = sr = 1.0
-            state[k] = a, b, c, d, fa, fb, fc, fd, level + i, t, sl, sr, spare - 1
-            going.append(k)
+                i = len(lefts)
+                a, b, c, d = end
+                if done:
+                    x, fx = best[k]
+                    if fc > fx:
+                        x, fx = c, fc
+                    if fd > fx:
+                        x, fx = d, fd
+                    best[k] = x, fx
+                    continue
+            problem[1:10] = a, b, c, d, fc, fd, level + i, model, misses
+            going.append(problem)
         live = going
-    return np.array(last).T
+    return tuple(np.array(v, dtype=float) for v in zip(*best))
 
 
-def _path(a, b, c, d, fc, fd, level, t, sl, sr, xtol):
+def _path(a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
     """The new points and the branches (True to the left) of a search's
-    levels from its bracket (a, b, c, d) at ``level`` to its end: the
-    first by f(c) > f(d) where those are known (not None), the others as
-    its model (t, sl, sr) predicts."""
-    w = (sl + sr) * t
-    xs, lefts = [], []
-    left = fc > fd if fc is not None else sl * c + sr * d > w
-    for _ in range(_GOLDEN_MAX_ITER - level):
+    levels from its bracket (a, b, c, d) at ``level``, the bracket after
+    them and whether the search ends there: the first level by f(c) > f(d)
+    where those are known (not None), the others as its model (t, p1, p2,
+    p3, q1, q2, q3) predicts, to the end of the search or up to a level
+    that leaves the bracket no narrower; one level alone where the model
+    is None.  The new points begin with c and d where f(c) and f(d) are
+    not known."""
+    stop = _GOLDEN_MAX_ITER if model is not None else level + 1
+    t, p1, p2, p3, q1, q2, q3 = model or _FLAT
+    u, v = c - t, d - t
+    mc = u * (p1 + u * (p2 + u * p3)) if u <= 0.0 else u * (q1 + u * (q2 + u * q3))
+    md = v * (p1 + v * (p2 + v * p3)) if v <= 0.0 else v * (q1 + v * (q2 + v * q3))
+    if fc is None:
+        xs, left = [c, d], mc > md
+    else:
+        xs, left = [], fc > fd
+    lefts = []
+    width = b - a
+    for level in range(level + 1, stop + 1):
         lefts.append(left)
+        if left:
+            b, d, md = d, c, mc
+            w = b - a
+            c = x = b - inv_phi * w
+            xs.append(x)
+            if not xtol <= w < width:
+                break
+            u = x - t
+            mc = u * (p1 + u * (p2 + u * p3)) if u <= 0.0 else u * (q1 + u * (q2 + u * q3))
+        else:
+            a, c, mc = c, d, md
+            w = b - a
+            d = x = a + inv_phi * w
+            xs.append(x)
+            if not xtol <= w < width:
+                break
+            u = x - t
+            md = u * (p1 + u * (p2 + u * p3)) if u <= 0.0 else u * (q1 + u * (q2 + u * q3))
+        width = w
+        left = mc > md
+    return xs, lefts, (a, b, c, d), w < xtol or level == _GOLDEN_MAX_ITER
+
+
+_FLAT = (0.0,) * 7
+
+
+def _step(a, b, c, d, lefts):
+    """The bracket (a, b, c, d) after the levels of branches ``lefts``."""
+    for left in lefts:
         if left:
             b, d = d, c
             c = b - _INV_PHI * (b - a)
-            xs.append(c)
         else:
             a, c = c, d
             d = a + _INV_PHI * (b - a)
-            xs.append(d)
-        if abs(b - a) < xtol:
-            break
-        left = sl * c + sr * d > w
-    return xs, lefts
+    return a, b, c, d
 
 
-def _vertex(x1, y1, x2, y2, x3, y3):
-    """The abscissa of the maximum of the parabola through three points,
-    x1 < x2 < x3, where it opens downward; otherwise that of the higher
-    end."""
-    p = (x2 - x1) * (y2 - y3)
-    q = (x2 - x3) * (y2 - y1)
-    if p > q:
-        return x2 - 0.5 * ((x2 - x1) * p - (x2 - x3) * q) / (p - q)
-    return x3 if y3 > y1 else x1
+def _cubic(seen):
+    """The model of ``_guided`` through the four highest values that
+    ``seen`` holds, (values, points, start, stop) each, at distinct points:
+    the cubic's coefficients about the highest, the same on both sides of
+    it; None where fewer than four points are distinct."""
+    nodes, taken = [], set()
+    pairs = [pair for ys, xs, i, j in seen for pair in zip(ys[i:j], xs[i:j])]
+    for y, x in sorted(pairs, reverse=True):
+        if x not in taken:
+            taken.add(x)
+            nodes.append((y, x))
+            if len(nodes) == 4:
+                break
+    else:
+        return None
+    (y0, x0), (y1, x1), (y2, x2), (y3, x3) = nodes
+    # Newton's divided differences, then the cubic in u = x - x0
+    d01, d12, d23 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1), (y3 - y2) / (x3 - x2)
+    d012, d123 = (d12 - d01) / (x2 - x0), (d23 - d12) / (x3 - x1)
+    d3 = (d123 - d012) / (x3 - x0)
+    e1, e2 = x0 - x1, x0 - x2
+    p1, p2 = d01 + e1 * (d012 + e2 * d3), d012 + (e1 + e2) * d3
+    return x0, p1, p2, d3, p1, p2, d3

@@ -654,13 +654,14 @@ class TestNlosGainField:
             want_gain = reference_nlos_gain(cell, ext, params, want_steering)
             assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("workload,calls", [("det_map", 4), ("prob_bg_sweep", 3)])
+    @pytest.mark.parametrize("workload,calls", [("det_map", 3), ("prob_bg_sweep", 2)])
     def test_benchmark_cells_query_rounds(self, monkeypatch, workload, calls):
         # the coarse probes and kinks, then the golden section's rounds along
-        # predicted paths: 4 numpy query rounds on det_map's cells, where
-        # x = 0, y = 2 m takes two more rounds than the kink paths of the
-        # other 21, and 3 on the x = 750 m line (7 and 6 in rounds of a
-        # bracket tree, 8 and 7 one level per round)
+        # predicted paths: 3 numpy query rounds on det_map's cells, where
+        # x = 0, y = 2 m, an interior maximum, takes one more round than the
+        # kink paths of the other 21, and 2 on the x = 750 m line (4 and 3
+        # with the linear kink and parabola models, 8 and 7 one level per
+        # round)
         rounds = []
         table = channel._steering_free_gain
 
@@ -675,12 +676,44 @@ class TestNlosGainField:
         nlos_gain_field(*self.BENCH_CELLS[workload], sc, ext, params)
         assert len(rounds) == calls
 
+    def test_missed_paths_match_the_lockstep_search(self, monkeypatch):
+        # a batch with both kinds of missed path: x = 750, y = 86 m, a kink
+        # that a linear model on each side mispredicted, and x = 0, y = 2-12
+        # m, interior maxima whose first path, from the cubic through the
+        # best probes, misses.  Along predicted paths it takes 3 query
+        # rounds and gets the steering and G_NLOS of the lockstep search
+        # (batched_golden_section_max without a guide), bit for bit
+        rounds = []
+        table = channel._steering_free_gain
+
+        def counted(*args):
+            gain = table(*args)
+            return lambda k, steering: rounds.append(k.size) or gain(k, steering)
+
+        monkeypatch.setattr(channel, "_steering_free_gain", counted)
+        cfg = parse_config(None)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        xs = np.array([750.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        ys = np.array([86.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+        guided = nlos_gain_field(xs, ys, sc, ext, params)
+        assert len(rounds) == 3
+        search = numerics.batched_golden_section_max
+        monkeypatch.setattr(
+            channel, "batched_golden_section_max",
+            lambda *args, guide, **kwargs: search(*args, **kwargs),
+        )
+        lockstep = nlos_gain_field(xs, ys, sc, ext, params)
+        assert [v.tobytes() for v in guided] == [v.tobytes() for v in lockstep]
+
     def test_large_batches_step_one_level_per_round(self, monkeypatch):
-        # up to _GUIDED_BATCH positions the probe round takes each kink and
-        # the points either side of it too, 6 points per position, and the
-        # golden section follows predicted paths; above it, the probe round
-        # takes the probes alone, the next c and d, and each later one a
-        # level, one point per live position
+        # the probe round takes 25 candidates per position, the 24 probes
+        # and the foot point, or the last probe again where the foot point
+        # is not strictly inside the steering range.  Up to _GUIDED_BATCH
+        # positions it takes each kink and the points either side of it
+        # too, 6 points per position, and the golden section follows
+        # predicted paths; above it, the next round takes c and d, and each
+        # later one a level, one point per live position
         rounds = []
         table = channel._steering_free_gain
 
@@ -694,11 +727,10 @@ class TestNlosGainField:
         ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
         n = channel._GUIDED_BATCH
         xs, ys = np.linspace(0.0, sc.d, n + 1), np.full(n + 1, 30.0)
-        probes = 24 + ((0.0 < xs) & (xs < sc.d))  # the foot point strictly inside
         for count, kinks in ((n, 6), (n + 1, 0)):
             rounds.clear()
             nlos_gain_field(xs[:count], ys[:count], sc, ext, params)
-            assert rounds[0].tolist() == (probes[:count] + kinks).tolist()
+            assert rounds[0].tolist() == [25 + kinks] * count
             if kinks:
                 assert len(rounds) <= 4
             else:

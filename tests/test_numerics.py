@@ -15,6 +15,17 @@ from thzsec.numerics import (
 )
 
 
+def kink(t, sl, sr):
+    """A guide of models with kinks at t that rise with slope sl and fall
+    with slope sr."""
+    return t, (sl, 0.0, 0.0), (-np.asarray(sr), 0.0, 0.0)
+
+
+def parabola(t):
+    """A guide of parabolas with their vertices at t."""
+    return t, (0.0, -1.0, 0.0), (0.0, -1.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "f,a,b",
     [
@@ -86,8 +97,8 @@ def test_batched_golden_section_equals_scalar_per_problem():
     # maxima inside, at either end and outside the brackets, which differ in
     # width so that the problems converge at different levels: a zero-width
     # bracket, and brackets that the first, second and third level narrow
-    # below xtol; in lockstep and along paths that a model at the maxima,
-    # one far away and one with flat sides predict
+    # below xtol; in lockstep and along paths that a kink at the maxima, a
+    # parabola far away and a model with flat sides predict
     centres = np.array([2.0, 0.1, 4.9, -1.0, 7.0, 0.3, 1.0, 1.0, 1.0])
     a = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.3, 1.0, 1.0, 0.99999999])
     b = np.array([5.0, 0.5, 5.0, 3.0, 2.1, 0.3, 1.000000001, 1.00000002, 1.00000002])
@@ -96,8 +107,7 @@ def test_batched_golden_section_equals_scalar_per_problem():
         return -((x - centres[k]) ** 2)
 
     every = np.arange(centres.size)
-    for guide in (None, (centres, 1.0, 1.0, True), (centres + 50.0, 1.0, 1.0, False),
-                  (a, 0.0, 0.0, True)):
+    for guide in (None, kink(centres, 1.0, 1.0), parabola(centres + 50.0), kink(a, 0.0, 0.0)):
         xs, fs = batched_golden_section_max(f, a, b, f(every, a), f(every, b), 1e-8, guide)
         for k, c in enumerate(centres):
             assert (xs[k], fs[k]) == golden_section_max(
@@ -120,12 +130,12 @@ def test_batched_golden_section_levels_per_call():
 
     a, b = np.array([0.0, 0.0]), np.array([0.27, 0.27])
     fa, fb = f(np.arange(2), a), f(np.arange(2), b)
-    for guide, want in ((None, [2] + [1] * 17), ((0.1, 1.0, 1.0, False), [19])):
+    for guide, want in ((None, [2] + [1] * 17), (parabola(0.1), [19])):
         calls.clear()
         batched_golden_section_max(f, a, b, fa, fb, 1e-4, guide)
         assert calls == [[n, n] for n in want]
     calls.clear()
-    batched_golden_section_max(f, a, b, fa, fb, 1e-4, (0.1, -1.0, -1.0, True))
+    batched_golden_section_max(f, a, b, fa, fb, 1e-4, kink(0.1, -1.0, -1.0))
     assert len(calls) <= 1 + 17
 
 
@@ -138,9 +148,37 @@ def test_golden_section_stops_at_the_level_cap():
     a, b = np.zeros(2), np.ones(2)
     fa, fb = f(None, a), f(None, b)
     want = golden_section_max(lambda t: -abs(t - 0.3), 0.0, 1.0, xtol=0.0)
-    for guide in (None, (0.3, 1.0, 1.0, True), (0.9, 1.0, 1.0, False)):
+    for guide in (None, kink(0.3, 1.0, 1.0), parabola(0.9)):
         xs, fs = batched_golden_section_max(f, a, b, fa, fb, 0.0, guide)
         assert list(zip(xs, fs)) == [want, want]
+
+
+def test_collapsed_bracket_steps_one_level_per_round():
+    # xtol = 0 collapses the bracket to a few ulps long before the level
+    # cap, where a model's comparisons are noise: the search then steps one
+    # level per round instead of predicting, and discarding, a path to the
+    # cap in every round, so it evaluates at most twice the lockstep
+    # search's points (202), with the same result.  The models are a
+    # parabola away from the maximum and a kink at it; a model that
+    # mispredicts every level discards at most two paths to the cap
+    points = []
+
+    def f(k, x):
+        points.append(np.size(x))
+        return -np.abs(np.asarray(x) - 0.3)
+
+    a, b = np.zeros(1), np.ones(1)
+    fa, fb = f(None, a), f(None, b)
+    want = golden_section_max(lambda t: -abs(t - 0.3), 0.0, 1.0, xtol=0.0)
+    counts = []
+    for guide in (None, parabola(0.9), kink(0.3, 3.0, 0.5), kink(0.9, -1.0, -1.0)):
+        points.clear()
+        xs, fs = batched_golden_section_max(f, a, b, fa, fb, 0.0, guide)
+        assert (xs[0], fs[0]) == want
+        counts.append(sum(points))
+    assert counts[0] == 202
+    assert max(counts[1:3]) <= 2 * counts[0]
+    assert counts[3] <= counts[0] + 2 * numerics._GOLDEN_MAX_ITER
 
 
 def test_guided_search_counts_levels_after_a_miss(monkeypatch):
@@ -156,7 +194,7 @@ def test_guided_search_counts_levels_after_a_miss(monkeypatch):
         b = a + rng.uniform(0.5, 3.0, n)
         centre = a + rng.uniform(0.0, 1.0, n) * (b - a)
         t = centre + rng.choice([-0.4, 0.4], n) * (b - a)
-        guide = (t, rng.uniform(0.1, 5.0, n), rng.uniform(0.1, 5.0, n), rng.random(n) < 0.5)
+        guide = kink(t, rng.uniform(0.1, 5.0, n), rng.uniform(0.1, 5.0, n))
 
         def f(k, x):
             u = np.asarray(x) - centre[np.asarray(k, dtype=np.intp)]
@@ -182,7 +220,7 @@ def test_golden_section_goes_on_at_a_width_of_xtol():
     xtol = float((b - numerics._INV_PHI * (b - a))[0])
     want = golden_section_max(lambda t: -abs(t - 0.7), 0.0, 1.0, xtol=xtol)
     assert want != golden_section_max(lambda t: -abs(t - 0.7), 0.0, 1.0, xtol=xtol * (1 + 1e-15))
-    for guide in (None, (0.7, 1.0, 1.0, True)):
+    for guide in (None, kink(0.7, 1.0, 1.0)):
         xs, fs = batched_golden_section_max(f, a, b, f(None, a), f(None, b), xtol, guide)
         assert list(zip(xs, fs)) == [want] * 3
 
@@ -207,15 +245,19 @@ problems = st.tuples(
     st.floats(min_value=-0.5, max_value=1.5),  # centre, as a share of b - a
     st.sampled_from(SHAPES),
 )
-# a model (t, sl, sr, kept): t as a share of b - a, or the problem's own
-# centre with the kink's slopes; kinks inside, at the ends, outside and far
-# away, and zero, negative, huge and undefined slopes
-slopes = st.sampled_from([0.0, 1.0, 0.5, 3.0, -1.0, 1e-300, 1e300, math.inf, math.nan])
+# a model (t, left, right): t as a share of b - a and the coefficients of
+# its cubic pieces, or a kink at the problem's own centre with its slopes;
+# pieces that meet inside, at the ends, outside and far away, and zero,
+# negative, huge and undefined coefficients
+coefficients = st.sampled_from(
+    [0.0, 1.0, 0.5, 3.0, -1.0, -3.0, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+)
 models = st.one_of(
     st.just(None),
     st.tuples(
         st.one_of(st.sampled_from([0.0, 1.0, -1e6, 1e6]), st.floats(min_value=-0.5, max_value=1.5)),
-        slopes, slopes, st.booleans(),
+        st.tuples(coefficients, coefficients, coefficients),
+        st.tuples(coefficients, coefficients, coefficients),
     ),
 )
 
@@ -236,9 +278,9 @@ def test_speculative_golden_section_equals_lockstep(batch, xtol):
     scale = np.maximum(b - a, 1e-12)
     centre = a + np.array([p[2] for p, _ in batch]) * scale
     shape = np.array([SHAPES.index(p[3]) for p, _ in batch])
-    share, sl, sr, kept = zip(*(m or (None, 3.0, 0.5, True) for _, m in batch))
+    share, left, right = zip(*(m or (None, (3.0, 0.0, 0.0), (-0.5, 0.0, 0.0)) for _, m in batch))
     t = np.where([v is None for v in share], centre, a + np.array(share, dtype=float) * scale)
-    guide = (t, np.array(sl), np.array(sr), np.array(kept))
+    guide = (t, np.array(left).T, np.array(right).T)
 
     def f(k, x):
         k = np.asarray(k)

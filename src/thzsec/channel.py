@@ -685,8 +685,8 @@ def _optimised_steering(gain, x, y, d, half_fov):
     # away, all in the steering range.  The candidates are its coarse
     # probes, np.linspace(lo, hi, 24), and the foot point pi/2 where it lies
     # strictly inside (lo, hi); elsewhere hi again, whose gain is the last
-    # probe's, so that it is never the best (argmax takes the first) and
-    # never a bracket end (the bracket stops at the last probe there)
+    # probe's: never the best, as argmax takes the first, and as a bracket
+    # end the same angle and gain as the last probe
     n = x.size
     lo, hi = np.arctan2(y, x), np.arctan2(y, x - d)
     step = (hi - lo) / (_COARSE_STEERING_POINTS - 1)
@@ -707,9 +707,9 @@ def _optimised_steering(gain, x, y, d, half_fov):
     gains = gain(np.arange(n).repeat(angles.shape[1]), angles.ravel()).reshape(angles.shape)
     # the bracket's ends and the best candidate, as one gather each
     at = np.empty((3, n), dtype=np.intp)
-    at[2] = np.argmax(gains[:, :_COARSE_STEERING_POINTS + 1], axis=1)
+    at[2] = gains[:, :_COARSE_STEERING_POINTS + 1].argmax(axis=1)
     np.maximum(at[2] - 1, 0, out=at[0])
-    np.minimum(at[2] + 1, _COARSE_STEERING_POINTS - 1 + foot, out=at[1])
+    np.minimum(at[2] + 1, _COARSE_STEERING_POINTS, out=at[1])
     at += np.arange(0, angles.size, angles.shape[1])
     ends, values = angles.ravel()[at], gains.ravel()[at]
     (a, b, best_angle), (fa, fb, best_gain) = ends, values
@@ -719,7 +719,7 @@ def _optimised_steering(gain, x, y, d, half_fov):
         # from it
         kinks = angles[:, -5::3]
         inside = (a[:, None] < kinks) & (kinks < b[:, None])
-        better = (np.arange(n), np.argmax(np.where(inside, gains[:, -5::3], -np.inf), axis=1))
+        better = (np.arange(n), np.where(inside, gains[:, -5::3], -np.inf).argmax(axis=1))
         near = gains[:, -6:].reshape(n, 2, 3)[better]
         t = kinks[better]
         # either side of t, left then right, the quadratic through the
@@ -734,7 +734,7 @@ def _optimised_steering(gain, x, y, d, half_fov):
             np.divide(values[:2] - near[:, 1] - slope * u, u * u, out=pieces[1])
         # elsewhere the cubic through the four best candidates, or where
         # fewer are distinct a flat model, which predicts the right branch
-        for k in np.flatnonzero(~inside.any(axis=1)).tolist():
+        for k in (~inside.any(axis=1)).nonzero()[0].tolist():
             model = _cubic([(gains[k].tolist(), candidates[k].tolist(), 0, _COARSE_STEERING_POINTS + 1)])
             if model:
                 t[k], pieces[:, 0, k], pieces[:, 1, k] = model[0], model[1:4], model[4:]

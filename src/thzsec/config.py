@@ -21,12 +21,15 @@ from .atmosphere import (
     AbsorptionBackend,
     AtmosphereConditions,
     ConstantAbsorption,
+    ExtinctionBreakdown,
+    RegimeError,
     TableAbsorption,
     Wave,
     default_absorption_table,
+    extinction,
     gaseous_extinction,
 )
-from .channel import LinkScenario, ReceiverParams, ScatteringParams
+from .channel import LinkScenario, ReceiverParams, ScatteringParams, los_gain
 
 __all__ = ["ConfigError", "ScanSpec", "SweepSpec", "ResolvedConfig", "parse_config"]
 
@@ -106,6 +109,22 @@ def _in_range(name, lo, hi, lo_open=False, hi_open=False):
     return check
 
 
+# the least distance of an eavesdropper from the beam axis: much closer,
+# the cube of its distance to a scatterer underflows in the single-scatter
+# integrand, and 1e-100 m leaves a margin of eight orders of magnitude
+MIN_EVE_HEIGHT_M = 1e-100
+
+
+def _eve_height(name, zero_ok):
+    def check(v):
+        if abs(v) >= MIN_EVE_HEIGHT_M or (zero_ok and v == 0):
+            return None
+        zero = "0 or " if zero_ok else ""
+        return f"{name} must be {zero}at least {MIN_EVE_HEIGHT_M:g} m from the beam axis, got {v}"
+
+    return check
+
+
 def _choice(name, options):
     return lambda v: None if v in options else f"{name} must be one of {sorted(options)}, got {v!r}"
 
@@ -171,7 +190,7 @@ _SCHEMA = {
         "freq_hz": (340e9, _parse_float, _positive("freq_hz")),
         "distance_m": (1000.0, _parse_float, _positive("distance_m")),
         "eve_x_m": (750.0, _parse_float, lambda v: None),
-        "eve_y_m": (30.0, _parse_float, lambda v: None if v != 0 else "eve_y_m must be nonzero"),
+        "eve_y_m": (30.0, _parse_float, _eve_height("eve_y_m", zero_ok=False)),
         "divergence_rad": (0.02, _parse_float, _positive("divergence_rad")),
         "tx_power_w": (0.01, _parse_float, _positive("tx_power_w")),
     },
@@ -191,8 +210,8 @@ _SCHEMA = {
     "scan": {
         "x_min_m": (0.0, _parse_float, lambda v: None),
         "x_max_m": (1000.0, _parse_float, lambda v: None),
-        "y_min_m": (2.0, _parse_float, lambda v: None),
-        "y_max_m": (100.0, _parse_float, lambda v: None),
+        "y_min_m": (2.0, _parse_float, _eve_height("y_min_m", zero_ok=True)),
+        "y_max_m": (100.0, _parse_float, _eve_height("y_max_m", zero_ok=True)),
         "step_m": (2.0, _parse_float, _positive("step_m")),
         "mode": (MODE_DETERMINISTIC, _parse_str, _choice("mode", {MODE_DETERMINISTIC, MODE_PROBABILISTIC})),
         "target_rate_bps": (10e9, _parse_float, _nonnegative("target_rate_bps")),
@@ -427,14 +446,46 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
             backend = TableAbsorption.from_csv(atmosphere["absorption_table_path"])
         else:
             backend = default_absorption_table()
-        gaseous_extinction(scenario.freq_hz, backend)
+        alpha_g = gaseous_extinction(scenario.freq_hz, backend)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
+    if _los_gain_underflows(cfg, scenario, backend, alpha_g):
+        absorption = (
+            f"atmosphere.absorption_db_per_km = {atmosphere['absorption_db_per_km']!r}"
+            if atmosphere["absorption"] == "constant"
+            else f"the absorption table's {backend.alpha_db_per_km(scenario.freq_hz)!r} dB/km "
+            f"at link.freq_hz = {scenario.freq_hz!r}"
+        )
+        raise ConfigError(
+            f"{src}: the line-of-sight gain underflows to 0 at link.distance_m = "
+            f"{scenario.d!r}, link.divergence_rad = {scenario.alpha_a!r}, bob.aperture_m = "
+            f"{scenario.bob.aperture_d!r} and {absorption}"
+        )
     if check_sweep:
         cfg = replace(cfg, sweep_cfgs=() if sweep_param is None else tuple(
             cfg.with_sweep_value(sweep_param, value) for value in resolved["sweep"]["values"]
         ))
     return replace(cfg, absorption_backend=backend)
+
+
+def _los_gain_underflows(cfg, scenario, backend, alpha_g) -> bool:
+    """Whether G_LOS is 0, where Bob receives nothing and no cell means
+    anything.  Its gaseous part bounds it; turbulence, within the
+    weak-fluctuation regime less than 200 dB, is worked out only where that
+    bound is near underflow.  A gain factor that overflows a float gives 0."""
+    try:
+        bound = los_gain(scenario, ExtinctionBreakdown(alpha_g, 0.0, alpha_g, 0.0, 0.0, 0.0))
+        if bound > 1e-280 or bound == 0.0:
+            return bound == 0.0
+        return los_gain(scenario, extinction(
+            scenario.freq_hz, cfg.conditions(), scenario.d, backend, cfg.wave()
+        )) == 0.0
+    except OverflowError:
+        return True
+    except (RegimeError, ArithmeticError):
+        # outside the regime every cell is classified as such; other
+        # arithmetic failures are classified where the gain is computed
+        return False
 
 
 def parse_config(path: Union[str, Path, None]) -> ResolvedConfig:

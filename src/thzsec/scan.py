@@ -503,9 +503,53 @@ def load_csv(path: Union[str, Path]):
         columns = next(lines, "")
     if columns.strip() != "x_m,y_m,value":
         raise ValueError(f"{path}: unexpected column header {columns!r}")
+    rows = list(lines)
+    xs, ys, v_col = _grid_by_text(rows) or _grid_by_value(rows, path)
+    return xs, ys, np.array(v_col, dtype=float).reshape(len(ys), len(xs)), header
+
+
+def _grid_by_text(rows):
+    """(xs, ys, values) of the data rows where each has three fields, the
+    x tokens repeat the first grid row's as text, the y tokens are the same
+    text along each grid row, every number parses and the axes hold
+    distinct numbers and no NaN; else None.  ``float`` then reads each axis
+    token once, and ``_grid_by_value`` would accept the rows with the same
+    numbers."""
+    sx, sy, sv = [], [], []
+    try:
+        for row in rows:
+            x, y, v = row.split(",")
+            sx.append(x)
+            sy.append(y)
+            sv.append(v)
+    except ValueError:
+        return None
+    if not sy:
+        return None
+    nx = next((i for i in range(1, len(sy)) if sy[i] != sy[0]), len(sy))
+    ny, rest = divmod(len(sy), nx)
+    x_tokens, y_tokens = sx[:nx], sy[::nx]
+    if rest or sx != x_tokens * ny or any(
+        sy[i * nx:(i + 1) * nx] != [y] * nx for i, y in enumerate(y_tokens)
+    ):
+        return None
+    try:
+        xs, ys, values = list(map(float, x_tokens)), list(map(float, y_tokens)), list(map(float, sv))
+    except ValueError:
+        return None
+    if len(set(xs)) != nx or len(set(ys)) != ny or any(map(math.isnan, xs + ys)):
+        return None
+    return xs, ys, values
+
+
+def _grid_by_value(rows, path):
+    """(xs, ys, values) of the data rows with every field parsed and the
+    axes compared as numbers; ValueError, the first in row order, where a
+    row has not three numbers or the rows are not a full grid in row-major
+    order."""
     x_col, y_col, v_col = [], [], []
-    for line in lines:
-        sx, sy, sv = line.split(",")
+    for row in rows:
+        sx, sy, sv = row.split(",")
         x_col.append(float(sx))
         y_col.append(float(sy))
         v_col.append(float(sv))
@@ -521,7 +565,7 @@ def load_csv(path: Union[str, Path]):
         or y_col != [y for y in ys for _ in xs]
     ):
         raise ValueError(f"{path}: rows are not a full {nx} x {ny} grid in row-major order")
-    return xs, ys, np.array(v_col, dtype=float).reshape(ny, nx), header
+    return xs, ys, v_col
 
 
 def load_json(path: Union[str, Path]):

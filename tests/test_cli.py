@@ -119,6 +119,15 @@ class TestPoint:
         assert main(["point", "--config", str(cfg)]) == EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
 
+    def test_eavesdropper_at_the_least_height_is_a_runtime_error(self, tmp_path, capsys):
+        # 1e-100 m from the beam axis, the least height a config accepts:
+        # the scalar quadrature runs out of panels, a classified failure
+        # with no RuntimeWarning on the way (pyproject.toml makes one an
+        # error)
+        cfg = write(tmp_path, "[link]\neve_y_m = 1e-100\n")
+        assert main(["point", "--config", str(cfg)]) == EXIT_RUNTIME
+        assert "runtime error: exceeded 2048 panels" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["det", "prob"])
     def test_channel_gains_computed_once(self, tmp_path, capsys, monkeypatch, mode):
         calls = []
@@ -256,9 +265,14 @@ class TestUsage:
     ("[link]\nfreq_hz = 700e9\n", [], "point"),
     ("[bob]\naperture_m = 1e200\n", [], "scan"),
     ("[eve]\naperture_m = 1e200\n", [], "scan"),
+    ("[link]\neve_y_m = 1e-300\n", [], "point"),
+    ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", [], "point"),
+    ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", ["--mode", "prob"], "scan"),
+    ("[sweep]\nparameter = divergence_rad\nvalues = 0.02, 1e200\n", [], "sweep"),
 ], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
         "table-bad-header", "table-missing", "freq-past-table", "bob-area-overflows",
-        "eve-area-overflows"])
+        "eve-area-overflows", "eve-height-cube-underflows", "los-gain-underflows-point",
+        "los-gain-underflows-scan", "sweep-los-gain-underflows"])
 @pytest.mark.parametrize("run", ["validate", "command"])
 def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
     """Configs that only fail once the physics or a file read would reach the

@@ -148,6 +148,65 @@ class TestErrors:
             parse_config(write(tmp_path, text))
 
 
+class TestUnrepresentableLinks:
+    """An eavesdropper closer to the beam axis than 1e-100 m, where the
+    cube of its distance to a scatterer underflows, and a link whose
+    line-of-sight gain underflows to 0: config errors that name the key,
+    from an INI file, a JSON file, an override and a sweep value alike, with
+    RuntimeWarning an error (pyproject.toml)."""
+
+    CASES = [
+        ({"link": {"eve_y_m": 1e-300}}, r"link\.eve_y_m"),
+        ({"link": {"eve_y_m": -5e-324}}, r"link\.eve_y_m"),
+        ({"link": {"eve_y_m": 0.0}}, r"link\.eve_y_m"),
+        ({"scan": {"y_min_m": 5e-324}}, r"scan\.y_min_m"),
+        ({"scan": {"y_max_m": -1e-101}}, r"scan\.y_max_m"),
+        ({"atmosphere": {"absorption_db_per_km": 1.7e308, "absorption": "constant"}},
+         r"underflows to 0 .* atmosphere\.absorption_db_per_km = 1\.7e\+308"),
+        ({"link": {"distance_m": 1e6}}, r"underflows to 0 at link\.distance_m = 1000000\.0"),
+        ({"link": {"distance_m": 1e200}}, r"underflows to 0 at link\.distance_m = 1e\+200"),
+        ({"link": {"divergence_rad": 1e200}}, r"underflows to 0 .* link\.divergence_rad = 1e\+200"),
+        ({"bob": {"aperture_m": 5e-324}}, r"underflows to 0 .* bob\.aperture_m = 5e-324"),
+    ]
+
+    @pytest.mark.parametrize("settings_,match", CASES)
+    def test_file_and_override_routes(self, tmp_path, settings_, match):
+        ini = "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v!r}\n" for k, v in body.items())
+            for sec, body in settings_.items()
+        )
+        for path in (write(tmp_path, ini), tmp_path / "case.json"):
+            if path.suffix == ".json":
+                path.write_text(json.dumps(settings_))
+            with pytest.raises(ConfigError, match=match):
+                parse_config(path)
+        (sec, body), = list(settings_.items())[-1:]
+        (key, value), = list(body.items())[-1:]
+        base = parse_config(write(tmp_path, "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v!r}\n" for k, v in b.items() if k != key)
+            for s, b in settings_.items()
+        ), name="base.cfg"))
+        with pytest.raises(ConfigError, match=match):
+            base.with_value(sec, key, value)
+
+    def test_sweep_route(self, tmp_path):
+        text = "[sweep]\nparameter = divergence_rad\nvalues = 0.02, 1e200\n"
+        with pytest.raises(ConfigError, match=r"sweep divergence_rad = 1e\+200: .*underflows to 0"):
+            parse_config(write(tmp_path, text))
+        cfg = parse_config(write(tmp_path, "[sweep]\nparameter = divergence_rad\nvalues = 0.02\n"))
+        with pytest.raises(ConfigError, match="underflows to 0"):
+            cfg.with_sweep_value("divergence_rad", 1e200)
+
+    @pytest.mark.parametrize("text", [
+        "[link]\neve_y_m = 1e-100\n",
+        "[link]\neve_y_m = -1e-100\n",
+        "[scan]\ny_min_m = 0\ny_max_m = 1e-100\n",
+        "[link]\ndistance_m = 1e5\n",
+    ])
+    def test_nearby_values_resolve(self, tmp_path, text):
+        parse_config(write(tmp_path, text))
+
+
 class TestFormats:
     def test_ini_comments_and_values(self, tmp_path):
         text = """

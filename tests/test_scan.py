@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -564,6 +565,44 @@ class TestEmit:
         assert isinstance(got_xs, list) and isinstance(got_ys, list)
         assert same_bits(got_xs, xs) and same_bits(got_ys, ys)
         assert same_bits(got_values, values)
+
+    # data rows from a few spellings of a few numbers, NaN, bad tokens and
+    # rows of two or four fields
+    CSV_TOKENS = st.sampled_from(["0", "0.0", "-0.0", "1", "1.0", "1e0", "2", "nan", "inf", "x", ""])
+    CSV_ROWS = st.lists(
+        st.lists(CSV_TOKENS, min_size=2, max_size=4).map(",".join), max_size=9
+    )
+
+    @given(rows=CSV_ROWS, grid=st.none() | grids())
+    @example(rows=["0,1,1", "1,1,2", "0,2,3", "1,2,4"], grid=None)
+    @example(rows=["nan,1,1", "nan,1,2"], grid=None)
+    @example(rows=["0,nan,1", "0,2,2"], grid=None)
+    @example(rows=["nan,1,1", "nan,2,2"], grid=None)
+    @example(rows=["0,nan,1", "1,nan,2"], grid=None)
+    @example(rows=["0,1,1", "1.0,1,2", "0,2,3", "1,2,4"], grid=None)
+    @example(rows=["0,1,1", "1,1,x", "0,2", "1,2,4"], grid=None)
+    @settings(max_examples=200, deadline=None)
+    def test_csv_loads_as_with_every_field_parsed(self, tmp_path_factory, rows, grid):
+        # reading the axes by their text gives the values, and the first
+        # ValueError, that parsing every field gives: on emitted grids and
+        # on rows of other spellings, NaN axes, bad tokens and field counts
+        out = tmp_path_factory.getbasetemp() / "spelled.csv"
+        if grid is None:
+            out.write_text("# mode: det\nx_m,y_m,value\n" + "".join(r + "\n" for r in rows))
+        else:
+            xs, ys, values = grid
+            emit(synthetic_result(values, xs=xs, ys=ys), "csv", out)
+
+        def outcome():
+            try:
+                xs, ys, values, header = load_csv(out)
+            except ValueError as exc:
+                return str(exc)
+            return repr(xs), repr(ys), values.shape, values.tobytes(), header
+
+        fast = outcome()
+        with mock.patch.object(scan, "_grid_by_text", lambda rows: None):
+            assert fast == outcome()
 
     @pytest.mark.parametrize("damage", ["missing", "duplicated", "swapped"])
     def test_csv_not_a_full_grid_rejected(self, tmp_path, damage):

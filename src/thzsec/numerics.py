@@ -245,7 +245,7 @@ def batched_golden_section_max(
     gets exactly the values, of ``golden_section_max``.  Returns (x, f(x))
     arrays.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     fa, fb = np.asarray(fa, dtype=float), np.asarray(fb, dtype=float)
     if guide is not None:
         return _guided(f, a, b, fa, fb, xtol, guide)
@@ -320,16 +320,19 @@ def _guided(f, a, b, fa, fb, xtol, guide):
             zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()), models.T.tolist()))
     ]
     while live:
-        paths = [_path(*problem[1:9], xtol) for problem in live]
-        points = [x for xs, _, _, _ in paths for x in xs]
-        items = np.array([problem[0] for problem in live]).repeat([len(xs) for xs, _, _, _ in paths])
+        points, paths, sizes = [], [], []
+        for problem in live:
+            start = len(points)
+            paths.append(_path(points, *problem[1:9], xtol))
+            sizes.append(len(points) - start)
+        items = np.array([problem[0] for problem in live]).repeat(sizes)
         values = np.asarray(f(items, np.array(points)), dtype=float).tolist()
         going, j = [], 0
-        for problem, (xs, lefts, end, done) in zip(live, paths):
+        for problem, (lefts, end, done), size in zip(live, paths, sizes):
             k, a, b, c, d, fc, fd, level, model, misses, seen = problem
-            seen.append((values, points, j, j + len(xs)))
+            seen.append((values, points, j, j + size))
             # the values of the path's levels from values[o]
-            o, j = j + len(xs) - len(lefts), j + len(xs)
+            o, j = j + size - len(lefts), j + size
             if fc is None:
                 fc, fd = values[o - 2:o]
             for i, left in enumerate(lefts):
@@ -360,24 +363,25 @@ def _guided(f, a, b, fa, fb, xtol, guide):
     return tuple(np.array(v, dtype=float) for v in zip(*best))
 
 
-def _path(a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
-    """The new points and the branches (True to the left) of a search's
-    levels from its bracket (a, b, c, d) at ``level``, the bracket after
-    them and whether the search ends there: the first level by f(c) > f(d)
-    where those are known (not None), the others as its model (t, p1, p2,
-    p3, q1, q2, q3) predicts, to the end of the search or up to a level
-    that leaves the bracket no narrower; one level alone where the model
-    is None.  The new points begin with c and d where f(c) and f(d) are
-    not known."""
+def _path(points, a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
+    """The branches (True to the left) of a search's levels from its
+    bracket (a, b, c, d) at ``level``, the bracket after them and whether
+    the search ends there, with the levels' new points appended to
+    ``points``: the first level by f(c) > f(d) where those are known (not
+    None), the others as its model (t, p1, p2, p3, q1, q2, q3) predicts,
+    to the end of the search or up to a level that leaves the bracket no
+    narrower; one level alone where the model is None.  The new points
+    begin with c and d where f(c) and f(d) are not known."""
     stop = _GOLDEN_MAX_ITER if model is not None else level + 1
     t, p1, p2, p3, q1, q2, q3 = model or _FLAT
     u, v = c - t, d - t
     mc = u * (p1 + u * (p2 + u * p3)) if u <= 0.0 else u * (q1 + u * (q2 + u * q3))
     md = v * (p1 + v * (p2 + v * p3)) if v <= 0.0 else v * (q1 + v * (q2 + v * q3))
     if fc is None:
-        xs, left = [c, d], mc > md
+        points += c, d
+        left = mc > md
     else:
-        xs, left = [], fc > fd
+        left = fc > fd
     lefts = []
     width = b - a
     for level in range(level + 1, stop + 1):
@@ -386,7 +390,7 @@ def _path(a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
             b, d, md = d, c, mc
             w = b - a
             c = x = b - inv_phi * w
-            xs.append(x)
+            points.append(x)
             if not xtol <= w < width:
                 break
             u = x - t
@@ -395,14 +399,14 @@ def _path(a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
             a, c, mc = c, d, md
             w = b - a
             d = x = a + inv_phi * w
-            xs.append(x)
+            points.append(x)
             if not xtol <= w < width:
                 break
             u = x - t
             md = u * (p1 + u * (p2 + u * p3)) if u <= 0.0 else u * (q1 + u * (q2 + u * q3))
         width = w
         left = mc > md
-    return xs, lefts, (a, b, c, d), w < xtol or level == _GOLDEN_MAX_ITER
+    return lefts, (a, b, c, d), w < xtol or level == _GOLDEN_MAX_ITER
 
 
 _FLAT = (0.0,) * 7

@@ -378,19 +378,19 @@ def nlos_gain_field(
     along predicted paths for up to _GUIDED_BATCH positions).  It queries
     the gains in one numpy round for the probes, with 6 points about the
     kinks per position where the paths are predicted, and one per
-    golden-section round: 4 rounds in all for 22 positions whose searches
-    take 15-17 levels (perfbench's det_map cells), 3 for 8 positions of 15
-    levels (its x = 750 m line), and 133 for the standard 25,050-cell map,
-    whose chunks step one level per round.  Each gain it compares comes
-    from one steering-free table per distinct |y| (``_steering_free_gain``)
-    instead of an adaptive quadrature per steering, so the field picks the
-    steering ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9
-    relative (8.4e-13 on the standard map), not bit for bit.  On det_map's
-    22 positions (2-core x86-64 VM, numpy 2.4) the two row tables take
-    about 0.19 ms and a query round about 60 us plus 0.27 us per steering,
-    40 % of it the G7 rule on the partial panels; the search's bookkeeping
-    between the rounds, its paths included, takes about as long as the
-    7-round search's did.  Eve's position in ``scenario`` is ignored.  A
+    golden-section round: 3 rounds in all for 22 positions whose searches
+    take 15-17 levels (perfbench's det_map cells, where only x = 0, y = 2 m
+    needs the third), 2 for 8 positions of 15 levels (its x = 750 m line),
+    and 133 for the standard 25,050-cell map, whose chunks step one level
+    per round.  Each gain it compares comes from one steering-free table
+    per distinct |y| (``_steering_free_gain``) instead of an adaptive
+    quadrature per steering, so the field picks the steering
+    ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
+    (8.4e-13 on the standard map), not bit for bit.  On det_map's 22
+    positions (2-core x86-64 VM, numpy 2.4) the two row tables take about
+    0.17 ms, a query round about 47 us plus 0.30 us per steering, and the
+    search's bookkeeping between the rounds, its paths included, about
+    0.2 ms.  Eve's position in ``scenario`` is ignored.  A
     position's result does not depend on the other positions passed with
     it.  Returns (steering, g_nlos) arrays of the positions' shape;
     ``QuadratureError`` when a table needs more than
@@ -672,14 +672,17 @@ def _optimised_steering(gain, x, y, d, half_fov):
     gains ``gain(k, steering)``.
 
     Up to _GUIDED_BATCH positions, the golden section follows predicted
-    paths (``batched_golden_section_max`` with a guide).  Its model is the
-    better of the kinks s_a, where the cone's lower edge meets Alice, and
-    s_b, where its upper edge meets Bob, that lies inside the bracket, with
-    the slopes either side of it from the probe round's gains at s and
-    1e-7 rad either side (_KINK_STEPS); without one, the parabola through
-    the bracket's ends and the best probe.  More positions step one level per query
-    round: their rounds are large enough that the paths' extra points
-    cost more than the rounds they save."""
+    paths (``batched_golden_section_max`` with a guide), from values the
+    probe round has.  Where the better of the kinks s_a, where the cone's
+    lower edge meets Alice, and s_b, where its upper edge meets Bob, lies
+    inside the bracket, the model on each side of it is the quadratic
+    through its gain, with its one-sided slope from the gains 1e-7 rad
+    away (_KINK_STEPS), and through the bracket's end on that side; that
+    takes perfbench's x = 750 m line in 2 query rounds where straight
+    sides took 3.  Elsewhere the maximum is interior, and the model the
+    cubic through the four best candidates.  More positions step one level
+    per query round: their rounds are large enough that the paths' extra
+    points cost more than the rounds they save."""
     # a row per position: optimize_steering's candidates in ascending order,
     # then where guided s_a and s_b, each between the points _KINK_STEPS
     # away, all in the steering range.  The candidates are its coarse
@@ -735,7 +738,7 @@ def _optimised_steering(gain, x, y, d, half_fov):
         # elsewhere the cubic through the four best candidates, or where
         # fewer are distinct a flat model, which predicts the right branch
         for k in (~inside.any(axis=1)).nonzero()[0].tolist():
-            model = _cubic([(gains[k].tolist(), candidates[k].tolist(), 0, _COARSE_STEERING_POINTS + 1)])
+            model = _cubic([(gains[k].tolist(), candidates[k].tolist(), 0, candidates.shape[1])])
             if model:
                 t[k], pieces[:, 0, k], pieces[:, 1, k] = model[0], model[1:4], model[4:]
             else:

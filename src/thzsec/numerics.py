@@ -287,10 +287,9 @@ def _guided(f, a, b, fa, fb, xtol, guide):
     model predicts.
 
     Model k is continuous at t[k]: u (p1 + u (p2 + u p3)), u = x - t[k],
-    with the coefficients (p1, p2, p3) from ``left`` where u <= 0 and
-    from ``right`` past t[k], each an array of the problems' or one for
-    all.  It
-    predicts f(c) > f(d), the left branch, where its value at c exceeds
+    with the coefficients (p1, p2, p3) from ``left`` where u <= 0 and from
+    ``right`` past t[k], each an array of the problems' or one for all.
+    It predicts f(c) > f(d), the left branch, where its value at c exceeds
     that at d.  A round evaluates the rest of each live problem's predicted
     path (``_path``), c and d too in the first, in one call of f and walks
     its true comparisons; a problem goes on from the first that disagrees
@@ -300,8 +299,11 @@ def _guided(f, a, b, fa, fb, xtol, guide):
     level leaves its bracket no narrower: a bracket of a few ulps, where
     the model's comparisons are noise, would otherwise predict and discard
     a path to the level cap in every round.  A Python loop per problem
-    makes and walks the paths: numpy arrays of a few dozen problems cost
-    more per level."""
+    makes and walks the paths, at about 0.3 us a level: numpy arrays of a
+    few dozen problems cost more per level.  On perfbench's 22 det_map
+    cells that is 2 rounds, paths of 390 points and then 10 for the one
+    cell whose interior maximum the probes' cubic misplaced, and about
+    0.2 ms between the calls of f (2-core x86-64 VM, Python 3.11)."""
     n = a.size
     models = np.empty((7, n))
     t, left, right = guide
@@ -311,13 +313,12 @@ def _guided(f, a, b, fa, fb, xtol, guide):
     # d), f(c) and f(d) (None until evaluated), its level, its model (None
     # for one level per round), its misses, and the rounds' values and
     # points, each as (values, points, start, stop), that it has evaluated
-    best = [(b, fb) if fb > fa else (a, fa) for a, b, fa, fb in zip(
-        a.tolist(), b.tolist(), fa.tolist(), fb.tolist())]
+    ends = list(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
+    best = [(b, fb) if fb > fa else (a, fa) for a, b, fa, fb in ends]
     live = [
         [k, a, b, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a), None, None, 0, model, 0,
          [([fa, fb], [a, b], 0, 2)]]
-        for k, ((a, b, fa, fb), model) in enumerate(zip(
-            zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()), models.T.tolist()))
+        for k, ((a, b, fa, fb), model) in enumerate(zip(ends, models.T.tolist()))
     ]
     while live:
         points, paths, sizes = [], [], []
@@ -361,6 +362,10 @@ def _guided(f, a, b, fa, fb, xtol, guide):
             going.append(problem)
         live = going
     return tuple(np.array(v, dtype=float) for v in zip(*best))
+
+
+# the model of one level per round
+_FLAT = (0.0,) * 7
 
 
 def _path(points, a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
@@ -407,9 +412,6 @@ def _path(points, a, b, c, d, fc, fd, level, model, xtol, inv_phi=_INV_PHI):
         width = w
         left = mc > md
     return lefts, (a, b, c, d), w < xtol or level == _GOLDEN_MAX_ITER
-
-
-_FLAT = (0.0,) * 7
 
 
 def _step(a, b, c, d, lefts):

@@ -534,7 +534,8 @@ def _grid_by_text(rows):
     ):
         return None
     try:
-        xs, ys, values = list(map(float, x_tokens)), list(map(float, y_tokens)), list(map(float, sv))
+        xs, ys = list(map(float, x_tokens)), list(map(float, y_tokens))
+        values = list(map(float, sv))
     except ValueError:
         return None
     if len(set(xs)) != nx or len(set(ys)) != ny or any(map(math.isnan, xs + ys)):

@@ -267,7 +267,8 @@ class TestUsage:
     ("[eve]\naperture_m = 1e200\n", [], "scan"),
     ("[link]\neve_y_m = 1e-300\n", [], "point"),
     ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", [], "point"),
-    ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", ["--mode", "prob"], "scan"),
+    ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", ["--mode", "prob"],
+     "scan"),
     ("[sweep]\nparameter = divergence_rad\nvalues = 0.02, 1e200\n", [], "sweep"),
 ], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
         "table-bad-header", "table-missing", "freq-past-table", "bob-area-overflows",

@@ -568,7 +568,9 @@ class TestEmit:
 
     # data rows from a few spellings of a few numbers, NaN, bad tokens and
     # rows of two or four fields
-    CSV_TOKENS = st.sampled_from(["0", "0.0", "-0.0", "1", "1.0", "1e0", "2", "nan", "inf", "x", ""])
+    CSV_TOKENS = st.sampled_from(
+        ["0", "0.0", "-0.0", "1", "1.0", "1e0", "2", "nan", "inf", "x", ""]
+    )
     CSV_ROWS = st.lists(
         st.lists(CSV_TOKENS, min_size=2, max_size=4).map(",".join), max_size=9
     )

@@ -93,6 +93,8 @@ _GUIDED_BATCH = 64
 # a kink, and the points either side of it that give its slopes
 _KINK_STEPS = np.array([-1e-7, 0.0, 1e-7])
 _PROBE_STEPS = np.arange(_COARSE_STEERING_POINTS, dtype=float)
+# a bracket's ends and its best candidate, from the best candidate's index
+_BRACKET = np.array([[-1], [1], [0]])
 
 
 class EmptySegment(ValueError):
@@ -548,17 +550,22 @@ def _steering_free_gain(x, y, scenario, ext, params):
     columns[5] = hi
     if item.size == n * w:  # no row padded
         panels = columns.reshape(6, n, w)
+        outer = np.s_[:, -1:]
     else:
         panels = np.zeros((6, n, w))
         panels[:, np.arange(w) < count[:, None]] = columns
-    # at boundary j: the sums over panels < j of C, S and their |K15 - G7|,
-    # and minus the sums over panels >= j of C and S
-    sums = np.zeros((5, n, w + 1))
-    sums[:3, :, 1:] = np.cumsum(panels[:3], axis=2)
-    sums[3:, :, :-1] = -np.cumsum(panels[:2, :, ::-1], axis=2)[:, :, ::-1]
-    # the record of each slot, a row: the sums at its start, its |K15 - G7|
-    # per radian, its lo and its hi
-    records = np.concatenate([sums[:, :, :-1], panels[3:]]).reshape(8, -1).T.copy()
+        outer = np.arange(w) >= count[:, None] - 1
+    # the record of each slot, a row: at its start, the sums over panels
+    # before it of C, S and their |K15 - G7| and minus the sums over it and
+    # the panels after it of C and S; its |K15 - G7| per radian, its lo and
+    # its hi
+    records = np.empty((n, w, 8))
+    records[:, 0, :3] = 0.0
+    np.cumsum(panels[:3, :, :-1], axis=2, out=records[:, 1:, :3].transpose(2, 0, 1))
+    suffix = np.cumsum(panels[:2, :, ::-1], axis=2)
+    np.negative(suffix[:, :, ::-1], out=records[:, :, 3:5].transpose(2, 0, 1))
+    records[:, :, 5:] = panels[3:].transpose(1, 2, 0)
+    records = records.reshape(-1, 8)
     # each row's inner panel ends as row + 1j * end, padded with +inf to w
     # entries: numpy orders complex numbers by real, then imaginary part, so
     # one exact searchsorted finds a bearing's slot, r * w + the number of
@@ -566,7 +573,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
     ends = np.empty((n, w), dtype=complex)
     ends.real = np.arange(n)[:, None]
     ends.imag = panels[5]
-    ends.imag[np.arange(w) >= count[:, None] - 1] = np.inf
+    ends.imag[outer] = np.inf
     ends = ends.ravel()
     # per position, a row: beta0, beta1, exp(-alpha_am x), its row, ay and cy
     cells = np.empty((x.size, 6))
@@ -709,12 +716,12 @@ def _optimised_steering(gain, x, y, d, half_fov):
         np.minimum(around, hi[:, None, None], out=around)
     gains = gain(np.arange(n).repeat(angles.shape[1]), angles.ravel()).reshape(angles.shape)
     # the bracket's ends and the best candidate, as one gather each
-    at = np.empty((3, n), dtype=np.intp)
-    at[2] = gains[:, :_COARSE_STEERING_POINTS + 1].argmax(axis=1)
-    np.maximum(at[2] - 1, 0, out=at[0])
-    np.minimum(at[2] + 1, _COARSE_STEERING_POINTS, out=at[1])
-    at += np.arange(0, angles.size, angles.shape[1])
-    ends, values = angles.ravel()[at], gains.ravel()[at]
+    rows = np.arange(n)
+    best = gains[:, :_COARSE_STEERING_POINTS + 1].argmax(axis=1)
+    at = np.add(best, _BRACKET, out=np.empty((3, n), dtype=np.intp))
+    np.maximum(at[0], 0, out=at[0])
+    np.minimum(at[1], _COARSE_STEERING_POINTS, out=at[1])
+    ends, values = angles[rows, at], gains[rows, at]
     (a, b, best_angle), (fa, fb, best_gain) = ends, values
     guide = None
     if guided:
@@ -722,7 +729,7 @@ def _optimised_steering(gain, x, y, d, half_fov):
         # from it
         kinks = angles[:, -5::3]
         inside = (a[:, None] < kinks) & (kinks < b[:, None])
-        better = (np.arange(n), np.where(inside, gains[:, -5::3], -np.inf).argmax(axis=1))
+        better = (rows, np.where(inside, gains[:, -5::3], -np.inf).argmax(axis=1))
         near = gains[:, -6:].reshape(n, 2, 3)[better]
         t = kinks[better]
         # either side of t, left then right, the quadratic through the
@@ -735,10 +742,12 @@ def _optimised_steering(gain, x, y, d, half_fov):
         u = ends[:2] - t
         with np.errstate(all="ignore"):
             np.divide(values[:2] - near[:, 1] - slope * u, u * u, out=pieces[1])
-        # elsewhere the cubic through the four best candidates, or where
-        # fewer are distinct a flat model, which predicts the right branch
+        # elsewhere the cubic through the four best of the five candidates
+        # about the best, or where fewer are distinct a flat model, which
+        # predicts the right branch
         for k in (~inside.any(axis=1)).nonzero()[0].tolist():
-            model = _cubic([(gains[k].tolist(), candidates[k].tolist(), 0, candidates.shape[1])])
+            i = min(max(best[k].item() - 2, 0), _COARSE_STEERING_POINTS - 4)
+            model = _cubic([(gains[k].tolist(), candidates[k].tolist(), i, i + 5)])
             if model:
                 t[k], pieces[:, 0, k], pieces[:, 1, k] = model[0], model[1:4], model[4:]
             else:

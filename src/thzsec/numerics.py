@@ -361,7 +361,8 @@ def _guided(f, a, b, fa, fb, xtol, guide):
             problem[1:10] = a, b, c, d, fc, fd, level + i, model, misses
             going.append(problem)
         live = going
-    return tuple(np.array(v, dtype=float) for v in zip(*best))
+    xs, fs = zip(*best) if best else ((), ())
+    return np.array(xs, dtype=float), np.array(fs, dtype=float)
 
 
 # the model of one level per round

@@ -115,6 +115,13 @@ def test_batched_golden_section_equals_scalar_per_problem():
             )
 
 
+def test_batched_golden_section_of_no_problem():
+    none = np.zeros(0)
+    for guide in (None, kink(none, 1.0, 1.0)):
+        xs, fs = batched_golden_section_max(lambda k, x: x, none, none, none, none, 1e-8, guide)
+        assert xs.shape == fs.shape == (0,)
+
+
 def test_batched_golden_section_levels_per_call():
     # in lockstep each call of f evaluates one level of every problem, after
     # a first call for c and d; a problem of 17 levels (a bracket of 0.27

@@ -687,9 +687,10 @@ def _optimised_steering(gain, x, y, d, half_fov):
     away (_KINK_STEPS), and through the bracket's end on that side; that
     takes perfbench's x = 750 m line in 2 query rounds where straight
     sides took 3.  Elsewhere the maximum is interior, and the model the
-    cubic through the four best candidates.  More positions step one level
-    per query round: their rounds are large enough that the paths' extra
-    points cost more than the rounds they save."""
+    cubic through the four best of the five candidates about the best.
+    More positions step one level per query round: their rounds are large
+    enough that the paths' extra points cost more than the rounds they
+    save."""
     # a row per position: optimize_steering's candidates in ascending order,
     # then where guided s_a and s_b, each between the points _KINK_STEPS
     # away, all in the steering range.  The candidates are its coarse

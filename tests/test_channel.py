@@ -659,9 +659,8 @@ class TestNlosGainField:
         # the coarse probes and kinks, then the golden section's rounds along
         # predicted paths: 3 numpy query rounds on det_map's cells, where
         # x = 0, y = 2 m, an interior maximum, takes one more round than the
-        # kink paths of the other 21, and 2 on the x = 750 m line (4 and 3
-        # with the linear kink and parabola models, 8 and 7 one level per
-        # round)
+        # kink paths of the other 21, and 2 on the x = 750 m line (8 and 7
+        # one level per round)
         rounds = []
         table = channel._steering_free_gain
 

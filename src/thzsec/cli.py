@@ -24,7 +24,7 @@ from .atmosphere import RegimeError, extinction
 from .channel import compute_channel_gains
 from .config import MODE_PROBABILISTIC, ConfigError, parse_config
 from .outage import outage_from_gains
-from .scan import emit, extract_insecure_region, run_scan, run_sweep
+from .scan import _write_over, emit, extract_insecure_region, run_scan, run_sweep
 from .secrecy import detection_rates, secrecy_capacity
 from .units import np_per_m_to_db_per_km
 
@@ -190,7 +190,7 @@ def _cmd_point(args) -> int:
     text = json.dumps(sanitize(report), indent=1, sort_keys=True)
     print(text)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n")
+        _write_over(args.out, text + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -461,6 +461,17 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
             f"{scenario.d!r}, link.divergence_rad = {scenario.alpha_a!r}, bob.aperture_m = "
             f"{scenario.bob.aperture_d!r} and {absorption}"
         )
+    # los_gain's footprint, formed as it forms it: below 4 A its divergence
+    # factor exceeds 1 (Bob would receive more than Alice sends), and at 0 it
+    # divides by zero; a NaN fails both comparisons
+    footprint = math.pi * scenario.d**2 * scenario.alpha_a**2
+    if not (footprint > 0.0 and footprint >= 4.0 * scenario.bob.area):
+        raise ConfigError(
+            f"{src}: the beam's footprint pi d^2 alpha^2 = {footprint!r} m^2 is smaller than "
+            f"4 times Bob's aperture area, so the line-of-sight gain would exceed 1, at "
+            f"link.distance_m = {scenario.d!r}, link.divergence_rad = {scenario.alpha_a!r} "
+            f"and bob.aperture_m = {scenario.bob.aperture_d!r}"
+        )
     if check_sweep:
         cfg = replace(cfg, sweep_cfgs=() if sweep_param is None else tuple(
             cfg.with_sweep_value(sweep_param, value) for value in resolved["sweep"]["values"]

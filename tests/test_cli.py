@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +174,84 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+# the commands that write a result to --out: scan as CSV, scan as JSON, point
+OUTPUTS = {
+    "csv": ["scan"],
+    "json": ["scan", "--format", "json"],
+    "point": ["point"],
+}
+
+
+@pytest.mark.parametrize("output", list(OUTPUTS))
+class TestOutputRewrittenInPlace:
+    """An existing output file is written over and cut to the new length:
+    the bytes of a write to a fresh path, in the same file."""
+
+    def run(self, tmp_path, output, out):
+        cfg = write(tmp_path, POINT_CFG)
+        return main(OUTPUTS[output] + ["--config", str(cfg), "--out", str(out)])
+
+    def fresh(self, tmp_path, output):
+        out = tmp_path / "fresh.out"
+        assert self.run(tmp_path, output, out) == EXIT_OK
+        return out.read_bytes()
+
+    def test_longer_and_shorter_files_rewritten_as_a_fresh_write(self, tmp_path, capsys, output):
+        fresh = self.fresh(tmp_path, output)
+        out = tmp_path / "old.out"
+        for old in (b"x" * (3 * len(fresh)), b"x" * (len(fresh) // 3), b"", fresh[::-1]):
+            out.write_bytes(old)
+            assert self.run(tmp_path, output, out) == EXIT_OK
+            assert out.read_bytes() == fresh
+
+    def test_links_inode_and_mode_kept(self, tmp_path, capsys, output):
+        fresh = self.fresh(tmp_path, output)
+        target, link, hard = tmp_path / "target.out", tmp_path / "link.out", tmp_path / "hard.out"
+        target.write_bytes(b"x" * (2 * len(fresh)))
+        target.chmod(0o640)
+        link.symlink_to(target)
+        os.link(target, hard)
+        inode = target.stat().st_ino
+        assert self.run(tmp_path, output, link) == EXIT_OK
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == hard.read_bytes() == fresh
+        assert target.stat().st_ino == inode
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_dev_null(self, tmp_path, capsys, output):
+        # ftruncate fails on a character device with EINVAL
+        assert self.run(tmp_path, output, "/dev/null") == EXIT_OK
+
+    def test_pipe(self, tmp_path, capsys, output):
+        fresh = self.fresh(tmp_path, output)
+        read_end, write_end = os.pipe()
+        try:
+            assert self.run(tmp_path, output, f"/dev/fd/{write_end}") == EXIT_OK
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == fresh
+
+    def test_failed_write_leaves_the_bytes_written(self, tmp_path, capsys, monkeypatch, output):
+        fresh = self.fresh(tmp_path, output)
+        out = tmp_path / "old.out"
+        out.write_bytes(b"x" * (2 * len(fresh)))
+        real_write, sizes = os.write, []
+
+        def short_then_failing(fd, data):
+            sizes.append(len(data))
+            if len(sizes) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:100])
+
+        monkeypatch.setattr(os, "write", short_then_failing)
+        assert self.run(tmp_path, output, out) == EXIT_IO
+        monkeypatch.undo()
+        assert sizes == [len(fresh), len(fresh) - 100]
+        assert "I/O error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == fresh[:100]
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -270,10 +351,14 @@ class TestUsage:
     ("[atmosphere]\nabsorption = constant\nabsorption_db_per_km = 1.7e308\n", ["--mode", "prob"],
      "scan"),
     ("[sweep]\nparameter = divergence_rad\nvalues = 0.02, 1e200\n", [], "sweep"),
+    ("[link]\ndistance_m = 1e-300\n", [], "point"),
+    ("[link]\ndivergence_rad = 1e-300\n", [], "scan"),
+    ("[link]\ndivergence_rad = 1e-6\n", ["--mode", "prob"], "point"),
 ], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
         "table-bad-header", "table-missing", "freq-past-table", "bob-area-overflows",
         "eve-area-overflows", "eve-height-cube-underflows", "los-gain-underflows-point",
-        "los-gain-underflows-scan", "sweep-los-gain-underflows"])
+        "los-gain-underflows-scan", "sweep-los-gain-underflows", "los-footprint-zero-point",
+        "los-footprint-zero-scan", "los-gain-above-one-point"])
 @pytest.mark.parametrize("run", ["validate", "command"])
 def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
     """Configs that only fail once the physics or a file read would reach the

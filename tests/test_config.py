@@ -167,6 +167,14 @@ class TestUnrepresentableLinks:
         ({"link": {"distance_m": 1e200}}, r"underflows to 0 at link\.distance_m = 1e\+200"),
         ({"link": {"divergence_rad": 1e200}}, r"underflows to 0 .* link\.divergence_rad = 1e\+200"),
         ({"bob": {"aperture_m": 5e-324}}, r"underflows to 0 .* bob\.aperture_m = 5e-324"),
+        ({"link": {"distance_m": 1e-300}},
+         r"footprint .* = 0\.0 m\^2 .* exceed 1, at link\.distance_m = 1e-300, "
+         r"link\.divergence_rad = 0\.02 and bob\.aperture_m = 0\.05"),
+        ({"link": {"divergence_rad": 1e-300}},
+         r"footprint .* = 0\.0 m\^2 .* exceed 1, .* link\.divergence_rad = 1e-300 "),
+        ({"link": {"divergence_rad": 1e-6}},
+         r"footprint .* exceed 1, at link\.distance_m = 1000\.0, "
+         r"link\.divergence_rad = 1e-06 and bob\.aperture_m = 0\.05"),
     ]
 
     @pytest.mark.parametrize("settings_,match", CASES)
@@ -196,6 +204,24 @@ class TestUnrepresentableLinks:
         cfg = parse_config(write(tmp_path, "[sweep]\nparameter = divergence_rad\nvalues = 0.02\n"))
         with pytest.raises(ConfigError, match="underflows to 0"):
             cfg.with_sweep_value("divergence_rad", 1e200)
+
+    @pytest.mark.parametrize("value", [1e-300, 1e-6])
+    def test_sweep_route_footprint_below_the_aperture(self, tmp_path, value):
+        text = f"[sweep]\nparameter = divergence_rad\nvalues = 0.02, {value!r}\n"
+        with pytest.raises(ConfigError, match=rf"sweep divergence_rad = {value!r}: .*footprint"):
+            parse_config(write(tmp_path, text))
+        cfg = parse_config(write(tmp_path, "[sweep]\nparameter = divergence_rad\nvalues = 0.02\n"))
+        with pytest.raises(ConfigError, match="exceed 1"):
+            cfg.with_sweep_value("divergence_rad", value)
+
+    def test_footprint_bound_is_a_gain_of_one(self, tmp_path):
+        # the divergence factor 4 A / (pi d^2 alpha^2) is <= 1 on the side
+        # that resolves; D / d = 5e-5 rad puts the bound between these two
+        cfg = parse_config(write(tmp_path, "[link]\ndivergence_rad = 5.0001e-5\n"))
+        scenario = cfg.scenario()
+        assert 4.0 * scenario.bob.area / (math.pi * scenario.d**2 * scenario.alpha_a**2) <= 1.0
+        with pytest.raises(ConfigError, match="exceed 1"):
+            parse_config(write(tmp_path, "[link]\ndivergence_rad = 4.9999e-5\n"))
 
     @pytest.mark.parametrize("text", [
         "[link]\neve_y_m = 1e-100\n",

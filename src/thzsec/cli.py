@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -24,7 +25,7 @@ from .atmosphere import RegimeError, extinction
 from .channel import compute_channel_gains
 from .config import MODE_PROBABILISTIC, ConfigError, parse_config
 from .outage import outage_from_gains
-from .scan import _write_over, emit, extract_insecure_region, run_scan, run_sweep
+from .scan import _emit_text, _write_over, emit, run_scan, run_sweep
 from .secrecy import detection_rates, secrecy_capacity
 from .units import np_per_m_to_db_per_km
 
@@ -74,6 +75,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _names_stdout(path: Path) -> bool:
+    """Whether ``path`` is the file open as ``sys.stdout``; never for a
+    stdout without a descriptor.  A result for that file is written through
+    ``sys.stdout``, after the lines printed so far: a second descriptor
+    would write from its own offset, over them."""
+    try:
+        out, named = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (OSError, ValueError):
+        return False
+    return (out.st_dev, out.st_ino) == (named.st_dev, named.st_ino)
+
+
+def _print_flushed(text: str) -> None:
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _resolved(args):
     cfg = parse_config(args.config)
     if args.mode is not None:
@@ -91,16 +109,21 @@ def _cmd_validate(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = _resolved(args)
     result = run_scan(cfg, threads=args.threads)
-    region = extract_insecure_region(result)
+    # the count and area as extract_insecure_region gives them, without its runs
+    insecure = int(result.is_insecure().sum())
+    step = result.metadata["config"]["scan"]["step_m"]
     print(f"grid: {len(result.xs)} x {len(result.ys)} cells, mode={result.mode}")
     if result.msc_bps is not None:
         print(f"msc_bps: {result.msc_bps:.6g}")
     if result.mop is not None:
         print(f"mop: {result.mop:.6g}")
-    print(f"insecure cells: {region.cell_count} (area {region.area_m2:.6g} m^2)")
+    print(f"insecure cells: {insecure} (area {insecure * step * step:.6g} m^2)")
     print(f"regime-error cells: {result.regime_error_cells}")
     if args.out is not None:
-        emit(result, args.format, args.out)
+        if _names_stdout(args.out):
+            _print_flushed(_emit_text(result, args.format))
+        else:
+            emit(result, args.format, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -190,7 +213,10 @@ def _cmd_point(args) -> int:
     text = json.dumps(sanitize(report), indent=1, sort_keys=True)
     print(text)
     if args.out is not None:
-        _write_over(args.out, text + "\n")
+        if _names_stdout(args.out):
+            _print_flushed(text + "\n")
+        else:
+            _write_over(args.out, text + "\n")
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -351,17 +351,8 @@ JSON_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": [
-        "schema_version",
-        "mode",
-        "x_m",
-        "y_m",
-        "values",
-        "msc_bps",
-        "mop",
-        "regime_error_cells",
-        "invalid_position_cells",
-        "insecure_runs_by_row",
-        "metadata",
+        "schema_version", "mode", "x_m", "y_m", "values", "msc_bps", "mop",
+        "regime_error_cells", "invalid_position_cells", "insecure_runs_by_row", "metadata",
     ],
     "additionalProperties": False,
     "properties": {
@@ -492,9 +483,8 @@ def _write_over(path: Union[str, Path], text: str) -> None:
         os.close(fd)
 
 
-def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
-    """Write the scan result as CSV or JSON; re-parsing is bit-exact.  An
-    existing file is rewritten in place (``_write_over``)."""
+def _emit_text(result: ScanResult, fmt: str) -> str:
+    """The CSV or JSON text of the scan result, as ``emit`` writes it."""
     if np.shape(result.values) != (len(result.ys), len(result.xs)):
         raise ValueError(
             f"values of shape {np.shape(result.values)} for a "
@@ -515,19 +505,51 @@ def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
         for y, row in zip(result.ys, np.asarray(result.values, dtype=float).tolist()):
             y_token = _float_token(y)
             lines += [f"{x},{y_token},{v!r}" for x, v in zip(x_tokens, row)]
-        _write_over(path, "\n".join(lines) + "\n")
-    elif fmt == "json":
-        _write_over(path, _json_text(result) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return _json_text(result) + "\n"
+    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+
+
+def emit(result: ScanResult, fmt: str, path: Union[str, Path]) -> None:
+    """Write the scan result as CSV or JSON; re-parsing is bit-exact.  An
+    existing file is rewritten in place (``_write_over``)."""
+    _write_over(path, _emit_text(result, fmt))
+
+
+def _row_major(path, x_col: list, y_col: list) -> Tuple[list, list]:
+    """The axes (xs, ys) of the grid whose cells the columns list row-major
+    (y outer, x inner), as their elements compare; ValueError where they
+    list no cell or not every cell once in that order."""
+    if not y_col:
+        raise ValueError(f"{path}: no data rows")
+    nx = next((i for i in range(1, len(y_col)) if y_col[i] != y_col[0]), len(y_col))
+    xs, ys = x_col[:nx], y_col[::nx]
+    if x_col != xs * len(ys) or any(
+        y_col[i * nx:(i + 1) * nx] != [y] * nx for i, y in enumerate(ys)
+    ):
+        raise ValueError(f"{path}: rows are not a full {nx} x {len(ys)} grid in row-major order")
+    return xs, ys
+
+
+def _check_axes(path, xs: list, ys: list) -> None:
+    """ValueError unless each axis holds numbers, distinct and none NaN."""
+    for name, axis in (("x_m", xs), ("y_m", ys)):
+        try:
+            valid = len(set(axis)) == len(axis) and not any(map(math.isnan, axis))
+        except (TypeError, OverflowError):  # an item that is not a float's number
+            valid = False
+        if not valid:
+            raise ValueError(f"{path}: the grid's {name} holds a NaN, a repeat or a non-number")
 
 
 def load_csv(path: Union[str, Path]):
     """Re-read an emitted CSV into (xs, ys, values, header_fields).
 
     Only the layout ``emit`` writes is accepted: header lines, the column
-    line, then one row per cell in row-major order (y outer, x inner) with
-    every cell of the grid exactly once.  Anything else raises ValueError.
+    line, then one row per cell in row-major order (``_row_major``) on axes
+    of distinct numbers and no NaN (``_check_axes``), so every cell of the
+    grid exactly once.  Anything else raises ValueError.
     """
     header: Dict[str, str] = {}
     lines = iter(Path(path).read_text().splitlines())
@@ -545,11 +567,9 @@ def load_csv(path: Union[str, Path]):
 
 def _grid_by_text(rows):
     """(xs, ys, values) of the data rows where each has three fields, the
-    x tokens repeat the first grid row's as text, the y tokens are the same
-    text along each grid row, every number parses and the axes hold
-    distinct numbers and no NaN; else None.  ``float`` then reads each axis
-    token once, and ``_grid_by_value`` would accept the rows with the same
-    numbers."""
+    tokens are row-major as text, every number parses and the axes pass
+    ``_check_axes``; else None.  ``float`` then reads each axis token once,
+    and ``_grid_by_value`` would accept the rows with the same numbers."""
     sx, sy, sv = [], [], []
     try:
         for row in rows:
@@ -557,23 +577,10 @@ def _grid_by_text(rows):
             sx.append(x)
             sy.append(y)
             sv.append(v)
-    except ValueError:
-        return None
-    if not sy:
-        return None
-    nx = next((i for i in range(1, len(sy)) if sy[i] != sy[0]), len(sy))
-    ny, rest = divmod(len(sy), nx)
-    x_tokens, y_tokens = sx[:nx], sy[::nx]
-    if rest or sx != x_tokens * ny or any(
-        sy[i * nx:(i + 1) * nx] != [y] * nx for i, y in enumerate(y_tokens)
-    ):
-        return None
-    try:
-        xs, ys = list(map(float, x_tokens)), list(map(float, y_tokens))
+        xs, ys = [list(map(float, axis)) for axis in _row_major(None, sx, sy)]
         values = list(map(float, sv))
+        _check_axes(None, xs, ys)
     except ValueError:
-        return None
-    if len(set(xs)) != nx or len(set(ys)) != ny or any(map(math.isnan, xs + ys)):
         return None
     return xs, ys, values
 
@@ -582,32 +589,23 @@ def _grid_by_value(rows, path):
     """(xs, ys, values) of the data rows with every field parsed and the
     axes compared as numbers; ValueError, the first in row order, where a
     row has not three numbers or the rows are not a full grid in row-major
-    order."""
+    order, and then where the axes fail ``_check_axes``."""
     x_col, y_col, v_col = [], [], []
     for row in rows:
         sx, sy, sv = row.split(",")
         x_col.append(float(sx))
         y_col.append(float(sy))
         v_col.append(float(sv))
-    if not y_col:
-        raise ValueError(f"{path}: no data rows")
-    nx = next((i for i in range(1, len(y_col)) if y_col[i] != y_col[0]), len(y_col))
-    xs, ys = x_col[:nx], y_col[::nx]
-    ny = len(ys)
-    if (
-        len(set(xs)) != nx
-        or len(set(ys)) != ny
-        or x_col != xs * ny
-        or y_col != [y for y in ys for _ in xs]
-    ):
-        raise ValueError(f"{path}: rows are not a full {nx} x {ny} grid in row-major order")
+    xs, ys = _row_major(path, x_col, y_col)
+    _check_axes(path, xs, ys)
     return xs, ys, v_col
 
 
 def load_json(path: Union[str, Path]):
     """Re-read an emitted JSON into (xs, ys, values, payload).
 
-    Raises ValueError unless ``values`` is a len(y_m) x len(x_m) grid.
+    Raises ValueError unless ``values`` is a len(y_m) x len(x_m) grid on
+    axes of distinct numbers and no NaN.
     """
     payload = json.loads(Path(path).read_text())
     xs, ys, rows = payload["x_m"], payload["y_m"], payload["values"]
@@ -615,6 +613,7 @@ def load_json(path: Union[str, Path]):
         not isinstance(row, list) or len(row) != len(xs) for row in rows
     ):
         raise ValueError(f"{path}: values are not a {len(ys)} x {len(xs)} grid")
+    _check_axes(path, xs, ys)
     # np.array reads null (None) as NaN
     values = np.array(rows, dtype=float).reshape(len(ys), len(xs))
     return xs, ys, values, payload

@@ -11,7 +11,7 @@ import pytest
 
 from thzsec import channel, cli, outage
 from thzsec.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME, main
-from thzsec.scan import load_csv
+from thzsec.scan import ScanResult, extract_insecure_region, load_csv
 
 POINT_CFG = """
 [scan]
@@ -98,6 +98,22 @@ class TestScan:
         cfg = write(tmp_path, POINT_CFG)
         assert main(["scan", "--config", str(cfg)]) == EXIT_OK
         assert "insecure cells" in capsys.readouterr().out
+
+    def test_insecure_count_and_area_as_extracted(self, tmp_path, capsys, monkeypatch):
+        # runs of insecure cells (C_s = 0) in two rows, one of them split
+        values = np.array([[0.0, 0.0, 1.0, 0.0], [2.0, 3.0, 4.0, 5.0], [1.0, 0.0, 0.0, np.nan]])
+        result = ScanResult(
+            xs=(0.0, 2.5, 5.0, 7.5), ys=(2.0, 4.5, 7.0), values=values, mode="det",
+            msc_bps=5.0, mop=None, regime_error_cells=0, invalid_position_cells=0,
+            metadata={"config": {"scan": {"step_m": 2.5}}},
+        )
+        monkeypatch.setattr(cli, "run_scan", lambda cfg, threads: result)
+        assert main(["scan", "--config", str(write(tmp_path, POINT_CFG))]) == EXIT_OK
+        region = extract_insecure_region(result)
+        assert sorted(region.runs_by_row) == [0, 2]
+        line = f"insecure cells: {region.cell_count} (area {region.area_m2:.6g} m^2)"
+        assert line == "insecure cells: 5 (area 31.25 m^2)"
+        assert line in capsys.readouterr().out.splitlines()
 
 
 class TestPoint:
@@ -250,6 +266,48 @@ class TestOutputRewrittenInPlace:
         assert sizes == [len(fresh), len(fresh) - 100]
         assert "I/O error: [Errno 28] No space left on device" in capsys.readouterr().err
         assert out.read_bytes() == fresh[:100]
+
+
+THREE_CELLS = """
+[scan]
+x_min_m = 0
+x_max_m = 1000
+y_min_m = 2
+y_max_m = 2
+step_m = 500
+"""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("output", list(OUTPUTS))
+def test_out_naming_stdout_holds_the_result_whole(tmp_path, capsys, output, unbuffered):
+    """--out /dev/stdout with stdout a regular file: the result is written
+    through stdout, after the report lines, not over them from offset 0."""
+    cfg = write(tmp_path, THREE_CELLS)
+    fresh = tmp_path / "fresh.out"
+    assert main(OUTPUTS[output] + ["--config", str(cfg), "--out", str(fresh)]) == EXIT_OK
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    stdout = tmp_path / "stdout.txt"
+    with open(stdout, "wb") as fh:
+        run = subprocess.run(
+            [sys.executable, "-m", "thzsec.cli", *OUTPUTS[output], "--config", str(cfg),
+             "--out", "/dev/stdout"],
+            stdout=fh, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    assert run.returncode == EXIT_OK, run.stderr
+    # the report as printed (for point, the result itself), the result, the note
+    printed = capsys.readouterr().out
+    report = printed[:printed.rindex("wrote ")].encode()
+    assert stdout.read_bytes() == report + fresh.read_bytes() + b"wrote /dev/stdout\n"
+
+
+def test_stdout_without_a_descriptor_names_no_file(tmp_path, capsys):
+    # capsys's stdout has no fileno; the path is then an ordinary --out
+    assert cli._names_stdout(Path("/dev/stdout")) is False
 
 
 class TestUsage:

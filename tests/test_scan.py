@@ -578,6 +578,7 @@ class TestEmit:
     @given(rows=CSV_ROWS, grid=st.none() | grids())
     @example(rows=["0,1,1", "1,1,2", "0,2,3", "1,2,4"], grid=None)
     @example(rows=["nan,1,1", "nan,1,2"], grid=None)
+    @example(rows=["0,nan,0"], grid=None)
     @example(rows=["0,nan,1", "0,2,2"], grid=None)
     @example(rows=["nan,1,1", "nan,2,2"], grid=None)
     @example(rows=["0,nan,1", "1,nan,2"], grid=None)
@@ -605,6 +606,29 @@ class TestEmit:
         fast = outcome()
         with mock.patch.object(scan, "_grid_by_text", lambda rows: None):
             assert fast == outcome()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["nan,1,1", "nan,1,2"],  # once loaded as xs = [nan, nan]
+            ["0,nan,0"],  # once loaded as ys = [nan]
+            ["0,nan,1", "0,2,2"],
+            ["nan,1,1", "nan,2,2"],
+            ["0,1,1", "0.0,1,2"],  # one x in two spellings
+            ["0,1,1", "0,1e0,2"],  # one y in two spellings
+            ["0,1,1", "-0.0,1,2"],
+        ],
+    )
+    def test_csv_axes_with_nan_or_a_repeat_rejected(self, tmp_path, rows):
+        # the text path declines the rows, and the every-field path raises
+        out = tmp_path / "axes.csv"
+        out.write_text("# mode: det\nx_m,y_m,value\n" + "".join(r + "\n" for r in rows))
+        assert scan._grid_by_text(rows) is None
+        with pytest.raises(ValueError) as by_value:
+            scan._grid_by_value(rows, out)
+        with pytest.raises(ValueError) as loaded:
+            load_csv(out)
+        assert str(loaded.value) == str(by_value.value)
 
     @pytest.mark.parametrize("damage", ["missing", "duplicated", "swapped"])
     def test_csv_not_a_full_grid_rejected(self, tmp_path, damage):
@@ -634,8 +658,16 @@ class TestEmit:
         [
             ([0.0, 1.0, 2.0], [5.0], [[1.0, 2.0]]),  # 1 x 2 values for a 1 x 3 grid
             ([0.0, 1.0], [5.0, 6.0], [[1.0, 2.0], [3.0]]),  # ragged rows
+            ([1.0, 1.0], [5.0], [[1.0, 2.0]]),  # a repeated x
+            ([math.nan, 3.0], [5.0], [[1.0, 2.0]]),  # a NaN x
+            ([0.0, 1.0], [5.0, 5], [[1.0, 2.0], [3.0, 4.0]]),  # a repeated y, int and float
+            ([0.0, 1.0], [math.nan], [[1.0, 2.0]]),  # a NaN y
+            (["0", "1"], [5.0], [[1.0, 2.0]]),  # not numbers
+            ([0.0, 1.0], [None], [[1.0, 2.0]]),
+            ([0.0, 10**400], [5.0], [[1.0, 2.0]]),  # an integer past every float
         ],
-        ids=["shape_mismatch", "ragged"],
+        ids=["shape_mismatch", "ragged", "repeated_x", "nan_x", "repeated_y", "nan_y",
+             "string_x", "null_y", "huge_x"],
     )
     def test_json_values_not_matching_axes_rejected(self, tmp_path, xs, ys, rows):
         out = tmp_path / "map.json"

@@ -470,7 +470,6 @@ def _bearing_weight(beta, ay, cy, params):
     return out
 
 
-@functools.lru_cache(maxsize=4)
 def _first_mesh(rungs):
     """The first panels of every row table, their lower ends over their
     upper ends, shape (2, 1, panels): boundaries at +-(pi/2)(1 -
@@ -480,6 +479,9 @@ def _first_mesh(rungs):
     first = np.array([edges[:-1], edges[1:]])[:, None, :]
     first.flags.writeable = False
     return first
+
+
+_FIRST_MESH = _first_mesh(_BEARING_RUNGS)
 
 
 def _steering_free_gain(x, y, scenario, ext, params):
@@ -532,9 +534,9 @@ def _steering_free_gain(x, y, scenario, ext, params):
         """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
         return _bearing_weight(beta, ay_row[i, None], cy_row[i, None], params).swapaxes(0, 1)
 
-    first = _first_mesh(_BEARING_RUNGS)
     item, lo, hi, ik, err = gauss_kronrod_panels(
-        integrands, np.arange(n).repeat(first.shape[2]), *first.repeat(n, axis=1).reshape(2, -1),
+        integrands, np.arange(n).repeat(_FIRST_MESH.shape[2]),
+        *_FIRST_MESH.repeat(n, axis=1).reshape(2, -1),
         _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
     )
     # row r's panel j in slot r * w + j, the rows padded after their last

@@ -425,6 +425,13 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
         raise ConfigError(
             f"{src}: scan grid has {n_cells} cells, above scan.max_cells = {spec.max_cells:g}"
         )
+    # a step below the spacing of floats at the axis' magnitude repeats values
+    for name, axis in (("x", spec.xs), ("y", spec.ys)):
+        if len(set(axis)) != len(axis):
+            raise ConfigError(
+                f"{src}: scan.step_m = {spec.step_m!r} repeats values on the {name} axis "
+                f"({len(set(axis))} distinct of {len(axis)})"
+            )
     if spec.mode == MODE_PROBABILISTIC and atmosphere["cn2"] == 0.0:
         raise ConfigError(
             f"{src}: atmosphere.cn2 must be > 0 in probabilistic mode (no fading otherwise)"

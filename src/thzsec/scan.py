@@ -4,17 +4,18 @@ extraction and CSV/JSON emission.
 A scan is constants + field + metric, row-major (y outer, x inner).  The
 constants do not depend on Eve's position: the extinction, the LOS gain,
 the scenario.  The field is the steering-optimised NLOS gain of every cell,
-which ``_gain_field`` computes with ``nlos_gain_field``.  The metric
-(secrecy capacity or outage probability) is a function of a cell's NLOS
-gain alone, built once per scan from the constants (``_evaluate``).
-``run_scan`` and ``run_sweep`` run one loop over their configs
-(``_scans``), which keeps the last field with the key of the inputs it is
-computed from (``FieldKey``) and computes a new one only for a metric that
-reads the gain under another key.  A cell's gain and metric do not depend
-on the other cells, so splitting the rows into blocks for worker processes
-cannot change the output.  A scan outside the weak-fluctuation regime is
-NaN and counted as such in every cell; cells at y = 0 (no defined
-eavesdropper geometry) are NaN and counted too.
+from ``nlos_gain_field``.  The metric (secrecy capacity or outage
+probability) is a function of a cell's NLOS gain alone, built once per scan
+from the constants (``_metric``).  ``run_scan`` and ``run_sweep`` run one
+loop over their configs (``_scans``), which maps each config's row blocks
+to worker calls (``_block``) that compute the blocks' field, unless the
+last field has the key of the inputs the config's is computed from
+(``FieldKey``) and is passed in, and then the metric of every cell.  A
+cell's gain and metric do not depend on the other cells, so splitting the
+rows into blocks for worker processes cannot change the output.  A scan
+outside the weak-fluctuation regime computes nothing and is NaN and
+counted as such in every cell; cells at y = 0 (no defined eavesdropper
+geometry) are NaN and counted too.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class InsecureRegion:
 
 @dataclass(frozen=True)
 class FieldKey:
-    """The inputs ``_gain_field`` passes to ``nlos_gain_field``: the grid,
+    """The inputs ``_block`` passes to ``nlos_gain_field``: the grid,
     the link length, Eve's aperture and FOV, the extinction coefficient and
     the phase function.  Equal keys give bit-identical fields."""
 
@@ -115,7 +116,7 @@ def _inputs(
 class _Workers:
     """Row blocks of a grid and a map over them: in this process for a single
     block, else in one process pool, started on first use and shared by
-    every field and metric pass of a scan or sweep."""
+    every map of a scan or sweep."""
 
     def __init__(self, threads: int):
         if threads < 1:
@@ -147,29 +148,6 @@ class _Workers:
             self._pool.shutdown()
 
 
-def _reads_gain(cfg: ResolvedConfig) -> bool:
-    """False where the metric needs no gain: the capacity is never below a
-    nonpositive target (outage_scan_point)."""
-    spec = cfg.scan_spec()
-    return not (spec.mode == MODE_PROBABILISTIC and spec.target_rate_bps <= 0.0)
-
-
-def _field_rows(payload) -> np.ndarray:
-    """NLOS gain of a block of rows, NaN at y = 0."""
-    ys, xs, scenario, ext, scattering = payload
-    ys = np.asarray(ys, dtype=float)
-    valid = ys != 0.0
-    x_grid, y_grid = np.empty((2, int(valid.sum()), len(xs)))
-    x_grid[:] = xs
-    y_grid[:] = ys[valid, None]
-    g_nlos = nlos_gain_field(x_grid, y_grid, scenario, ext, scattering)[1]
-    if valid.all():
-        return g_nlos
-    out = np.full((ys.size, len(xs)), math.nan)
-    out[valid] = g_nlos
-    return out
-
-
 @dataclass(frozen=True)
 class _Metric:
     """A scan's metric as a function of one cell's NLOS gain.  All else it
@@ -188,6 +166,8 @@ class _Metric:
             lam_n = _signal_count(sc, sc.eve, g_nlos, rates.e_photon)
             i_eve = ook_mutual_information(lam_n, rates.lambda_e, rates.q, self.paper_exact)
             return max(0.0, self.i_bob - i_eve) / rates.integration_time_s
+        if self.target_rate_bps <= 0.0:
+            return 0.0  # the capacity is never below a nonpositive target (outage_scan_point)
         g_star = threshold_gain(sc, g_nlos, rates, self.target_rate_bps, self.paper_exact)
         return 1.0 if g_star is None else outage_probability(self.fading, g_star)
 
@@ -201,52 +181,40 @@ def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown) -> _Metric:
     return _Metric(scenario, rates, i_bob, fading, spec.target_rate_bps, exact)
 
 
-def _metric_cells(payload) -> List[float]:
-    metric, g_nlos = payload
-    return [metric(g) for g in g_nlos.tolist()]
+def _block(payload) -> Tuple[Optional[np.ndarray], List[float]]:
+    """A block of rows (``ys``, an array) in a worker: their gain field,
+    NaN at y = 0, unless the payload carries it, then the metric of every
+    cell with y != 0, row by row.  Returns the field computed here (None where it was given) and
+    the cell values."""
+    ys, xs, metric, g_nlos, scenario, ext, scattering = payload
+    valid = ys != 0.0
+    fresh = g_nlos is None
+    if fresh:
+        x_grid, y_grid = np.empty((2, int(valid.sum()), len(xs)))
+        x_grid[:] = xs
+        y_grid[:] = ys[valid, None]
+        g_nlos = np.full((len(ys), len(xs)), math.nan)
+        g_nlos[valid] = nlos_gain_field(x_grid, y_grid, scenario, ext, scattering)[1]
+    values = [metric(g) for g in g_nlos[valid].ravel().tolist()]
+    return (g_nlos if fresh else None), values
 
 
-def _gain_field(
-    scenario: LinkScenario, ext: Optional[ExtinctionBreakdown], key: FieldKey, workers: _Workers
-) -> np.ndarray:
-    """Steering-optimised NLOS gain at every cell of the key's grid, of shape
-    (len(ys), len(xs)).  NaN at y = 0, and everywhere when the extinction
-    is outside the weak-fluctuation regime."""
-    xs, ys = key.xs, key.ys
-    if ext is None:
-        return np.full((len(ys), len(xs)), np.nan)
-    payloads = [(ys[rows], xs, scenario, ext, key.scattering) for rows in workers.blocks(len(ys))]
-    return np.concatenate(workers.map(_field_rows, payloads))
-
-
-def _evaluate(
-    cfg: ResolvedConfig,
-    ext: Optional[ExtinctionBreakdown],
-    key: FieldKey,
-    g_nlos: Optional[np.ndarray],
-    workers: _Workers,
-) -> ScanResult:
-    """The config's metric over ``g_nlos``, the gain field of its key; that
-    field is not read (and may be None) where ``_reads_gain`` is false."""
+def _result(cfg: ResolvedConfig, key: FieldKey, values: Optional[List[float]]) -> ScanResult:
+    """The scan result of the cell values of every row with y != 0, in
+    row-major order; every cell a regime cell where ``values`` is None."""
     spec = cfg.scan_spec()
     xs, ys = key.xs, key.ys
-    values = np.full((len(ys), len(xs)), np.nan)
-    valid = np.repeat(np.asarray(ys)[:, None] != 0.0, len(xs), axis=1)
-    regime_cells = invalid_cells = 0
-    if ext is None:
+    grid = np.full((len(ys), len(xs)), np.nan)
+    if values is None:
         # all NaN outside the weak-fluctuation regime; inside it no cell can
         # leave it, as extinction bounded the spherical (fading) variance
-        regime_cells = values.size
+        regime_cells, invalid_cells = grid.size, 0
     else:
-        invalid_cells = values.size - int(valid.sum())
-        if not _reads_gain(cfg):
-            values[valid] = 0.0
-        else:
-            metric = _metric(cfg, ext)
-            payloads = [(metric, g_nlos[r][valid[r]]) for r in workers.blocks(len(ys))]
-            values[valid] = [v for cells in workers.map(_metric_cells, payloads) for v in cells]
+        valid = np.asarray(ys) != 0.0
+        grid[valid] = np.reshape(values, (-1, len(xs)))
+        regime_cells, invalid_cells = 0, (len(ys) - int(valid.sum())) * len(xs)
 
-    finite = values[~np.isnan(values)]
+    finite = grid[~np.isnan(grid)]
     msc = mop = None
     if spec.mode == MODE_DETERMINISTIC:
         msc = float(finite.max()) if finite.size else None
@@ -262,7 +230,7 @@ def _evaluate(
     return ScanResult(
         xs=xs,
         ys=ys,
-        values=values,
+        values=grid,
         mode=spec.mode,
         msc_bps=msc,
         mop=mop,
@@ -273,16 +241,29 @@ def _evaluate(
 
 
 def _scans(cfgs: Iterable[ResolvedConfig], threads: int) -> Iterator[ScanResult]:
-    """Each config's scan, in order, in one worker pool.  Only the last gain
-    field is kept, with its key: a config whose metric reads the gain
-    reuses it while its key is that one, and computes a new one otherwise."""
+    """Each config's scan, in order, in one worker pool, one map over the
+    row blocks per config inside the weak-fluctuation regime (none outside
+    it).  Only the last gain field is kept, with its key: a config passes it
+    to the workers while its key is that one, and has them compute a new
+    one otherwise."""
     key = g_nlos = None
     with _Workers(threads) as workers:
         for cfg in cfgs:
             scenario, ext, cfg_key = _inputs(cfg)
-            if _reads_gain(cfg) and cfg_key != key:
-                key, g_nlos = cfg_key, _gain_field(scenario, ext, cfg_key, workers)
-            yield _evaluate(cfg, ext, cfg_key, g_nlos, workers)
+            values = None
+            if ext is not None:
+                metric, cached = _metric(cfg, ext), cfg_key == key
+                ys = np.asarray(cfg_key.ys)
+                payloads = [
+                    (ys[rows], cfg_key.xs, metric, g_nlos[rows] if cached else None,
+                     scenario, ext, cfg_key.scattering)
+                    for rows in workers.blocks(len(ys))
+                ]
+                blocks = workers.map(_block, payloads)
+                if not cached:
+                    key, g_nlos = cfg_key, np.concatenate([field for field, _ in blocks])
+                values = [v for _, cells in blocks for v in cells]
+            yield _result(cfg, cfg_key, values)
 
 
 def run_scan(cfg: ResolvedConfig, threads: int = 1) -> ScanResult:
@@ -604,16 +585,27 @@ def _grid_by_value(rows, path):
 def load_json(path: Union[str, Path]):
     """Re-read an emitted JSON into (xs, ys, values, payload).
 
-    Raises ValueError unless ``values`` is a len(y_m) x len(x_m) grid on
-    axes of distinct numbers and no NaN.
+    Raises ValueError, naming the path, unless the file is an object whose
+    ``values`` is a len(y_m) x len(x_m) grid that reads as floats (null as
+    NaN) on axes of distinct numbers and no NaN.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict) or not all(
+        isinstance(payload.get(name), list) for name in ("x_m", "y_m", "values")
+    ):
+        raise ValueError(f"{path}: not an object with x_m, y_m and values lists")
     xs, ys, rows = payload["x_m"], payload["y_m"], payload["values"]
     if len(rows) != len(ys) or any(
         not isinstance(row, list) or len(row) != len(xs) for row in rows
     ):
         raise ValueError(f"{path}: values are not a {len(ys)} x {len(xs)} grid")
     _check_axes(path, xs, ys)
-    # np.array reads null (None) as NaN
-    values = np.array(rows, dtype=float).reshape(len(ys), len(xs))
+    try:
+        # np.array reads null (None) as NaN
+        values = np.array(rows, dtype=float).reshape(len(ys), len(xs))
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: values hold an item that is not a number or null") from None
     return xs, ys, values, payload

@@ -572,7 +572,7 @@ class TestNlosGainField:
         # first mesh alone already meets that budget, so the refinement
         # starts from the two panels (-pi/2, 0] and [0, pi/2)
         monkeypatch.setattr(channel, "_TABLE_REL_TOL", 1e-3)
-        monkeypatch.setattr(channel, "_BEARING_RUNGS", 0)
+        monkeypatch.setattr(channel, "_FIRST_MESH", channel._first_mesh(0))
         sc = SCENARIO.with_eve_at(750.0, 30.0)
         gain = channel._steering_free_gain(np.array([750.0]), np.array([30.0]), sc, EXT, FORWARD)
         adaptive = []
@@ -742,7 +742,7 @@ class TestNlosGainField:
         # the panels of the row tables, bit for bit and in the same order, as
         # each first panel refined on its own: the graded first mesh needs no
         # split, the two panels (-pi/2, 0] and [0, pi/2) alone need several
-        monkeypatch.setattr(channel, "_BEARING_RUNGS", rungs)
+        monkeypatch.setattr(channel, "_FIRST_MESH", channel._first_mesh(rungs))
         calls = []
 
         def recorded(f, *args):

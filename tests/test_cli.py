@@ -23,6 +23,16 @@ step_m = 10
 """
 
 
+# a 1 m step where floats lie 16 m apart: 65 x values, 5 distinct
+REPEATED_X_GRID = """[scan]
+x_min_m = 1e17
+x_max_m = 1.00000000000000064e17
+y_min_m = 2
+y_max_m = 2
+step_m = 1
+"""
+
+
 def write(tmp_path, text, name="cli.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -412,11 +422,12 @@ class TestUsage:
     ("[link]\ndistance_m = 1e-300\n", [], "point"),
     ("[link]\ndivergence_rad = 1e-300\n", [], "scan"),
     ("[link]\ndivergence_rad = 1e-6\n", ["--mode", "prob"], "point"),
+    (REPEATED_X_GRID, [], "scan"),
 ], ids=["prob-cn2-0", "sweep-fov-200", "sweep-freq-neg", "sweep-background-neg",
         "table-bad-header", "table-missing", "freq-past-table", "bob-area-overflows",
         "eve-area-overflows", "eve-height-cube-underflows", "los-gain-underflows-point",
         "los-gain-underflows-scan", "sweep-los-gain-underflows", "los-footprint-zero-point",
-        "los-footprint-zero-scan", "los-gain-above-one-point"])
+        "los-footprint-zero-scan", "los-gain-above-one-point", "scan-axis-repeats"])
 @pytest.mark.parametrize("run", ["validate", "command"])
 def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
     """Configs that only fail once the physics or a file read would reach the
@@ -425,7 +436,8 @@ def test_rejected_before_any_work(tmp_path, capsys, text, extra, command, run):
     bad_header = tmp_path / "bad_header.csv"
     bad_header.write_text("freq,alpha\n140e9,2.0\n400e9,30.0\n")
     text = text.format(bad_header=bad_header, missing=tmp_path / "missing.csv")
-    cfg = write(tmp_path, POINT_CFG + text)
+    # a case with its own grid replaces POINT_CFG's
+    cfg = write(tmp_path, text if text.startswith("[scan]") else POINT_CFG + text)
     out = tmp_path / "out" / "result.csv"
     out.parent.mkdir()
     argv = ["validate"] if run == "validate" else [command, "--out", str(out)]

@@ -451,6 +451,25 @@ class TestOneResolutionPath:
         with pytest.raises(ConfigError, match=r"scan\.step_m = 0\.001: .*max_cells"):
             parse_config(None).with_value("scan", "step_m", 0.001)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_repeated_axis_values_rejected(self, tmp_path, axis):
+        # floats near 1e17 lie 16 apart: a 1 m step over 64 m gives 65 axis
+        # values, 5 of them distinct, which the scan would write as 65 cells
+        bounds = {f"{axis}_min_m": 1e17, f"{axis}_max_m": 1.00000000000000064e17}
+        match = rf"scan\.step_m = 1\.0 repeats values on the {axis} axis \(5 distinct of 65\)"
+        settings_ = {"scan": {**bounds, "step_m": 1.0}}
+        ini = "[scan]\n" + "".join(f"{k} = {v!r}\n" for k, v in settings_["scan"].items())
+        json_path = tmp_path / "case.json"
+        json_path.write_text(json.dumps(settings_))
+        for path in (write(tmp_path, ini), json_path):
+            with pytest.raises(ConfigError, match=match):
+                parse_config(path)
+        # a step of the float spacing resolves; the override to 1 m does not
+        base = parse_config(write(tmp_path, ini.replace("step_m = 1.0", "step_m = 16.0")))
+        assert len(set(getattr(base.scan_spec(), f"{axis}s"))) == 5
+        with pytest.raises(ConfigError, match=match):
+            base.with_value("scan", "step_m", 1.0)
+
     def test_grid_cap_with_an_overflowing_cell_count(self, tmp_path):
         with pytest.raises(ConfigError, match="scan grid has inf cells"):
             parse_config(write(tmp_path, "[scan]\nstep_m = 5e-324\n"))

@@ -74,8 +74,11 @@ def same_bits(a, b):
 
 
 def field_of(cfg):
-    """The config's gain field, computed as a scan computes it."""
-    return scan._gain_field(*scan._inputs(cfg), scan._Workers(1))
+    """The gain field of a config inside the weak-fluctuation regime,
+    computed as a scan's worker computes it, in one block of every row."""
+    scenario, ext, key = scan._inputs(cfg)
+    payload = (np.asarray(key.ys), key.xs, scan._metric(cfg, ext), None, scenario, ext, key.scattering)
+    return scan._block(payload)[0]
 
 
 @st.composite
@@ -421,7 +424,11 @@ class TestMetric:
         ext = extinction(
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
-        got = scan._metric_cells((scan._metric(cfg, ext), np.array(g_nlos)))
+        # the gains as a one-row block's given field, at y != 0
+        payload = (np.array([1.0]), tuple(range(len(g_nlos))), scan._metric(cfg, ext),
+                   np.array([g_nlos]), scenario, ext, cfg.scattering())
+        field, got = scan._block(payload)
+        assert field is None
         for g, value in zip(g_nlos, got):
             gains = ChannelGains(
                 g_los=los_gain(scenario, ext), g_nlos=g, steering_rad=0.0, seg=None
@@ -678,6 +685,26 @@ class TestEmit:
         with pytest.raises(ValueError, match="grid"):
             load_json(out)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1.0, 2.0]",
+            '{"y_m": [1.0], "values": [[0.0]]}',
+            '{"x_m": 5, "y_m": [1.0], "values": [[0.0]]}',
+            '{"x_m": [1.0], "y_m": [1.0], "values": [[{}]]}',
+            '{"x_m": [1.0], "y_m": [1.0], "values": [["a"]]}',
+            '{"x_m": [1.0], "y_m": [1.0], "values": [[0.0]]',
+        ],
+        ids=["top_level_list", "missing_x", "numeric_x", "object_cell", "string_cell",
+             "truncated"],
+    )
+    def test_json_malformed_payload_rejected_naming_the_path(self, tmp_path, text):
+        out = tmp_path / "map.json"
+        out.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_json(out)
+        assert str(raised.value).startswith(f"{out}: ")
+
     @given(json_results())
     @settings(max_examples=200, deadline=None)
     def test_json_bytes_equal_stdlib_encoder(self, tmp_path_factory, result):
@@ -892,6 +919,8 @@ class TestGainField:
         ("cn2", "1e-12, 1e-12, 5.8e-11", 2),
         # only the last field is kept
         ("cn2", "1e-12, 5.8e-11, 1e-12", 3),
+        # an out-of-regime config computes none and keeps the last
+        ("cn2", "1e-12, 1e-9, 1e-12", 1),
     ])
     def test_sweep_computes_one_field_per_key(
         self, tmp_path, field_calls, parameter, values, expected
@@ -926,20 +955,35 @@ class TestGainField:
             assert result.metadata["config"] == sub_cfg.to_dict()
             assert sub_cfg["eve"]["background_count"] == value
 
-    def test_prob_zero_target_computes_no_field(self, tmp_path, field_calls):
+    def test_prob_zero_target_is_zero_outage(self, tmp_path):
+        # the capacity is never below a nonpositive target
         text = TINY_GRID + (
             "mode = prob\ntarget_rate_bps = 0\n"
             "[bob]\nintegration_time_s = 1e-10\n[eve]\nintegration_time_s = 1e-10\n"
         )
         result = run_scan(cfg_from(tmp_path, text))
-        assert field_calls == []
         assert (result.values[1:] == 0.0).all()
         assert result.invalid_position_cells == 3
 
-    def test_out_of_regime_field_is_all_nan(self, tmp_path, field_calls):
-        field = field_of(cfg_from(tmp_path, TINY_GRID + "[atmosphere]\ncn2 = 1e-9\n"))
-        assert field_calls == []
-        assert np.isnan(field).all()
+    def test_out_of_regime_scan_computes_no_field(self, tmp_path, monkeypatch, field_calls):
+        maps = count_calls(monkeypatch, scan._Workers, "map")
+        result = run_scan(cfg_from(tmp_path, TINY_GRID + "[atmosphere]\ncn2 = 1e-9\n"))
+        assert field_calls == maps == []
+        assert np.isnan(result.values).all()
+        assert result.regime_error_cells == result.values.size
+
+    def test_one_worker_map_per_scan(self, tmp_path, monkeypatch):
+        # each block's field and metric in one worker call: one map per
+        # config, whether it computes the field or is given the last one
+        cfg = cfg_from(tmp_path, TINY_GRID)
+        prob = cfg.with_value("scan", "mode", "prob")
+        want = [run_scan(cfg).values, run_scan(prob).values]
+        maps = count_calls(monkeypatch, scan._Workers, "map")
+        assert same_bits(run_scan(cfg, threads=2).values, want[0])
+        assert len(maps) == 1
+        results = list(scan._scans([cfg, prob], 2))
+        assert len(maps) == 1 + 2
+        assert all(same_bits(r.values, w) for r, w in zip(results, want))
 
     # another valid value for every setting that leaves the field key equal
     FIELD_FREE_CHANGES = {

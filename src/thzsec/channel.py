@@ -34,7 +34,7 @@ cone's bearings clipped to [atan(-x / y), atan((d - x) / y)], with
 W_y = (A alpha_am / y) p(-sin(beta)) exp(-alpha_am y (tan(beta) +
 sec(beta))) independent of x and of the steering (Luettgen, Shapiro &
 Reilly, JOSA A 8(12), 1991).  So one table per distinct y serves its row
-(``_steering_free_gain``).
+(``_steering_free_gain``), over the bearings the row's limits can reach.
 """
 
 from __future__ import annotations
@@ -385,12 +385,12 @@ def nlos_gain_field(
     needs the third), 2 for 8 positions of 15 levels (its x = 750 m line),
     and 133 for the standard 25,050-cell map, whose chunks step one level
     per round.  Each gain it compares comes from one steering-free table
-    per distinct |y| (``_steering_free_gain``) instead of an adaptive
-    quadrature per steering, so the field picks the steering
+    per distinct |y| and side of the link (``_steering_free_gain``) instead
+    of an adaptive quadrature per steering, so the field picks the steering
     ``optimize_steering`` picks and agrees with its G_NLOS to 1e-9 relative
     (8.4e-13 on the standard map), not bit for bit.  On det_map's 22
     positions (2-core x86-64 VM, numpy 2.4) the two row tables take about
-    0.17 ms, a query round about 47 us plus 0.30 us per steering, and the
+    0.12 ms, a query round about 47 us plus 0.30 us per steering, and the
     search's bookkeeping between the rounds, its paths included, about
     0.2 ms.  Eve's position in ``scenario`` is ignored.  A
     position's result does not depend on the other positions passed with
@@ -486,7 +486,8 @@ _FIRST_MESH = _first_mesh(_BEARING_RUNGS)
 
 def _steering_free_gain(x, y, scenario, ext, params):
     """``gain(k, steering)``: nlos_gain of Eve at (x[k], y[k]), y > 0, at
-    steering[i] for every i, from one steering-free table per distinct y.
+    steering[i] for every i, from one steering-free table per distinct y
+    and reach.
 
     In the bearing beta of a scatterer from Eve (l = x + y tan(beta)) the
     gain at steering s is G = exp(-alpha_am x) (cos(beta_s) C + sin(beta_s)
@@ -496,12 +497,22 @@ def _steering_free_gain(x, y, scenario, ext, params):
     atan(-x/y) and beta1 = atan((d - x)/y).  So x enters only through
     exp(-alpha_am x) and the limits, and one table per y serves its row.
 
-    The table holds the final panels of one adaptive refinement over
-    (-pi/2, pi/2) of (cos(beta) W_y, sin(beta) W_y) together
-    (``gauss_kronrod_panels`` at _TABLE_REL_TOL), from a first mesh graded
-    toward both ends: boundaries at +-(pi/2)(1 - 2^(-j/2)), j = 0, 1, ...,
-    _BEARING_RUNGS, where the forward-scatter peak (beta -> -pi/2) and the
-    exponential edge (beta -> pi/2) lie.  A record per panel holds the
+    A table spans the reach of its positions' limits, which depends on
+    where x lies only: [0, pi/2] before Alice (x < 0), [atan2(-d, y),
+    atan2(d, y)] over the link and [-pi/2, 0] past Bob (x > d).  So a row
+    is a distinct (y, reach), and a position's table, and with it its
+    result, does not depend on the other positions.  The table holds the
+    final panels of one adaptive refinement of (cos(beta) W_y, sin(beta)
+    W_y) together (``gauss_kronrod_panels`` at _TABLE_REL_TOL), from the
+    panels of a first mesh (``_FIRST_MESH``) that meet the reach.  That
+    mesh is graded toward both ends of (-pi/2, pi/2): boundaries at
+    +-(pi/2)(1 - 2^(-j/2)), j = 0, 1, ..., _BEARING_RUNGS, where the
+    forward-scatter peak (beta -> -pi/2) and the exponential edge (beta ->
+    pi/2) lie.  Each first panel is refined on its own, so a table's panels
+    are those of the whole mesh's table over the reach: tabulating the
+    reach alone (on a 1 km link 40 of the 50 first panels at y = 2 m, 16
+    at y = 100 m) gives the same steering and G_NLOS to a few ulps, from
+    its sums over fewer panels.  A record per panel holds the
     row's prefix sums of the K15 integrals and of |K15 - G7| at the
     panel's start, its suffix sums of the integrals, |K15 - G7| per radian
     of the panel, and its ends; a record per position holds beta0, beta1,
@@ -522,21 +533,35 @@ def _steering_free_gain(x, y, scenario, ext, params):
     alpha_am, area = ext.alpha_att, scenario.eve.area
     if alpha_am == 0.0:
         return lambda k, steering: np.zeros(steering.shape)
-    half_fov = scenario.eve.fov_full_rad / 2.0
-    # the distinct y, ascending, and each position's row
-    y_row = np.sort(y)
-    y_row = y_row[np.concatenate([[True], y_row[1:] != y_row[:-1]])]
-    row = y_row.searchsorted(y)
-    n = y_row.size
+    half_fov, d = scenario.eve.fov_full_rad / 2.0, scenario.d
+    # a row per distinct (y, side of the link), ascending, and each
+    # position's row; side 0 before Alice (x < 0), 1 over the link, 2 past
+    # Bob (x > d)
+    key = y + 1j * np.add(x >= 0.0, x > d, dtype=float)
+    rows = np.sort(key)
+    rows = rows[np.concatenate([[True], rows[1:] != rows[:-1]])]
+    row = rows.searchsorted(key)
+    y_row, n = rows.real, rows.size
+    # a row's reach, the bearings its positions' limits can take: atan2 of
+    # (0, inf) over y before Alice, of (-d, d) over the link and of (-inf,
+    # 0) past Bob
+    bounds = np.array([[0.0, -d, -np.inf], [np.inf, d, 0.0]])
+    reach = np.arctan2(bounds[:, rows.imag.astype(int)], y_row)
     ay_row, cy_row = _row_factors(y_row, area, alpha_am, params)
 
     def integrands(i, beta):
         """(cos(beta) W, sin(beta) W) of rows i at beta[i, :], shape (len(i), 2, 15)"""
         return _bearing_weight(beta, ay_row[i, None], cy_row[i, None], params).swapaxes(0, 1)
 
+    # each row's first panels: those of the first mesh that its reach meets,
+    # from the one a query at its lower end lands in to the one a query at
+    # its upper end lands in
+    j0, j1 = _FIRST_MESH[1, 0, :-1].searchsorted(reach, side="right")
+    size = j1 - j0 + 1
+    item = np.arange(n).repeat(size)
+    mesh = np.arange(item.size) + (j0 - (size.cumsum() - size)).repeat(size)
     item, lo, hi, ik, err = gauss_kronrod_panels(
-        integrands, np.arange(n).repeat(_FIRST_MESH.shape[2]),
-        *_FIRST_MESH.repeat(n, axis=1).reshape(2, -1),
+        integrands, item, *_FIRST_MESH[:, 0, mesh],
         _TABLE_REL_TOL, QUAD_ABS_TOL, QUAD_MAX_PANELS,
     )
     # row r's panel j in slot r * w + j, the rows padded after their last
@@ -578,9 +603,10 @@ def _steering_free_gain(x, y, scenario, ext, params):
     ends.imag[outer] = np.inf
     ends = ends.ravel()
     # per position, a row: beta0, beta1, exp(-alpha_am x), its row, ay and cy
+    # (the clip to the reach is exact where np.arctan2 is monotone)
     cells = np.empty((x.size, 6))
-    np.arctan2(-x, y, out=cells[:, 0])
-    np.arctan2(scenario.d - x, y, out=cells[:, 1])
+    np.maximum(np.arctan2(-x, y), reach[0, row], out=cells[:, 0])
+    np.minimum(np.arctan2(d - x, y), reach[1, row], out=cells[:, 1])
     np.exp(-alpha_am * x, out=cells[:, 2])
     cells[:, 3] = row
     cells[:, 4] = ay_row[row]
@@ -606,12 +632,7 @@ def _steering_free_gain(x, y, scenario, ext, params):
         np.maximum(lim, beta0, out=lim)
         np.minimum(lim, beta1, out=lim)
         boresight = np.cos(angle[2:])
-        # the slots of both ends' panels and their records
-        key = np.empty(lim.shape, dtype=complex)
-        key.real = r
-        key.imag = lim
-        at = ends.searchsorted(key, side="right")
-        rec = records.take(at, axis=0)
+        at, rec = _panels_of(ends, records, r, lim)
         # the full panels lie between the ends' panels: from the start of
         # the slot after a's, or of b's where the panels are one, to the
         # start of b's; suffix sums where more of C lies before them than
@@ -661,6 +682,17 @@ def _steering_free_gain(x, y, scenario, ext, params):
         return value
 
     return gain
+
+
+def _panels_of(ends, records, row, beta):
+    """The slots in ``_steering_free_gain``'s table of the panels that hold
+    the bearings beta[..., k] of rows row[k], and their records: one exact
+    searchsorted of row + 1j * beta in ``ends``."""
+    key = np.empty(beta.shape, dtype=complex)
+    key.real = row
+    key.imag = beta
+    at = ends.searchsorted(key, side="right")
+    return at, records.take(at, axis=0)
 
 
 def _kinks(x, y, d, half_fov):

@@ -6,7 +6,9 @@ section/key nesting is accepted as an alternate.  Unknown sections or keys
 are hard errors (no silent typos), every constraint violation names the key
 path and, for the INI format, the line number.  Absent keys fall back to the
 standard-scenario defaults baked into the schema below.  Overrides and sweep
-values are resolved and checked by the same function as the file's values.
+values are resolved and checked by the same function as the file's values,
+which also builds the config's model objects (scenario, scattering, scan
+spec, conditions, wave and absorption backend) once for all its callers.
 """
 
 from __future__ import annotations
@@ -272,64 +274,54 @@ def _loc(path, lineno) -> str:
 
 
 @dataclass(frozen=True)
+class _Models:
+    """The model objects of one resolved config, built once by ``_resolve``:
+    all are frozen, so every caller shares them."""
+
+    scenario: LinkScenario
+    scattering: ScatteringParams
+    scan_spec: ScanSpec
+    conditions: AtmosphereConditions
+    wave: Wave
+    backend: AbsorptionBackend
+
+
+@dataclass(frozen=True)
 class ResolvedConfig:
     """Fully resolved, validated configuration; built only by ``_resolve``."""
 
     values: Dict[str, Dict[str, Any]]
     source: str
     settings: Settings = field(compare=False, repr=False)
+    models: _Models = field(compare=False, repr=False)
     # the config of each sweep value, resolved with this one; None for a
     # sweep value's own config
     sweep_cfgs: Optional[Tuple["ResolvedConfig", ...]] = field(
         default=None, compare=False, repr=False
     )
-    # the absorption backend, built and checked once by _resolve
-    absorption_backend: Optional[AbsorptionBackend] = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, section: str) -> Dict[str, Any]:
         return self.values[section]
 
-    # ---- builders -----------------------------------------------------
+    # ---- the model objects, built by _resolve -------------------------
 
     def conditions(self) -> AtmosphereConditions:
-        return AtmosphereConditions(cn2=self.values["atmosphere"]["cn2"])
+        return self.models.conditions
 
     def wave(self) -> Wave:
-        return Wave(self.values["atmosphere"]["wave"])
+        return self.models.wave
 
     def backend(self) -> AbsorptionBackend:
-        return self.absorption_backend
-
-    def _receiver(self, section: str, **optics) -> ReceiverParams:
-        r = self.values[section]
-        return ReceiverParams(
-            aperture_d=r["aperture_m"],
-            efficiency=r["efficiency"],
-            integration_time_s=r["integration_time_s"],
-            background_count=r["background_count"],
-            **optics,
-        )
+        return self.models.backend
 
     def scenario(self) -> LinkScenario:
-        link = self.values["link"]
-        return LinkScenario(
-            freq_hz=link["freq_hz"],
-            d=link["distance_m"],
-            eve_xy=(link["eve_x_m"], link["eve_y_m"]),
-            alpha_a=link["divergence_rad"],
-            tx_power_w=link["tx_power_w"],
-            bob=self._receiver("bob"),
-            eve=self._receiver(
-                "eve", fov_full_rad=math.radians(self.values["eve"]["fov_deg"])
-            ),
-        )
+        return self.models.scenario
 
     def scattering(self) -> ScatteringParams:
-        s = self.values["scattering"]
-        return ScatteringParams(g=s["g"], f=s["f"])
+        return self.models.scattering
 
     def scan_spec(self) -> ScanSpec:
-        return ScanSpec(**self.values["scan"])
+        return self.models.scan_spec
 
     def sweep_spec(self) -> Optional[SweepSpec]:
         s = self.values["sweep"]
@@ -374,10 +366,35 @@ class ResolvedConfig:
         return _resolve(settings, f"{self.source} with {origin}", check_sweep)
 
 
+def _receiver(values, section: str, **optics) -> ReceiverParams:
+    r = values[section]
+    return ReceiverParams(
+        aperture_d=r["aperture_m"],
+        efficiency=r["efficiency"],
+        integration_time_s=r["integration_time_s"],
+        background_count=r["background_count"],
+        **optics,
+    )
+
+
+def _scenario(values) -> LinkScenario:
+    link = values["link"]
+    return LinkScenario(
+        freq_hz=link["freq_hz"],
+        d=link["distance_m"],
+        eve_xy=(link["eve_x_m"], link["eve_y_m"]),
+        alpha_a=link["divergence_rad"],
+        tx_power_w=link["tx_power_w"],
+        bob=_receiver(values, "bob"),
+        eve=_receiver(values, "eve", fov_full_rad=math.radians(values["eve"]["fov_deg"])),
+    )
+
+
 def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> ResolvedConfig:
     """Parse and check each setting, fill in defaults, apply the cross-key
-    rules and build every model object once, so a config that resolves also
-    runs.  ``check_sweep`` resolves each sweep value too and keeps its
+    rules and build every model object once (``_Models``), so a config that
+    resolves also runs and its accessors return what was checked.
+    ``check_sweep`` resolves each sweep value too and keeps its
     config (not for a sweep's own sub-configs, so it does not recurse).
     ``src`` prefixes the errors."""
     resolved = {sec: {k: spec[0] for k, spec in keys.items()} for sec, keys in _SCHEMA.items()}
@@ -413,8 +430,7 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
                     f"{src}: {sec}.integration_time_s has no default at scan.target_rate_bps = {rate!r}"
                 )
             resolved[sec]["integration_time_s"] = slot
-    cfg = ResolvedConfig(values=resolved, source=src, settings=settings)
-    spec = cfg.scan_spec()
+    spec = ScanSpec(**resolved["scan"])
     if spec.x_max_m < spec.x_min_m:
         raise ConfigError(f"{src}: scan.x_max_m < scan.x_min_m (empty range)")
     if spec.y_max_m < spec.y_min_m:
@@ -445,8 +461,8 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
     # fail fast on anything the model objects would reject later, the
     # carrier's place in the supported band and the absorption table included
     try:
-        scenario = cfg.scenario()
-        cfg.scattering()
+        scenario = _scenario(resolved)
+        scattering = ScatteringParams(g=resolved["scattering"]["g"], f=resolved["scattering"]["f"])
         if atmosphere["absorption"] == "constant":
             backend = ConstantAbsorption(atmosphere["absorption_db_per_km"])
         elif atmosphere["absorption_table_path"] is not None:
@@ -456,7 +472,8 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
         alpha_g = gaseous_extinction(scenario.freq_hz, backend)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{src}: {exc}") from None
-    if _los_gain_underflows(cfg, scenario, backend, alpha_g):
+    conditions, wave = AtmosphereConditions(cn2=atmosphere["cn2"]), Wave(atmosphere["wave"])
+    if _los_gain_underflows(scenario, conditions, wave, backend, alpha_g):
         absorption = (
             f"atmosphere.absorption_db_per_km = {atmosphere['absorption_db_per_km']!r}"
             if atmosphere["absorption"] == "constant"
@@ -479,14 +496,18 @@ def _resolve(settings: Settings, src: str, check_sweep: bool = True) -> Resolved
             f"link.distance_m = {scenario.d!r}, link.divergence_rad = {scenario.alpha_a!r} "
             f"and bob.aperture_m = {scenario.bob.aperture_d!r}"
         )
+    cfg = ResolvedConfig(
+        values=resolved, source=src, settings=settings,
+        models=_Models(scenario, scattering, spec, conditions, wave, backend),
+    )
     if check_sweep:
         cfg = replace(cfg, sweep_cfgs=() if sweep_param is None else tuple(
             cfg.with_sweep_value(sweep_param, value) for value in resolved["sweep"]["values"]
         ))
-    return replace(cfg, absorption_backend=backend)
+    return cfg
 
 
-def _los_gain_underflows(cfg, scenario, backend, alpha_g) -> bool:
+def _los_gain_underflows(scenario, conditions, wave, backend, alpha_g) -> bool:
     """Whether G_LOS is 0, where Bob receives nothing and no cell means
     anything.  Its gaseous part bounds it; turbulence, within the
     weak-fluctuation regime less than 200 dB, is worked out only where that
@@ -496,7 +517,7 @@ def _los_gain_underflows(cfg, scenario, backend, alpha_g) -> bool:
         if bound > 1e-280 or bound == 0.0:
             return bound == 0.0
         return los_gain(scenario, extinction(
-            scenario.freq_hz, cfg.conditions(), scenario.d, backend, cfg.wave()
+            scenario.freq_hz, conditions, scenario.d, backend, wave
         )) == 0.0
     except OverflowError:
         return True

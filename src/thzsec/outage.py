@@ -5,6 +5,11 @@ Only the LOS gain fluctuates; the NLOS gain stays at its deterministic
 value.  The instantaneous gain G is log-normal around the deterministic mean
 with log-variance equal to the spherical-wave Rytov variance, and the
 log-mean is pinned to -sigma^2/2 so that E[G] equals the deterministic gain.
+
+The threshold gain inverts Bob's information, which does not depend on Eve:
+``_BobCurve`` holds it and its 513-gain table once per link, and every
+solve, ``threshold_gain``'s and each scan cell's, runs the same safeguarded
+Newton kernel from that table.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,8 +50,10 @@ BISECT_VALUE_TOL = 1e-9  # bits/slot
 _MAX_BISECT_ITER = 400
 # round-off the monotonicity checks forgive, bits/slot
 _MONOTONE_SLACK = 1e-12
-# 33 log-spaced gains over [GAIN_BRACKET_LO, GAIN_BRACKET_HI], ends exact
-_TABLE_GAINS = (GAIN_BRACKET_LO, *np.logspace(-30.0, 0.0, 33)[1:-1].tolist(), GAIN_BRACKET_HI)
+# 513 log-spaced gains over [GAIN_BRACKET_LO, GAIN_BRACKET_HI], 17 per decade,
+# ends exact: a solve starts about 1e-3 from its root in ln G and takes about
+# 4 evaluations of Bob's information, where 33 gains took about 6.4
+_TABLE_GAINS = (GAIN_BRACKET_LO, *np.logspace(-30.0, 0.0, 513)[1:-1].tolist(), GAIN_BRACKET_HI)
 # just under the relative width tolerance, as a step in ln G
 _MIN_LOG_STEP = 0.5 * BISECT_REL_WIDTH
 # a step in ln G at least this long leaves any bracket
@@ -126,8 +133,46 @@ def _bob_information(
     k_bob: float, lambda_b: float, q: float, paper_exact: bool
 ) -> Tuple[float, ...]:
     """Bob's information at ``_TABLE_GAINS``.  It depends on the LOS gain
-    alone, so every cell, sweep value and scalar call of one link shares it."""
+    alone, so every cell, sweep value and scalar call of one link shares it:
+    about 0.3 ms per link."""
     return _tabulate(lambda g: _ook_information(k_bob * g, lambda_b, q, paper_exact))
+
+
+@dataclass(frozen=True)
+class _BobCurve:
+    """Bob's information I_bob(G) of one link as a function of the LOS gain,
+    with its values at ``_TABLE_GAINS``; ``threshold(level)`` is the gain
+    where it meets ``level``.  It does not depend on Eve, so a scan builds
+    it once and every cell's solve reads it."""
+
+    k_bob: float  # Bob's count per unit gain
+    lambda_b: float
+    q: float
+    paper_exact: bool
+    values: Tuple[float, ...] = field(repr=False)
+
+    @classmethod
+    def of(
+        cls, scenario: LinkScenario, lambda_b: float, q: float, paper_exact: bool
+    ) -> "_BobCurve":
+        # Bob's count per unit gain (the factor 1.0 is exact)
+        k_bob = _signal_count(scenario, scenario.bob, 1.0, photon_energy_j(scenario.freq_hz))
+        values = _bob_information(k_bob, lambda_b, q, paper_exact)
+        return cls(k_bob, lambda_b, q, paper_exact, values)
+
+    # the config or DetectionRates checked q and lambda_b, and the solver's
+    # gains are positive: the kernels skip the checks
+    def information(self, g: float) -> float:
+        return _ook_information(self.k_bob * g, self.lambda_b, self.q, self.paper_exact)
+
+    def slope(self, g: float) -> float:
+        """d I_bob / d ln G."""
+        lam = self.k_bob * g
+        return lam * _ook_information_slope(lam, self.lambda_b, self.q)
+
+    def threshold(self, level: float) -> Optional[float]:
+        """``threshold_gain``'s G* at the level R * tau + I_eve."""
+        return _solve_tabulated(self.information, self.slope, level, self.values)
 
 
 def _bisect_monotone(
@@ -231,35 +276,25 @@ def threshold_gain(
     """LOS gain G* at which the secrecy capacity equals the target rate.
 
     Bob's information I_bob(G) is strictly increasing and does not depend
-    on Eve, so G* inverts it at the level R * tau + I_eve: safeguarded
-    Newton steps in ln G (``_solve_tabulated``) from the shared table of
-    Bob's information, which brackets the root, down to 1e-10 relative
-    bracket width and 1e-9 bits/slot residual; of the final bracket's ends
-    it returns the one with the smaller residual.  Returns None when even
-    G = 1 cannot reach the level (outage certain); returns the lower
-    bracket 1e-30 when the level is already met there (outage negligible).
+    on Eve, so G* inverts it at the level R * tau + I_eve
+    (``_BobCurve.threshold``, the kernel of the scans' outage metric too):
+    safeguarded Newton steps in ln G (``_solve_tabulated``) from the shared
+    513-gain table of Bob's information, which brackets the root, down to
+    1e-10 relative bracket width and 1e-9 bits/slot residual; of the final
+    bracket's ends it returns the one with the smaller residual.  Returns
+    None when even G = 1 cannot reach the level (outage certain); returns
+    the lower bracket 1e-30 when the level is already met there (outage
+    negligible).
     """
     e_p = photon_energy_j(scenario.freq_hz)
-    # Bob's count per unit gain (the factor 1.0 is exact); Eve's count as
-    # detection_rates forms lambda_n, so that I_eve is the one it reports
-    k_bob = _signal_count(scenario, scenario.bob, 1.0, e_p)
+    # Eve's count as detection_rates forms lambda_n, so that I_eve is the
+    # one it reports
     i_eve = ook_mutual_information(
         _signal_count(scenario, scenario.eve, g_nlos_fixed, e_p),
         rates_template.lambda_e, rates_template.q, paper_exact,
     )
-    lambda_b, q = rates_template.lambda_b, rates_template.q
-
-    # the caller checked q, DetectionRates checked lambda_b, and the solver's
-    # gains are positive: the kernels skip the checks
-    def i_bob(g: float) -> float:
-        return _ook_information(k_bob * g, lambda_b, q, paper_exact)
-
-    def slope(g: float) -> float:
-        lam = k_bob * g
-        return lam * _ook_information_slope(lam, lambda_b, q)
-
-    level = target_rate_bps * rates_template.integration_time_s + i_eve
-    return _solve_tabulated(i_bob, slope, level, _bob_information(k_bob, lambda_b, q, paper_exact))
+    curve = _BobCurve.of(scenario, rates_template.lambda_b, rates_template.q, paper_exact)
+    return curve.threshold(target_rate_bps * rates_template.integration_time_s + i_eve)
 
 
 def outage_probability(model: FadingModel, g_threshold: float) -> float:

@@ -6,16 +6,18 @@ constants do not depend on Eve's position: the extinction, the LOS gain,
 the scenario.  The field is the steering-optimised NLOS gain of every cell,
 from ``nlos_gain_field``.  The metric (secrecy capacity or outage
 probability) is a function of a cell's NLOS gain alone, built once per scan
-from the constants (``_metric``).  ``run_scan`` and ``run_sweep`` run one
-loop over their configs (``_scans``), which maps each config's row blocks
-to worker calls (``_block``) that compute the blocks' field, unless the
-last field has the key of the inputs the config's is computed from
-(``FieldKey``) and is passed in, and then the metric of every cell.  A
-cell's gain and metric do not depend on the other cells, so splitting the
-rows into blocks for worker processes cannot change the output.  A scan
-outside the weak-fluctuation regime computes nothing and is NaN and
-counted as such in every cell; cells at y = 0 (no defined eavesdropper
-geometry) are NaN and counted too.
+from the constants (``_metric``).  Within one scan loop the last extinction
+and Bob-side constants (``_link``) are reused while their inputs stay
+equal, so an ``eve_background`` sweep computes them once.  ``run_scan``
+and ``run_sweep`` run one loop over their configs (``_scans``), which maps
+each config's row blocks to worker calls (``_block``) that compute the
+blocks' field, unless the last field has the key of the inputs the
+config's is computed from (``FieldKey``) and is passed in, and then the
+metric of every cell.  A cell's gain and metric do not depend on the other
+cells, so splitting the rows into blocks for worker processes cannot
+change the output.  A scan outside the weak-fluctuation regime computes
+nothing and is NaN and counted as such in every cell; cells at y = 0 (no
+defined eavesdropper geometry) are NaN and counted too.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from .atmosphere import ExtinctionBreakdown, RegimeError, extinction
-from .channel import ChannelGains, LinkScenario, ScatteringParams, los_gain, nlos_gain_field
+from .channel import LinkScenario, ScatteringParams, los_gain, nlos_gain_field
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, ConfigError, ResolvedConfig
-from .outage import FadingModel, outage_probability, threshold_gain
-from .secrecy import DetectionRates, _signal_count, detection_rates, ook_mutual_information
+from .outage import FadingModel, _BobCurve, outage_probability
+from .secrecy import _signal_count, ook_mutual_information
+from .units import photon_energy_j
 
 __all__ = [
     "ScanResult",
@@ -94,16 +97,31 @@ class FieldKey:
     scattering: ScatteringParams
 
 
+class _Last:
+    """The value of the last key a scan loop met: ``get(key, fn, *args)``
+    returns it while the key stays equal and calls ``fn(*args)`` for a new
+    one.  Each scan loop has its own, so nothing outlives a sweep."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key: tuple, fn, *args):
+        if key != self.key:
+            self.value = fn(*args)
+            self.key = key
+        return self.value
+
+
 def _inputs(
-    cfg: ResolvedConfig,
+    cfg: ResolvedConfig, extinctions: _Last
 ) -> Tuple[LinkScenario, Optional[ExtinctionBreakdown], FieldKey]:
     """The config's scenario, its extinction (None outside the
-    weak-fluctuation regime) and its field's key, built once per scan."""
+    weak-fluctuation regime; the last one while its inputs stay equal) and
+    its field's key."""
     scenario, spec = cfg.scenario(), cfg.scan_spec()
+    args = (scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave())
     try:
-        ext = extinction(
-            scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
-        )
+        ext = extinctions.get(args, extinction, *args)
     except RegimeError:
         ext = None
     key = FieldKey(
@@ -149,36 +167,70 @@ class _Workers:
 
 
 @dataclass(frozen=True)
+class _Link:
+    """A scan's Bob-side constants: they do not depend on Eve, so a scan
+    loop reuses them while ``_link_key`` stays equal."""
+
+    e_photon: float
+    i_bob: float  # bits/slot
+    fading: Optional[FadingModel]  # prob mode only
+    bob: Optional[_BobCurve]  # prob mode only
+
+
+def _link_key(scenario: LinkScenario, ext: ExtinctionBreakdown, q, exact, prob) -> tuple:
+    """Everything ``_link`` reads."""
+    return (scenario.freq_hz, scenario.d, scenario.alpha_a, scenario.tx_power_w, scenario.bob,
+            ext, q, exact, prob)
+
+
+def _link(scenario: LinkScenario, ext: ExtinctionBreakdown, q, exact, prob) -> _Link:
+    """G_LOS, Bob's count and information as ``detection_rates`` and
+    ``secrecy_capacity`` form them, and in prob mode the fading model and
+    Bob's curve."""
+    g_los = los_gain(scenario, ext)
+    e_p = photon_energy_j(scenario.freq_hz)
+    bob = scenario.bob
+    lambda_l = _signal_count(scenario, bob, g_los, e_p)
+    i_bob = ook_mutual_information(lambda_l, bob.background_count, q, exact)
+    if not prob:
+        return _Link(e_p, i_bob, None, None)
+    curve = _BobCurve.of(scenario, bob.background_count, q, exact)
+    return _Link(e_p, i_bob, FadingModel(g_los, ext.beta_r2_sph), curve)
+
+
+@dataclass(frozen=True)
 class _Metric:
     """A scan's metric as a function of one cell's NLOS gain.  All else it
     reads is built once per scan, by ``_metric``."""
 
     scenario: LinkScenario
-    rates: DetectionRates  # Bob's counts, both backgrounds, q; lambda_n unused
-    i_bob: float  # bits/slot
-    fading: Optional[FadingModel]  # prob mode only
-    target_rate_bps: float
+    link: _Link
+    q: float
     paper_exact: bool
+    target_rate_bps: float
+    target_bits: float  # the target rate times Bob's slot time, bits/slot
 
     def __call__(self, g_nlos: float) -> float:
-        sc, rates = self.scenario, self.rates
-        if self.fading is None:
-            lam_n = _signal_count(sc, sc.eve, g_nlos, rates.e_photon)
-            i_eve = ook_mutual_information(lam_n, rates.lambda_e, rates.q, self.paper_exact)
-            return max(0.0, self.i_bob - i_eve) / rates.integration_time_s
-        if self.target_rate_bps <= 0.0:
+        sc, link = self.scenario, self.link
+        if link.fading is not None and self.target_rate_bps <= 0.0:
             return 0.0  # the capacity is never below a nonpositive target (outage_scan_point)
-        g_star = threshold_gain(sc, g_nlos, rates, self.target_rate_bps, self.paper_exact)
-        return 1.0 if g_star is None else outage_probability(self.fading, g_star)
+        lam_n = _signal_count(sc, sc.eve, g_nlos, link.e_photon)
+        i_eve = ook_mutual_information(lam_n, sc.eve.background_count, self.q, self.paper_exact)
+        if link.fading is None:
+            return max(0.0, link.i_bob - i_eve) / sc.bob.integration_time_s
+        # threshold_gain's kernel at its level R * tau + I_eve
+        g_star = link.bob.threshold(self.target_bits + i_eve)
+        return 1.0 if g_star is None else outage_probability(link.fading, g_star)
 
 
-def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown) -> _Metric:
-    scenario, spec, exact = cfg.scenario(), cfg.scan_spec(), cfg.paper_exact()
-    g_los = los_gain(scenario, ext)
-    rates = detection_rates(scenario, ChannelGains(g_los, 0.0, math.nan, None), cfg.duty_cycle())
-    i_bob = ook_mutual_information(rates.lambda_l, rates.lambda_b, rates.q, exact)
-    fading = FadingModel(g_los, ext.beta_r2_sph) if spec.mode == MODE_PROBABILISTIC else None
-    return _Metric(scenario, rates, i_bob, fading, spec.target_rate_bps, exact)
+def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown, links: _Last) -> _Metric:
+    """The config's metric, with the last Bob-side constants of ``links``
+    while their inputs stay equal."""
+    scenario, spec = cfg.scenario(), cfg.scan_spec()
+    q, exact, prob = cfg.duty_cycle(), cfg.paper_exact(), spec.mode == MODE_PROBABILISTIC
+    link = links.get(_link_key(scenario, ext, q, exact, prob), _link, scenario, ext, q, exact, prob)
+    return _Metric(scenario, link, q, exact, spec.target_rate_bps,
+                   spec.target_rate_bps * scenario.bob.integration_time_s)
 
 
 def _block(payload) -> Tuple[Optional[np.ndarray], List[float]]:
@@ -245,14 +297,16 @@ def _scans(cfgs: Iterable[ResolvedConfig], threads: int) -> Iterator[ScanResult]
     row blocks per config inside the weak-fluctuation regime (none outside
     it).  Only the last gain field is kept, with its key: a config passes it
     to the workers while its key is that one, and has them compute a new
-    one otherwise."""
+    one otherwise.  So are the last extinction and Bob-side constants
+    (``_Last``), for this loop only."""
     key = g_nlos = None
+    extinctions, links = _Last(), _Last()
     with _Workers(threads) as workers:
         for cfg in cfgs:
-            scenario, ext, cfg_key = _inputs(cfg)
+            scenario, ext, cfg_key = _inputs(cfg, extinctions)
             values = None
             if ext is not None:
-                metric, cached = _metric(cfg, ext), cfg_key == key
+                metric, cached = _metric(cfg, ext, links), cfg_key == key
                 ys = np.asarray(cfg_key.ys)
                 payloads = [
                     (ys[rows], cfg_key.xs, metric, g_nlos[rows] if cached else None,
@@ -513,12 +567,23 @@ def _row_major(path, x_col: list, y_col: list) -> Tuple[list, list]:
     return xs, ys
 
 
+# the types of a JSON number as json.loads reads it (a boolean is not one),
+# and of null
+_NUMBER = frozenset((int, float))
+_NUMBER_OR_NULL = frozenset((int, float, type(None)))
+
+
 def _check_axes(path, xs: list, ys: list) -> None:
-    """ValueError unless each axis holds numbers, distinct and none NaN."""
+    """ValueError unless each axis holds numbers (ints or floats, not
+    booleans), distinct and none NaN."""
     for name, axis in (("x_m", xs), ("y_m", ys)):
         try:
-            valid = len(set(axis)) == len(axis) and not any(map(math.isnan, axis))
-        except (TypeError, OverflowError):  # an item that is not a float's number
+            valid = (
+                _NUMBER.issuperset(map(type, axis))
+                and len(set(axis)) == len(axis)
+                and not any(map(math.isnan, axis))
+            )
+        except OverflowError:  # an int beyond a float's range
             valid = False
         if not valid:
             raise ValueError(f"{path}: the grid's {name} holds a NaN, a repeat or a non-number")
@@ -586,8 +651,9 @@ def load_json(path: Union[str, Path]):
     """Re-read an emitted JSON into (xs, ys, values, payload).
 
     Raises ValueError, naming the path, unless the file is an object whose
-    ``values`` is a len(y_m) x len(x_m) grid that reads as floats (null as
-    NaN) on axes of distinct numbers and no NaN.
+    ``values`` is a len(y_m) x len(x_m) grid of numbers and nulls (NaN) on
+    axes of distinct numbers and no NaN, as ``JSON_SCHEMA`` has it: a
+    boolean, a string or a list is not a number.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -604,8 +670,10 @@ def load_json(path: Union[str, Path]):
         raise ValueError(f"{path}: values are not a {len(ys)} x {len(xs)} grid")
     _check_axes(path, xs, ys)
     try:
+        if not all(_NUMBER_OR_NULL.issuperset(map(type, row)) for row in rows):
+            raise TypeError
         # np.array reads null (None) as NaN
         values = np.array(rows, dtype=float).reshape(len(ys), len(xs))
-    except (TypeError, ValueError):
+    except (TypeError, OverflowError):
         raise ValueError(f"{path}: values hold an item that is not a number or null") from None
     return xs, ys, values, payload

@@ -654,6 +654,55 @@ class TestNlosGainField:
             want_gain = reference_nlos_gain(cell, ext, params, want_steering)
             assert g_nlos[k] == pytest.approx(want_gain, rel=1e-9, abs=0.0)
 
+    # cells where a row table's reach ends: the standard map's x = 0 and
+    # 1000 m at each of its y; and with a 179-degree cone, cells over the
+    # link, at its ends, before Alice and past Bob
+    EDGE_CELLS = {
+        "standard_edges": (10.0, np.meshgrid([0.0, 1000.0], 2.0 + 2.0 * np.arange(50))),
+        "wide_cone": (179.0, np.meshgrid(
+            [-50.0, 0.0, 2.0, 250.0, 500.0, 750.0, 998.0, 1000.0, 1050.0], [2.0, 10.0, 30.0, 100.0]
+        )),
+    }
+
+    @pytest.mark.parametrize("cells", sorted(EDGE_CELLS))
+    def test_reach_edge_cells_match_scalar_search(self, cells):
+        # the scalar search's steering, bit for bit
+        fov_deg, (xs, ys) = self.EDGE_CELLS[cells]
+        cfg = parse_config(None).with_value("eve", "fov_deg", fov_deg)
+        sc, params = cfg.scenario(), cfg.scattering()
+        ext = extinction(sc.freq_hz, cfg.conditions(), sc.d, cfg.backend(), cfg.wave())
+        steering, _ = nlos_gain_field(xs, ys, sc, ext, params)
+        for k in np.ndindex(np.shape(xs)):
+            want_steering, _ = optimize_steering(sc.with_eve_at(xs[k], ys[k]), ext, params)
+            assert steering[k].tobytes() == np.float64(want_steering).tobytes(), k
+
+    @pytest.mark.parametrize("fov_deg", [10.0, 179.0])
+    def test_every_query_lands_in_a_real_panel_of_its_row(self, monkeypatch, fov_deg):
+        # a row's table spans the reach of its positions' limits only: each
+        # bearing a query looks up lies in the panel the lookup gives, a
+        # panel of the query's row and not padding after its last one
+        lookups = []
+        panels_of = channel._panels_of
+
+        def recorded(ends, records, row, beta):
+            at, rec = panels_of(ends, records, row, beta)
+            lookups.append((ends, row, beta, at, rec))
+            return at, rec
+
+        monkeypatch.setattr(channel, "_panels_of", recorded)
+        xs, ys = np.meshgrid(
+            [-300.0, -2.0, 0.0, 2.0, 98.0, 500.0, 750.0, 980.0, 998.0, 1000.0, 1002.0, 1300.0],
+            [2.0, 16.0, 30.0, 100.0],
+        )
+        nlos_gain_field(xs, ys, field_scenario(fov_deg), EXT, FORWARD)
+        assert lookups
+        for ends, row, beta, at, rec in lookups:
+            width = ends.size // (int(ends.real.max()) + 1)
+            assert (at // width == row).all()
+            lo, hi = rec[..., 6], rec[..., 7]
+            assert (lo < hi).all()
+            assert ((lo <= beta) & (beta <= hi)).all()
+
     @pytest.mark.parametrize("workload,calls", [("det_map", 3), ("prob_bg_sweep", 2)])
     def test_benchmark_cells_query_rounds(self, monkeypatch, workload, calls):
         # the coarse probes and kinks, then the golden section's rounds along

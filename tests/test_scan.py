@@ -76,8 +76,9 @@ def same_bits(a, b):
 def field_of(cfg):
     """The gain field of a config inside the weak-fluctuation regime,
     computed as a scan's worker computes it, in one block of every row."""
-    scenario, ext, key = scan._inputs(cfg)
-    payload = (np.asarray(key.ys), key.xs, scan._metric(cfg, ext), None, scenario, ext, key.scattering)
+    scenario, ext, key = scan._inputs(cfg, scan._Last())
+    metric = scan._metric(cfg, ext, scan._Last())
+    payload = (np.asarray(key.ys), key.xs, metric, None, scenario, ext, key.scattering)
     return scan._block(payload)[0]
 
 
@@ -425,7 +426,7 @@ class TestMetric:
             scenario.freq_hz, cfg.conditions(), scenario.d, cfg.backend(), cfg.wave()
         )
         # the gains as a one-row block's given field, at y != 0
-        payload = (np.array([1.0]), tuple(range(len(g_nlos))), scan._metric(cfg, ext),
+        payload = (np.array([1.0]), tuple(range(len(g_nlos))), scan._metric(cfg, ext, scan._Last()),
                    np.array([g_nlos]), scenario, ext, cfg.scattering())
         field, got = scan._block(payload)
         assert field is None
@@ -694,9 +695,19 @@ class TestEmit:
             '{"x_m": [1.0], "y_m": [1.0], "values": [[{}]]}',
             '{"x_m": [1.0], "y_m": [1.0], "values": [["a"]]}',
             '{"x_m": [1.0], "y_m": [1.0], "values": [[0.0]]',
+            # JSON_SCHEMA's number is neither a string, a list nor a boolean
+            '{"x_m": [1.0], "y_m": [1.0], "values": [["2.5"]]}',
+            '{"x_m": [1.0], "y_m": [1.0], "values": [[[2.5]]]}',
+            '{"x_m": [1.0], "y_m": [1.0], "values": [[true]]}',
+            '{"x_m": [true], "y_m": [1.0], "values": [[0.0]]}',
+            '{"x_m": [1.0], "y_m": [false, 1.0], "values": [[0.0], [0.0]]}',
+            # an int beyond a float's range
+            '{"x_m": [1.0], "y_m": [1.0], "values": [[1' + "0" * 400 + ']]}',
+            '{"x_m": [1' + "0" * 400 + '], "y_m": [1.0], "values": [[0.0]]}',
         ],
         ids=["top_level_list", "missing_x", "numeric_x", "object_cell", "string_cell",
-             "truncated"],
+             "truncated", "numeric_string_cell", "list_cell", "boolean_cell", "boolean_x",
+             "boolean_y", "huge_int_cell", "huge_int_x"],
     )
     def test_json_malformed_payload_rejected_naming_the_path(self, tmp_path, text):
         out = tmp_path / "map.json"
@@ -821,6 +832,10 @@ SWEEPS = [
     ("divergence_rad", "0.01, 0.02, 0.04", "det"),
     ("eve_background", "0.001, 0.1, 1.0", "prob"),
     ("eve_fov_deg", "5, 20", "det"),
+    # in prob mode a sweep also reuses the last extinction and Bob-side
+    # constants while their inputs stay equal
+    ("divergence_rad", "0.01, 0.02, 0.04", "prob"),
+    ("cn2", "1e-12, 1e-9, 5.8e-11", "prob"),
 ]
 
 
@@ -866,7 +881,7 @@ TOGETHER = {
 
 
 def key_of(cfg):
-    return scan._inputs(cfg)[2]
+    return scan._inputs(cfg, scan._Last())[2]
 
 
 def changed_inputs(a, b):
@@ -936,12 +951,33 @@ class TestGainField:
         assert len(field_calls) == expected
 
     def test_one_extinction_per_config(self, tmp_path, monkeypatch):
+        # at most one per config: a sweep reuses the last one while its
+        # inputs stay equal, so an eve_background sweep computes one and a
+        # cn2 sweep one per value
         cfg = sweep_cfg(tmp_path, "eve_background", "0.001, 0.01, 0.1", "prob")
         calls = count_calls(monkeypatch, scan, "extinction")
         run_scan(cfg)
         assert len(calls) == 1
         run_sweep(cfg)
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1 + 1
+        run_sweep(sweep_cfg(tmp_path, "cn2", "1e-12, 5.8e-11, 1e-13", "prob"))
+        assert len(calls) == 2 + 3
+
+    def test_back_to_back_sweeps_share_no_state(self, tmp_path, monkeypatch):
+        # the second sweep's first value has the inputs of the first sweep's
+        # last (extinction, Bob-side constants, field), yet computes its own
+        # and writes the bytes it writes alone
+        first = sweep_cfg(tmp_path, "eve_background", "0.001, 0.01", "prob")
+        second = sweep_cfg(tmp_path, "divergence_rad", "0.02, 0.04", "prob")
+        alone = run_sweep(second, out_stem=tmp_path / "alone.csv")
+        calls = {name: count_calls(monkeypatch, scan, name)
+                 for name in ("extinction", "_link", "nlos_gain_field")}
+        run_sweep(first)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+        after = run_sweep(second, out_stem=tmp_path / "after.csv")
+        assert {name: len(c) for name, c in calls.items()} == {
+            "extinction": 2, "_link": 1 + 2, "nlos_gain_field": 2}
+        assert [p.read_bytes() for _, _, p in after] == [p.read_bytes() for _, _, p in alone]
 
     def test_sweep_resolves_each_value_once(self, tmp_path, monkeypatch):
         # parse_config resolves the file and each of the 3 values; run_sweep

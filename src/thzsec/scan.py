@@ -169,18 +169,12 @@ class _Workers:
 @dataclass(frozen=True)
 class _Link:
     """A scan's Bob-side constants: they do not depend on Eve, so a scan
-    loop reuses them while ``_link_key`` stays equal."""
+    loop reuses them while their inputs stay equal (``_metric``)."""
 
     e_photon: float
     i_bob: float  # bits/slot
     fading: Optional[FadingModel]  # prob mode only
     bob: Optional[_BobCurve]  # prob mode only
-
-
-def _link_key(scenario: LinkScenario, ext: ExtinctionBreakdown, q, exact, prob) -> tuple:
-    """Everything ``_link`` reads."""
-    return (scenario.freq_hz, scenario.d, scenario.alpha_a, scenario.tx_power_w, scenario.bob,
-            ext, q, exact, prob)
 
 
 def _link(scenario: LinkScenario, ext: ExtinctionBreakdown, q, exact, prob) -> _Link:
@@ -228,7 +222,10 @@ def _metric(cfg: ResolvedConfig, ext: ExtinctionBreakdown, links: _Last) -> _Met
     while their inputs stay equal."""
     scenario, spec = cfg.scenario(), cfg.scan_spec()
     q, exact, prob = cfg.duty_cycle(), cfg.paper_exact(), spec.mode == MODE_PROBABILISTIC
-    link = links.get(_link_key(scenario, ext, q, exact, prob), _link, scenario, ext, q, exact, prob)
+    # everything _link reads
+    key = (scenario.freq_hz, scenario.d, scenario.alpha_a, scenario.tx_power_w, scenario.bob,
+           ext, q, exact, prob)
+    link = links.get(key, _link, scenario, ext, q, exact, prob)
     return _Metric(scenario, link, q, exact, spec.target_rate_bps,
                    spec.target_rate_bps * scenario.bob.integration_time_s)
 

@@ -15,7 +15,6 @@ from thzsec.atmosphere import (
 )
 from thzsec.channel import ChannelGains, LinkScenario, ReceiverParams, ScatteringParams
 from thzsec.config import parse_config
-from thzsec.scan import run_scan
 from thzsec.outage import (
     FadingModel,
     MonotonicityError,
@@ -26,6 +25,7 @@ from thzsec.outage import (
     lognormal_pdf,
     threshold_gain,
 )
+from thzsec.scan import run_scan
 from thzsec.secrecy import DetectionRates, detection_rates, ook_mutual_information
 
 MODEL = FadingModel(g_los_mean=2.3e-8, sigma_r2=0.287)
